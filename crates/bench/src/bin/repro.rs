@@ -15,14 +15,11 @@ use dnhunter_bench::Harness;
 
 fn usage() -> &'static str {
     "usage: repro [--all] [--table N] [--figure N] [--dimensioning] \
-     [--bench-sniffer [--quick]] [--scale F] [--out DIR] [--list]\n\
+     [--scale F] [--out DIR] [--list]\n\
      --all            run every experiment (default if nothing selected)\n\
      --table N        run Table N (1-9)\n\
      --figure N       run Figure N (3-14)\n\
      --dimensioning   run the §6 Clist sizing analysis\n\
-     --bench-sniffer  measure sequential vs parallel sniffer throughput and\n\
-                      write BENCH_sniffer.json to the current directory\n\
-     --quick          shrink --bench-sniffer to a CI smoke run\n\
      --scale F        client-population scale factor (default 0.25)\n\
      --out DIR        also write one .txt file per experiment into DIR\n\
      --list           list experiment ids and exit"
@@ -34,15 +31,11 @@ fn main() -> ExitCode {
     let mut out_dir: Option<String> = None;
     let mut selected: Vec<String> = Vec::new();
     let mut all = false;
-    let mut bench_sniffer = false;
-    let mut quick = false;
 
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--all" => all = true,
-            "--bench-sniffer" => bench_sniffer = true,
-            "--quick" => quick = true,
             "--list" => {
                 for e in registry() {
                     println!("{:<14} {}", e.id, e.description);
@@ -89,46 +82,6 @@ fn main() -> ExitCode {
             }
         }
         i += 1;
-    }
-
-    if bench_sniffer {
-        let outcome = dnhunter_bench::sniffer_bench::run(quick);
-        let json = outcome.json;
-        let path = "BENCH_sniffer.json";
-        match std::fs::File::create(path) {
-            Ok(mut f) => {
-                if let Err(e) = f
-                    .write_all(json.as_bytes())
-                    .and_then(|()| f.write_all(b"\n"))
-                {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("# wrote {path}");
-            }
-            Err(e) => {
-                eprintln!("cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        println!("{json}");
-        if !outcome.telemetry_within_budget {
-            eprintln!(
-                "# bench-sniffer: FAILED — telemetry-enabled ingest exceeded its overhead \
-                 budget (see telemetry_overhead in {path})"
-            );
-            return ExitCode::FAILURE;
-        }
-        if !outcome.trace_within_budget {
-            eprintln!(
-                "# bench-sniffer: FAILED — flight-recorder-enabled ingest exceeded its \
-                 overhead budget (see trace_overhead in {path})"
-            );
-            return ExitCode::FAILURE;
-        }
-        if selected.is_empty() && !all {
-            return ExitCode::SUCCESS;
-        }
     }
 
     if selected.is_empty() {

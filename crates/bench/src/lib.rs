@@ -22,7 +22,5 @@
 
 pub mod experiments;
 pub mod harness;
-/// The recorded sniffer-throughput baseline (`BENCH_sniffer.json`).
-pub mod sniffer_bench;
 
 pub use harness::Harness;

@@ -11,9 +11,6 @@
 //! dn-hunter capture.pcap --trace-out run.trace.json --workers 4
 //! #   flight-recorder export: Chrome trace_event JSON, one lane per
 //! #   pipeline thread (open with chrome://tracing or Perfetto)
-//! dn-hunter capture.pcap --trace-out run.trace.json --workers 4 --dispatchers 2
-//! #   same, but replaying from memory through the full dispatcher stage so
-//! #   the export also shows per-dispatcher lanes and token hand-offs
 //! dn-hunter capture.pcap --explain www.example.com
 //! dn-hunter capture.pcap --explain 93.184.216.34:443
 //! #   provenance: the causal chain of trace events that tagged (or failed
@@ -36,12 +33,9 @@ use std::sync::Arc;
 
 use dnhunter::{
     DaemonSniffer, FlowSink, FlowrecConfig, ParallelSniffer, RealTimeSniffer, Rotation,
-    SnifferConfig, SnifferReport, StreamingAnalytics, StreamingConfig, WindowConfig,
-    WindowedAnalytics,
+    SnifferConfig, StreamingAnalytics, StreamingConfig, WindowConfig, WindowedAnalytics,
 };
-use dnhunter_net::{
-    FlowRecReader, FrameSource, PcapFileSource, PcapReader, PcapRecord, PcapStreamSource,
-};
+use dnhunter_net::{FlowRecReader, FrameSource, PcapFileSource, PcapStreamSource};
 use dnhunter_telemetry as telemetry;
 
 fn usage() -> &'static str {
@@ -49,7 +43,7 @@ fn usage() -> &'static str {
      [--warmup SECS] [--workers N] [--metrics FILE] [--metrics-interval SECS] [--metrics-full] \
      [--stream-analytics FILE] [--stream-interval SECS] [--window DUR] [--slide DUR] \
      [--rotate DUR] [--flowrec] [--flowrec-skew DUR] \
-     [--dispatchers N] [--trace-out FILE] [--explain FQDN|IP:PORT]\n\
+     [--trace-out FILE] [--explain FQDN|IP:PORT]\n\
      DUR is seconds, or a number suffixed s/m/h (e.g. --window 1h --slide 5m); --window \
      switches --stream-analytics to sliding-window JSONL output; '-' reads a pcap byte \
      stream from stdin (FIFO/pipe daemon mode); --rotate retires window state every DUR \
@@ -96,39 +90,6 @@ impl SinkMode {
     }
 }
 
-/// Either sniffer behind one replay loop, so `--workers`/`--metrics`
-/// compose with every output mode.
-enum Driver {
-    Seq(Box<RealTimeSniffer>),
-    Par(Box<ParallelSniffer>),
-}
-
-impl Driver {
-    fn process_record(&mut self, rec: &PcapRecord) {
-        match self {
-            Driver::Seq(s) => s.process_record(rec),
-            Driver::Par(p) => p.process_record(rec),
-        }
-    }
-
-    /// Live view: the dispatcher thread's registry plus (for the parallel
-    /// sniffer) a racy-but-monotone sum of the workers' registries.
-    fn live_snapshot(&self, registry: &telemetry::Registry) -> telemetry::Snapshot {
-        let mut snap = registry.snapshot();
-        if let Driver::Par(p) = self {
-            snap.merge(&p.worker_telemetry_snapshot());
-        }
-        snap
-    }
-
-    fn finish(self) -> (SnifferReport, Vec<Box<dyn FlowSink>>) {
-        match self {
-            Driver::Seq(s) => s.finish_with_sinks(),
-            Driver::Par(p) => p.finish_with_sinks(),
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
@@ -148,7 +109,6 @@ fn main() -> ExitCode {
     let mut slide_micros: Option<u64> = None;
     let mut trace_out: Option<String> = None;
     let mut explain: Option<String> = None;
-    let mut dispatchers: Option<usize> = None;
     let mut rotate_micros: Option<u64> = None;
     let mut flowrec = false;
     let mut flowrec_skew_micros: Option<u64> = None;
@@ -261,16 +221,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--dispatchers" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => dispatchers = Some(n),
-                    _ => {
-                        eprintln!("--dispatchers needs a count >= 1\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--trace-out" => {
                 i += 1;
                 match args.get(i) {
@@ -328,10 +278,6 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    // `--dispatchers` replays the whole capture from memory in one burst, so
-    // there is no trace-time replay loop for `--metrics` to schedule mid-run
-    // snapshots on. Refusing the combination is more honest than silently
-    // emitting a single final line.
     if slide_micros.is_some() && window_micros.is_none() {
         eprintln!("--slide needs --window\n{}", usage());
         return ExitCode::FAILURE;
@@ -339,14 +285,6 @@ fn main() -> ExitCode {
     if window_micros.is_some() && stream_path.is_none() {
         eprintln!(
             "--window needs --stream-analytics FILE to write the windowed JSONL to\n{}",
-            usage()
-        );
-        return ExitCode::FAILURE;
-    }
-    if dispatchers.is_some() && metrics_path.is_some() {
-        eprintln!(
-            "--dispatchers and --metrics do not compose: the dispatcher replay has no \
-             per-packet loop to emit interval snapshots from\n{}",
             usage()
         );
         return ExitCode::FAILURE;
@@ -359,22 +297,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if rotate_micros.is_some() && dispatchers.is_some() {
-        eprintln!(
-            "--rotate and --dispatchers do not compose: the multi-dispatcher replay has no \
-             single packet clock while its slices parse concurrently\n{}",
-            usage()
-        );
-        return ExitCode::FAILURE;
-    }
-    if stdin_input && dispatchers.is_some() {
-        eprintln!(
-            "--dispatchers replays a file from memory; it cannot poll stdin\n{}",
-            usage()
-        );
-        return ExitCode::FAILURE;
-    }
-    if flowrec && (dispatchers.is_some() || workers > 1) {
+    if flowrec && workers > 1 {
         eprintln!(
             "--flowrec is a sequential regime: flow records are pre-aggregated, so the \
              sharded pipeline has nothing to parallelise\n{}",
@@ -413,8 +336,8 @@ fn main() -> ExitCode {
         None => None,
     };
     // Like telemetry below, the flight recorder must be bound *before* the
-    // parallel sniffer spawns its threads: each dispatcher and worker binds
-    // its own lane off the set it finds at construction time.
+    // parallel sniffer spawns its threads: each worker binds its own lane
+    // off the set it finds at construction time.
     let trace_set =
         (trace_out.is_some() || explain_target.is_some()).then(telemetry::TraceSet::new);
     let _trace_guard = trace_set
@@ -515,60 +438,12 @@ fn main() -> ExitCode {
             }
         }
         sniffer.finish_with_sinks()
-    } else if let Some(dispatchers) = dispatchers {
-        // Pull mode: load the capture, then drive the full dispatcher stage
-        // (batched rings, token hand-off) exactly as `run_records` does in
-        // tests — this is the only way the flight recorder sees dispatcher
-        // lanes and token acquire/release events.
-        let file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot open {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let reader = match PcapReader::new(BufReader::new(file)) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("not a readable pcap: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut records: Vec<PcapRecord> = Vec::new();
-        for rec in reader {
-            match rec {
-                Ok(r) => {
-                    last_ts = last_ts.max(r.timestamp_micros());
-                    records.push(r);
-                }
-                Err(e) => {
-                    eprintln!("pcap error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        match &stream_cfg {
-            Some(mode) => {
-                let (report, _, sinks) = dnhunter::run_records_with_sinks(
-                    &config,
-                    workers,
-                    dispatchers,
-                    &records,
-                    &mut |_| mode.make_sink(),
-                );
-                (report, sinks)
-            }
-            None => {
-                let (report, _) = dnhunter::run_records(&config, workers, dispatchers, &records);
-                (report, Vec::new())
-            }
-        }
-    } else if rotate_micros.is_some() || stdin_input {
-        // Daemon mode: poll a frame source (file or byte stream) through
-        // the event loop, rotating window state on the packet clock. The
-        // same loop serves batch `--rotate` runs — rotated output is a
-        // function of the record stream alone, so file and FIFO replays of
-        // the same bytes render byte-identically at any worker count.
+    } else {
+        // Every pcap input — file or byte stream, with or without
+        // `--rotate` — polls a frame source through the one daemon event
+        // loop. Output is a function of the record stream alone, so file
+        // and FIFO replays of the same bytes render byte-identically at
+        // any worker count.
         let mut sniffer = if workers > 1 {
             DaemonSniffer::Par(Box::new(match &stream_cfg {
                 Some(mode) => {
@@ -601,8 +476,7 @@ fn main() -> ExitCode {
                 }
             }
         };
-        // Mid-run snapshots read only the driver registry (worker
-        // registries merge at finish); the final line below is exact.
+        let live_snapshot = sniffer.live_snapshot();
         let mut metrics_err: Option<std::io::Error> = None;
         let run =
             dnhunter::run_frame_daemon(source.as_mut(), &mut sniffer, rotation.as_mut(), |ts| {
@@ -610,7 +484,7 @@ fn main() -> ExitCode {
                 if let (Some(out), Some(reg)) = (metrics_out.as_mut(), registry.as_deref()) {
                     if emitter.poll(ts) && metrics_err.is_none() {
                         let seq = emitter.emitted().saturating_sub(1);
-                        let line = telemetry::jsonl(&reg.snapshot(), seq, ts, metrics_full);
+                        let line = telemetry::jsonl(&live_snapshot(reg), seq, ts, metrics_full);
                         if let Err(e) = out.write_all(line.as_bytes()) {
                             metrics_err = Some(e);
                         }
@@ -618,7 +492,7 @@ fn main() -> ExitCode {
                 }
             });
         if let Err(e) = run {
-            eprintln!("pcap stream error: {e}");
+            eprintln!("pcap error: {e}");
             return ExitCode::FAILURE;
         }
         if let Some(e) = metrics_err {
@@ -626,60 +500,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         sniffer.finish_with_sinks()
-    } else {
-        let file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot open {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let reader = match PcapReader::new(BufReader::new(file)) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("not a readable pcap: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut driver = if workers > 1 {
-            Driver::Par(Box::new(match &stream_cfg {
-                Some(mode) => {
-                    ParallelSniffer::with_sinks(config, workers, &mut |_| mode.make_sink())
-                }
-                None => ParallelSniffer::new(config, workers),
-            }))
-        } else {
-            let mut s = RealTimeSniffer::new(config);
-            if let Some(mode) = &stream_cfg {
-                s.set_sink(mode.make_sink());
-            }
-            Driver::Seq(Box::new(s))
-        };
-        for rec in reader {
-            match rec {
-                Ok(r) => {
-                    let ts = r.timestamp_micros();
-                    last_ts = last_ts.max(ts);
-                    driver.process_record(&r);
-                    if let (Some(out), Some(reg)) = (metrics_out.as_mut(), registry.as_deref()) {
-                        if emitter.poll(ts) {
-                            let seq = emitter.emitted().saturating_sub(1);
-                            let line =
-                                telemetry::jsonl(&driver.live_snapshot(reg), seq, ts, metrics_full);
-                            if let Err(e) = out.write_all(line.as_bytes()) {
-                                eprintln!("metrics write failed: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("pcap error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        driver.finish()
     };
     // Fold the flight recorder's drop count into the registry before the
     // final snapshot: a wrapped ring means the export below is partial.
@@ -739,7 +559,7 @@ fn main() -> ExitCode {
     }
 
     // Flight-recorder export: one Chrome trace_event JSON with a lane per
-    // pipeline thread (plus the token hand-off lane).
+    // pipeline thread.
     if let (Some(set), Some(out_path)) = (&trace_set, &trace_out) {
         if let Err(e) = dnhunter::write_chrome_trace(set, std::path::Path::new(out_path)) {
             eprintln!("cannot write trace to {out_path}: {e}");

@@ -42,7 +42,7 @@ use std::io::Read;
 use dnhunter_net::{
     ExportRecord, FlowRecError, FlowRecReader, FrameSource, NetError, PcapRecord, SourcePoll,
 };
-use dnhunter_telemetry::{tm_count, Metric};
+use dnhunter_telemetry::{self as telemetry, tm_count, Metric};
 
 use crate::pipeline::ParallelSniffer;
 use crate::sniffer::{RealTimeSniffer, SnifferReport};
@@ -55,10 +55,7 @@ use crate::window::{WindowConfig, WindowedAnalytics};
 const PENDING_BACKOFF_MICROS: u64 = 200;
 
 /// Either sniffer driver, behind the one record/rotate surface the daemon
-/// loop needs. Rotation is sequential-or-single-dispatcher only: the
-/// multi-dispatcher offline driver has no single packet clock while its
-/// slices parse concurrently, so it never rotates (the CLI refuses the
-/// combination).
+/// loop needs.
 pub enum DaemonSniffer {
     Seq(Box<RealTimeSniffer>),
     Par(Box<ParallelSniffer>),
@@ -85,6 +82,27 @@ impl DaemonSniffer {
                 let (horizon, per_shard) = s.rotate(clock);
                 (horizon, per_shard.into_iter().flatten().collect())
             }
+        }
+    }
+
+    /// Live telemetry view for mid-run `--metrics` interval lines: a
+    /// sampler that, given the driver thread's registry, returns its
+    /// snapshot plus (for the parallel sniffer) a racy-but-monotone sum of
+    /// the workers' registries. It holds its own handles on those
+    /// registries because the daemon loop has the sniffer mutably borrowed
+    /// whenever `on_record` runs. The final post-`finish` snapshot comes
+    /// from the merged driver registry instead.
+    pub fn live_snapshot(&self) -> impl Fn(&telemetry::Registry) -> telemetry::Snapshot {
+        let workers = match self {
+            DaemonSniffer::Seq(_) => Vec::new(),
+            DaemonSniffer::Par(s) => s.worker_registries.clone(),
+        };
+        move |registry| {
+            let mut snap = registry.snapshot();
+            for reg in &workers {
+                snap.merge(&reg.snapshot());
+            }
+            snap
         }
     }
 
@@ -136,10 +154,10 @@ impl Rotation {
         (self.clock.saturating_sub(anchor) >= self.interval_micros).then_some(self.clock)
     }
 
-    /// Run one rotation against `sniffer` at packet-clock `clock`.
+    /// Account one rotation the sniffer just ran at packet-clock `clock`,
+    /// feeding what it retired below `horizon` to the emitter.
     // lint_root(determinism): rotation instants are a function of the record stream
-    fn fire(&mut self, sniffer: &mut DaemonSniffer, clock: u64) {
-        let (horizon, retired) = sniffer.rotate(clock);
+    fn fire(&mut self, clock: u64, (horizon, retired): (u64, Vec<(u64, StreamingAnalytics)>)) {
         self.last_rotate = Some(clock);
         self.rotations += 1;
         tm_count!(Metric::DaemonRotations);
@@ -171,7 +189,7 @@ pub fn run_frame_daemon(
                 sniffer.process_record(&rec);
                 if let Some(rot) = rotation.as_deref_mut() {
                     if let Some(clock) = rot.observe(ts) {
-                        rot.fire(sniffer, clock);
+                        rot.fire(clock, sniffer.rotate(clock));
                     }
                 }
                 on_record(ts);
@@ -346,11 +364,7 @@ pub fn run_flowrec_daemon<R: Read>(
             sniffer.ingest_export(&rec);
             if let Some(rot) = rotation.as_deref_mut() {
                 if let Some(clock) = rot.observe(ts) {
-                    let (horizon, retired) = sniffer.rotate(clock);
-                    rot.last_rotate = Some(clock);
-                    rot.rotations += 1;
-                    tm_count!(Metric::DaemonRotations);
-                    rot.emitter.on_rotation(horizon, retired);
+                    rot.fire(clock, sniffer.rotate(clock));
                 }
             }
         };

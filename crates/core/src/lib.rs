@@ -80,7 +80,7 @@ pub use daemon::{
 };
 pub use db::{FlowDatabase, TaggedFlow};
 pub use export::{write_csv, write_tstat_log};
-pub use pipeline::{run_records, run_records_with_sinks, ParallelSniffer, PipelineTimings};
+pub use pipeline::{ParallelSniffer, PipelineTimings};
 pub use policy::{PolicyAction, PolicyDecision, PolicyEnforcer, PolicyRule, RuleEnforcer};
 pub use sniffer::{DelaySamples, RealTimeSniffer, SnifferConfig, SnifferReport, SnifferStats};
 pub use stream::{FlowSink, RetractError, StreamGrowth, StreamingAnalytics, StreamingConfig};

@@ -1,21 +1,12 @@
 //! Parallel ingest: the multi-core DN-Hunter sniffer.
 //!
 //! The paper sizes DN-Hunter for a single monitor thread (§3.2 shows one
-//! core keeps up with a 1M-packets/s PoP) and notes the scaling escape
+//! core keeps up with a 1M-packets/s PoP) and names one scaling escape
 //! hatch in §3.1.1: partition the monitored *clients* across independent
-//! resolvers. This module applies that idea to the whole fast path, in two
-//! driver shapes:
-//!
-//! * [`ParallelSniffer`] — the push-mode driver for live capture: the
-//!   caller's thread is the single dispatcher, flat-parsing each frame
-//!   ([`parse_flat`]) and fanning work out over bounded ring channels to
-//!   `N` shard workers.
-//! * [`run_records`] — the offline-trace driver: additionally shards the
-//!   *dispatcher itself*, RSS-style. `D` dispatcher threads flat-parse
-//!   contiguous slices of the trace concurrently ([`SegBatch`]), while a
-//!   single routing-state token serializes the order-sensitive routing
-//!   pass in slice order — so route orientation, eviction ticks and
-//!   sequence stamps come out bit-identical to one dispatcher's.
+//! resolvers. [`ParallelSniffer`] applies that idea to the whole fast
+//! path: the caller's thread is the one dispatcher, flat-parsing each
+//! frame ([`parse_flat`]) and fanning work out over bounded ring channels
+//! to `N` shard workers.
 //!
 //! Work travels as batches: up to `BATCH_ITEMS` pre-parsed items plus one
 //! shared byte arena holding only what the worker still needs — a DNS
@@ -25,7 +16,7 @@
 //! per packet instead of whole frames, and workers never re-parse. Arenas
 //! recycle worker→dispatcher over a return ring, and the batched ring
 //! operations (`crate::ring`) move several batches per lock handoff in
-//! every direction. Shard routing keys client IPs through the same FNV
+//! both directions. Shard routing keys client IPs through the same FNV
 //! hash the sharded resolver uses ([`shard_of`]) — the *shard-affinity
 //! invariant*: a client's DNS bindings (Algorithm 1 state), the flows
 //! those bindings tag, and the §5.1 delay samples for both always live on
@@ -33,14 +24,14 @@
 //! per-packet path.
 //!
 //! Determinism is by construction, not by luck (see `DESIGN.md` §7): every
-//! frame carries a global sequence number (its trace index), dispatchers
-//! replicate the flow table's eviction-scan gate and broadcast explicit
-//! tick events, workers drain their per-dispatcher rings in token order,
-//! and the final merge re-orders every output stream under the
-//! `(seq, phase)` key — so both drivers return a [`SnifferReport`]
-//! byte-identical to [`crate::RealTimeSniffer`]'s for any worker *and*
-//! dispatcher count (as long as no shard overflows its Clist partition;
-//! the default `L = 2^20` makes evictions a non-issue at trace scale).
+//! frame carries a global sequence number (its arrival index), the
+//! dispatcher replicates the flow table's eviction-scan gate and
+//! broadcasts explicit tick events, each worker sees its items in
+//! sequence order over its one ring, and the final merge re-orders every
+//! output stream under the `(seq, phase)` key — so the [`SnifferReport`]
+//! is byte-identical to [`crate::RealTimeSniffer`]'s for any worker count
+//! (as long as no shard overflows its Clist partition; the default
+//! `L = 2^20` makes evictions a non-issue at trace scale).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -50,7 +41,7 @@ use std::time::Instant;
 
 use dnhunter_dns::codec;
 use dnhunter_flow::{CanonFlowKey, CompactSeg, TcpTracker, DPI_SNAP};
-use dnhunter_net::seg::{parse_flat, FlatParse, FlatSeg, FrameFault, SegBatch};
+use dnhunter_net::seg::{parse_flat, FlatParse, FlatSeg, FrameFault};
 use dnhunter_net::{IpProtocol, PcapRecord};
 use dnhunter_resolver::maps::FnvHashMap;
 use dnhunter_resolver::{shard_of, InternStats, ResolverConfig};
@@ -77,7 +68,7 @@ const BATCH_ITEMS: usize = 128;
 /// Arena bytes per batch before an early seal (keeps batches cache-sized
 /// even under jumbo frames).
 const BATCH_BYTES: usize = 128 * 1024;
-/// Sealed batches a dispatcher link buffers locally before one
+/// Sealed batches a worker link buffers locally before one
 /// `send_batch` moves them all under a single ring lock acquisition.
 const OUTBOX_BATCHES: usize = 2;
 /// In-flight batches per dispatcher→worker ring: enough to keep a worker
@@ -89,11 +80,11 @@ const RECV_BATCH_MAX: usize = CHANNEL_BATCHES;
 /// Capacity of each worker→dispatcher arena recycle ring; sized so a
 /// best-effort `try_send_batch` of every drained batch always fits.
 const RECYCLE_BATCHES: usize = CHANNEL_BATCHES + 2;
-/// Hard ceiling on pipeline fan-out in either role. Worker and dispatcher
-/// counts are operator configuration, but every per-thread ring, slice and
-/// merge buffer is sized from them, so the bounded-allocation discipline
-/// (L8) wants a named cap on those statements — and far past the core
-/// count extra threads only add contention anyway.
+/// Hard ceiling on pipeline fan-out. The worker count is operator
+/// configuration, but every per-thread ring and merge buffer is sized from
+/// it, so the bounded-allocation discipline (L8) wants a named cap on those
+/// statements — and far past the core count extra threads only add
+/// contention anyway.
 const MAX_PIPELINE_THREADS: usize = 64;
 
 /// What a batch item tells the worker to do.
@@ -170,29 +161,6 @@ struct Route {
     head_s2c: u16,
 }
 
-/// The order-sensitive routing state, owned by exactly one dispatcher at a
-/// time. The push-mode driver holds it for the whole run; [`run_records`]
-/// threads it through its dispatchers over capacity-1 token rings, in
-/// slice order, so the flow-routing table, the eviction clock and the
-/// warm-up anchor observe frames in exactly trace order.
-#[derive(Default)]
-struct RouterState {
-    routes: FnvHashMap<CanonFlowKey, Route>,
-    last_eviction: u64,
-    /// Lazy min-heap of prune candidates `(deadline, key)` — the
-    /// dispatcher-side mirror of the flow table's expiry heap, so each
-    /// prune pass touches only routes whose deadline has passed instead of
-    /// retaining over the whole table. Entries are lower bounds (pushed on
-    /// insert, port-reuse renewal, and terminal transition; re-pushed at
-    /// the current deadline when the exact predicate says "not yet"), so
-    /// a route is always re-examined no later than it can expire — prunes
-    /// stay in lock-step with the workers' evictions.
-    prune_heap: BinaryHeap<Reverse<(u64, CanonFlowKey)>>,
-    /// Whether some dispatcher already saw the trace's first frame and
-    /// broadcast the `Start` anchor.
-    started: bool,
-}
-
 /// First instant at which `route` can satisfy the prune predicate in
 /// [`Dispatcher::prune_routes`] if it sees no further traffic — the mirror
 /// of `FlowTable`'s expiry deadline.
@@ -228,21 +196,9 @@ struct WorkerLink {
 pub struct PipelineTimings {
     /// Worker count the pipeline ran with.
     pub workers: usize,
-    /// Dispatcher count ([`run_records`]'s `D`; always 1 in push mode).
-    pub dispatchers: usize,
-    /// Total dispatcher CPU time (parse + route + batch building) summed
-    /// over all dispatchers, µs — blocking channel sends excluded.
+    /// Dispatcher CPU time (parse + route + batch building), µs —
+    /// blocking channel sends excluded.
     pub dispatch_busy_micros: u64,
-    /// Per-dispatcher CPU time of the *parallel* phase (flat-parsing its
-    /// trace slice), µs. Push mode has no separate parse phase and
-    /// reports its whole dispatch busy time here.
-    pub dispatcher_busy_micros: Vec<u64>,
-    /// CPU time of the token-serialized routing phase summed over all
-    /// dispatchers, µs — the pipeline's sequential section, so it bounds
-    /// dispatcher scaling the way `max(dispatcher_busy_micros)` bounds
-    /// parse scaling. Zero in push mode (routing is inlined in the single
-    /// dispatcher's busy time).
-    pub route_busy_micros: u64,
     /// Dispatcher time spent inside (possibly blocking) channel sends, µs.
     pub send_wait_micros: u64,
     /// Per-worker CPU time (engine work + DNS decode + final flush), µs.
@@ -251,26 +207,27 @@ pub struct PipelineTimings {
     pub intern: InternStats,
 }
 
-/// What one [`run_records`] dispatcher thread hands back to the merge.
-struct DispatcherOutput {
-    stats: SnifferStats,
-    trace_start: Option<u64>,
-    trace_end: Option<u64>,
-    parse_busy_nanos: u64,
-    route_busy_nanos: u64,
-    send_wait_nanos: u64,
-}
-
-/// The routing half of a dispatcher: links to every shard worker plus the
-/// counters the merge needs. Shared by the push-mode [`ParallelSniffer`]
-/// (one, on the caller's thread) and [`run_records`] (one per dispatcher
-/// thread).
+/// The dispatcher: links to every shard worker, the order-sensitive
+/// routing state (flow-routing table, eviction clock, warm-up anchor —
+/// all observing frames in exactly arrival order), and the counters the
+/// merge needs. One per [`ParallelSniffer`], on the caller's thread.
 struct Dispatcher {
     dns_port: u16,
     eviction_interval: u64,
     idle_timeout: u64,
     terminal_linger: u64,
     links: Vec<WorkerLink>,
+    routes: FnvHashMap<CanonFlowKey, Route>,
+    last_eviction: u64,
+    /// Lazy min-heap of prune candidates `(deadline, key)` — the
+    /// dispatcher-side mirror of the flow table's expiry heap, so each
+    /// prune pass touches only routes whose deadline has passed instead of
+    /// retaining over the whole table. Entries are lower bounds (pushed on
+    /// insert, port-reuse renewal, and terminal transition; re-pushed at
+    /// the current deadline when the exact predicate says "not yet"), so
+    /// a route is always re-examined no later than it can expire — prunes
+    /// stay in lock-step with the workers' evictions.
+    prune_heap: BinaryHeap<Reverse<(u64, CanonFlowKey)>>,
     /// Dispatcher-side counters (frames, parse faults, DNS queries);
     /// worker engines count the rest, and the merge sums both.
     stats: SnifferStats,
@@ -287,6 +244,9 @@ impl Dispatcher {
             idle_timeout: config.flow_table.idle_timeout_micros,
             terminal_linger: config.flow_table.terminal_linger_micros,
             links,
+            routes: FnvHashMap::default(),
+            last_eviction: 0,
+            prune_heap: BinaryHeap::new(),
             stats: SnifferStats::default(),
             trace_start: None,
             trace_end: None,
@@ -295,14 +255,13 @@ impl Dispatcher {
     }
 
     /// Classify one flat-parsed frame and enqueue whatever its shard
-    /// worker needs — the dispatcher's whole per-frame job, identical for
-    /// both drivers. Same demultiplexing order as the sequential sniffer;
+    /// worker needs — the dispatcher's whole per-frame job. Same
+    /// demultiplexing order as the sequential sniffer;
     /// DNS frames route by the *client* (the responses' destination) so
     /// bindings land on the shard that will tag that client's flows.
     // lint_root(ingest): routes every captured frame, parsed or faulted
     fn route_frame(
         &mut self,
-        st: &mut RouterState,
         seq: u64,
         ts: u64,
         wire_len: u32,
@@ -310,8 +269,7 @@ impl Dispatcher {
     ) {
         self.stats.frames += 1;
         tm_count!(Tm::IngestFrames);
-        if !st.started {
-            st.started = true;
+        if self.trace_start.is_none() {
             self.trace_start = Some(ts);
             // Every shard anchors its warm-up window at the global trace
             // start, not its own first frame.
@@ -365,17 +323,17 @@ impl Dispatcher {
                 }
             }
         }
-        self.dispatch_data(st, seq, ts, seg);
+        self.dispatch_data(seq, ts, seg);
     }
 
     /// Route one user data segment to its flow's shard, mirroring the flow
     /// table's orientation rules, then run the eviction gate.
-    fn dispatch_data(&mut self, st: &mut RouterState, seq: u64, ts: u64, seg: &FlatSeg<'_>) {
+    fn dispatch_data(&mut self, seq: u64, ts: u64, seg: &FlatSeg<'_>) {
         let payload_len = seg.payload.len();
         let key = CanonFlowKey::of(seg.src, seg.src_port, seg.dst, seg.dst_port, seg.proto);
         let idle = self.idle_timeout;
         let linger = self.terminal_linger;
-        let (shard, head_take, push_deadline) = match st.routes.get_mut(&key) {
+        let (shard, head_take, push_deadline) = match self.routes.get_mut(&key) {
             Some(route) => {
                 // An existing entry fixes the orientation; the new-flow
                 // case below sets sender=initiator.
@@ -434,7 +392,7 @@ impl Dispatcher {
                     head_s2c: 0,
                 };
                 let deadline = route_deadline(&route, idle, linger);
-                st.routes.insert(key, route);
+                self.routes.insert(key, route);
                 (shard, take, Some(deadline))
             }
         };
@@ -442,7 +400,7 @@ impl Dispatcher {
         // SYN-renewal, and terminal transition are the events that can move
         // a route's prune deadline down, so each pushes a fresh candidate.
         if let Some(deadline) = push_deadline {
-            st.prune_heap.push(Reverse((deadline, key)));
+            self.prune_heap.push(Reverse((deadline, key)));
         }
         let (cseg, payload) = compact_seg(seg);
         let head = payload.get(..head_take).unwrap_or(payload);
@@ -452,9 +410,9 @@ impl Dispatcher {
         // runs *after* that frame — so the tick follows the data item in
         // its shard's queue, and every shard scans at the same trace times
         // the single-threaded table would.
-        if ts.saturating_sub(st.last_eviction) >= self.eviction_interval {
-            st.last_eviction = ts;
-            self.prune_routes(st, ts);
+        if ts.saturating_sub(self.last_eviction) >= self.eviction_interval {
+            self.last_eviction = ts;
+            self.prune_routes(ts);
             for shard in 0..self.links.len() {
                 self.push_item(shard, ItemKind::Tick, seq, ts, &[]);
             }
@@ -466,24 +424,24 @@ impl Dispatcher {
     /// `last_ts`/terminal state (kept in lock-step by `dispatch_data`), at
     /// the same tick times. A later packet on such a 5-tuple then starts a
     /// fresh flow with sender-as-initiator on both sides.
-    fn prune_routes(&self, st: &mut RouterState, now: u64) {
+    fn prune_routes(&mut self, now: u64) {
         let idle = self.idle_timeout;
         let linger = self.terminal_linger;
-        while let Some(&Reverse((deadline, key))) = st.prune_heap.peek() {
+        while let Some(&Reverse((deadline, key))) = self.prune_heap.peek() {
             if deadline > now {
                 break; // every remaining candidate is provably still alive
             }
-            st.prune_heap.pop();
-            let Some(r) = st.routes.get(&key) else {
+            self.prune_heap.pop();
+            let Some(r) = self.routes.get(&key) else {
                 continue; // stale: route already pruned via an earlier entry
             };
             let silent = now.saturating_sub(r.last_ts);
             if silent >= idle || (r.tcp.state().is_terminal() && silent >= linger) {
-                st.routes.remove(&key);
+                self.routes.remove(&key);
             } else {
                 // Activity extended the deadline past this (lower-bound)
                 // entry; re-arm at the route's current deadline.
-                st.prune_heap
+                self.prune_heap
                     .push(Reverse((route_deadline(r, idle, linger), key)));
             }
         }
@@ -577,7 +535,6 @@ impl Dispatcher {
 /// Multi-core variant of [`crate::RealTimeSniffer`]: same input API, same
 /// [`SnifferReport`] (byte-identical — see the module docs), `N` shard
 /// workers doing the heavy lifting behind a single caller-thread
-/// dispatcher. For offline traces, [`run_records`] additionally shards the
 /// dispatcher.
 ///
 /// Policy enforcement (the `process_frame_with_policy` path) stays on the
@@ -586,7 +543,6 @@ impl Dispatcher {
 pub struct ParallelSniffer {
     config: SnifferConfig,
     dispatcher: Dispatcher,
-    state: RouterState,
     handles: Vec<JoinHandle<(ShardOutput, u64)>>,
     /// Receive half of each worker's capacity-1 rotation ring, shard
     /// order; [`ParallelSniffer::rotate`] blocks on one reply per worker.
@@ -596,12 +552,14 @@ pub struct ParallelSniffer {
     /// Per-worker telemetry registries, present only when the constructing
     /// thread had one bound. Workers bind theirs for their thread's
     /// lifetime; `finish` folds them into the dispatcher's registry so the
-    /// final stable-class snapshot equals the sequential run's.
-    worker_registries: Vec<std::sync::Arc<telemetry::Registry>>,
+    /// final stable-class snapshot equals the sequential run's, and
+    /// [`crate::DaemonSniffer::live_snapshot`] samples them mid-run.
+    pub(crate) worker_registries: Vec<std::sync::Arc<telemetry::Registry>>,
 }
 
 impl ParallelSniffer {
-    /// Spawn `workers` shard threads (at least one). Each worker gets its
+    /// Spawn `workers` shard threads (at least one, at most
+    /// `MAX_PIPELINE_THREADS`). Each worker gets its
     /// slice of the Clist budget `L`, partitioned exactly as
     /// `ShardedResolver::new` partitions it (§3.1.1 — sharding splits the
     /// §4.2 memory budget, it does not multiply it).
@@ -626,7 +584,7 @@ impl ParallelSniffer {
         workers: usize,
         mut make_sink: Option<&mut dyn FnMut(usize) -> Box<dyn FlowSink>>,
     ) -> Self {
-        let workers = workers.max(1);
+        let workers = workers.clamp(1, MAX_PIPELINE_THREADS);
         let mut links = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         let telemetry_on = telemetry::is_bound();
@@ -651,15 +609,7 @@ impl ParallelSniffer {
             });
             let trace = trace.clone();
             handles.push(std::thread::spawn(move || {
-                worker_loop(
-                    engine,
-                    shard,
-                    vec![rx],
-                    vec![recycle_tx],
-                    Some(rotate_tx),
-                    registry,
-                    trace,
-                )
+                worker_loop(engine, shard, rx, recycle_tx, rotate_tx, registry, trace)
             }));
             links.push(WorkerLink {
                 tx,
@@ -673,7 +623,6 @@ impl ParallelSniffer {
         ParallelSniffer {
             config,
             dispatcher,
-            state: RouterState::default(),
             handles,
             rotation_rxs,
             seq: 0,
@@ -695,7 +644,7 @@ impl ParallelSniffer {
     /// worker count.
     // lint_root(determinism): rotation barrier fires identically at every worker count
     pub fn rotate(&mut self, clock: u64) -> (u64, Vec<Vec<(u64, StreamingAnalytics)>>) {
-        let oldest = self.state.routes.values().map(|r| r.first_ts).min();
+        let oldest = self.dispatcher.routes.values().map(|r| r.first_ts).min();
         let horizon = oldest.map_or(clock, |t| t.min(clock));
         let seq = self.seq;
         for shard in 0..self.dispatcher.links.len() {
@@ -710,20 +659,6 @@ impl ParallelSniffer {
             replies.push(rx.recv().unwrap_or_default());
         }
         (horizon, replies)
-    }
-
-    /// Merged point-in-time copy of the *workers'* telemetry cells — empty
-    /// unless a registry was bound when the sniffer was built. A live view
-    /// (the `--metrics` mode) adds this to a snapshot of the dispatcher
-    /// thread's own registry; mid-run values are racy but monotone, and
-    /// the final post-`finish` snapshot comes from the merged dispatcher
-    /// registry instead.
-    pub fn worker_telemetry_snapshot(&self) -> telemetry::Snapshot {
-        let mut snap = telemetry::Snapshot::default();
-        for reg in &self.worker_registries {
-            snap.merge(&reg.snapshot());
-        }
-        snap
     }
 
     /// Worker count.
@@ -751,7 +686,7 @@ impl ParallelSniffer {
         self.seq += 1;
         let parse = parse_flat(frame);
         self.dispatcher
-            .route_frame(&mut self.state, seq, ts, frame.len() as u32, &parse);
+            .route_frame(seq, ts, frame.len() as u32, &parse);
         self.busy_nanos += (t0.elapsed().as_nanos() as u64)
             .saturating_sub(self.dispatcher.send_wait_nanos - send_before);
     }
@@ -817,10 +752,7 @@ impl ParallelSniffer {
             report,
             PipelineTimings {
                 workers,
-                dispatchers: 1,
                 dispatch_busy_micros: self.busy_nanos / 1_000,
-                dispatcher_busy_micros: vec![self.busy_nanos / 1_000],
-                route_busy_micros: 0,
                 send_wait_micros: self.dispatcher.send_wait_nanos / 1_000,
                 worker_busy_micros,
                 intern,
@@ -828,231 +760,6 @@ impl ParallelSniffer {
             sinks,
         )
     }
-}
-
-/// Run a whole in-memory trace through the sharded pipeline with `workers`
-/// shard threads *and* `dispatchers` dispatcher threads, returning the
-/// merged report (byte-identical to [`crate::RealTimeSniffer`]'s — see the
-/// module docs) plus the busy-time decomposition.
-///
-/// Each dispatcher owns one contiguous slice of `records` and flat-parses
-/// it concurrently with the others; frame `i`'s sequence number is simply
-/// `i`, so stamping needs no coordination. The order-sensitive routing
-/// pass then runs under a state token passed dispatcher-to-dispatcher in
-/// slice order, and each dispatcher closes its worker rings before handing
-/// the token on — so worker `w`, draining its per-dispatcher rings in that
-/// same order, observes items in strictly increasing sequence order.
-// lint_root(ingest): offline-trace pipeline entry, consumes raw records
-pub fn run_records(
-    config: &SnifferConfig,
-    workers: usize,
-    dispatchers: usize,
-    records: &[PcapRecord],
-) -> (SnifferReport, PipelineTimings) {
-    let (report, timings, _) = run_records_full(config, workers, dispatchers, records, None);
-    (report, timings)
-}
-
-/// [`run_records`], additionally installing a streaming analytics sink per
-/// worker (`make_sink(shard)`, as in [`ParallelSniffer::with_sinks`]) and
-/// handing the per-shard partials back in shard order.
-pub fn run_records_with_sinks(
-    config: &SnifferConfig,
-    workers: usize,
-    dispatchers: usize,
-    records: &[PcapRecord],
-    make_sink: &mut dyn FnMut(usize) -> Box<dyn FlowSink>,
-) -> (SnifferReport, PipelineTimings, Vec<Box<dyn FlowSink>>) {
-    run_records_full(config, workers, dispatchers, records, Some(make_sink))
-}
-
-fn run_records_full(
-    config: &SnifferConfig,
-    workers: usize,
-    dispatchers: usize,
-    records: &[PcapRecord],
-    mut make_sink: Option<&mut dyn FnMut(usize) -> Box<dyn FlowSink>>,
-) -> (SnifferReport, PipelineTimings, Vec<Box<dyn FlowSink>>) {
-    let workers = workers.clamp(1, MAX_PIPELINE_THREADS);
-    // A dispatcher per record at most: empty slices would idle a thread
-    // and its rings for nothing (and a record-less trace still runs one
-    // dispatcher so the merge shape stays uniform).
-    let dispatchers = dispatchers
-        .clamp(1, records.len().max(1))
-        .min(MAX_PIPELINE_THREADS);
-    let telemetry_on = telemetry::is_bound();
-    // As in push mode: one trace set, captured here, lanes bound per thread.
-    let trace = telemetry::trace_set();
-    let engines = shard_engines(config, workers, &mut make_sink);
-
-    // One (data, recycle) ring pair per (dispatcher, worker) edge. Worker
-    // `w` drains `worker_rxs[w]` strictly in dispatcher order — the same
-    // order the routing token serializes sends — so its item stream is
-    // globally sequence-ordered.
-    let mut worker_rxs: Vec<Vec<Receiver<Batch>>> = (0..workers)
-        .map(|_| Vec::with_capacity(dispatchers.min(MAX_PIPELINE_THREADS)))
-        .collect();
-    let mut worker_recycles: Vec<Vec<Sender<Batch>>> = (0..workers)
-        .map(|_| Vec::with_capacity(dispatchers.min(MAX_PIPELINE_THREADS)))
-        .collect();
-    let mut dispatcher_links: Vec<Vec<WorkerLink>> = (0..dispatchers)
-        .map(|_| Vec::with_capacity(workers.min(MAX_PIPELINE_THREADS)))
-        .collect();
-    for links in dispatcher_links.iter_mut() {
-        for (rxs, recycles) in worker_rxs.iter_mut().zip(worker_recycles.iter_mut()) {
-            let (tx, rx) = ring::channel::<Batch>(CHANNEL_BATCHES);
-            let (recycle_tx, recycle_rx) = ring::channel::<Batch>(RECYCLE_BATCHES);
-            rxs.push(rx);
-            recycles.push(recycle_tx);
-            links.push(WorkerLink {
-                tx,
-                recycle_rx,
-                pending: Batch::default(),
-                outbox: Vec::with_capacity(OUTBOX_BATCHES),
-                spares: Vec::with_capacity(RECYCLE_BATCHES),
-            });
-        }
-    }
-
-    // Capacity-1 token rings chaining dispatcher d to d+1: dispatcher d
-    // sends on `token_txs[d]` (None for the last) and receives on
-    // `token_rxs[d]` (None for the first, which starts with the token).
-    let mut token_txs: Vec<Option<Sender<RouterState>>> = Vec::new();
-    let mut token_rxs: Vec<Option<Receiver<RouterState>>> = vec![None];
-    for _ in 1..dispatchers {
-        let (tx, rx) = ring::channel::<RouterState>(1);
-        token_txs.push(Some(tx));
-        token_rxs.push(Some(rx));
-    }
-    token_txs.push(None);
-
-    // Contiguous near-equal slices; sequence bases are the slices' start
-    // indices (frame seq == trace index, exactly the sequential stamping).
-    let slice_base = records.len() / dispatchers;
-    let slice_rem = records.len() % dispatchers;
-    let mut slices: Vec<(u64, &[PcapRecord])> =
-        Vec::with_capacity(dispatchers.min(MAX_PIPELINE_THREADS));
-    let mut rest = records;
-    let mut start = 0usize;
-    for d in 0..dispatchers {
-        let len = slice_base + usize::from(d < slice_rem);
-        let (head, tail) = rest.split_at(len);
-        slices.push((start as u64, head));
-        start += len;
-        rest = tail;
-    }
-
-    let mut worker_registries = Vec::new();
-    let mut dispatcher_registries = Vec::new();
-    let (disp_outs, worker_outs) = std::thread::scope(|s| {
-        let mut worker_handles = Vec::with_capacity(workers.min(MAX_PIPELINE_THREADS));
-        let rx_pairs = worker_rxs.into_iter().zip(worker_recycles);
-        for (shard, (engine, (rxs, recycles))) in engines.into_iter().zip(rx_pairs).enumerate() {
-            let registry = telemetry_on.then(|| {
-                let reg = std::sync::Arc::new(telemetry::Registry::new());
-                worker_registries.push(std::sync::Arc::clone(&reg));
-                reg
-            });
-            let trace = trace.clone();
-            // Rotation never runs under the multi-dispatcher driver (no
-            // single packet clock exists across concurrently-parsed
-            // slices), so these workers get no rotation ring.
-            worker_handles.push(
-                s.spawn(move || worker_loop(engine, shard, rxs, recycles, None, registry, trace)),
-            );
-        }
-        let mut disp_handles = Vec::with_capacity(dispatchers.min(MAX_PIPELINE_THREADS));
-        let disp_parts = dispatcher_links
-            .into_iter()
-            .zip(slices)
-            .zip(token_rxs.into_iter().zip(token_txs));
-        for (d, ((links, (seq_base, slice)), (token_rx, token_tx))) in disp_parts.enumerate() {
-            let disp = Dispatcher::new(config, links);
-            let registry = telemetry_on.then(|| {
-                let reg = std::sync::Arc::new(telemetry::Registry::new());
-                dispatcher_registries.push(std::sync::Arc::clone(&reg));
-                reg
-            });
-            let trace = trace.clone();
-            disp_handles.push(s.spawn(move || {
-                dispatcher_task(
-                    disp, d, slice, seq_base, token_rx, token_tx, registry, trace,
-                )
-            }));
-        }
-        let disp_outs: Vec<DispatcherOutput> = disp_handles
-            .into_iter()
-            .filter_map(|h| h.join().ok())
-            .collect();
-        let worker_outs: Vec<(ShardOutput, u64)> = worker_handles
-            .into_iter()
-            .filter_map(|h| h.join().ok())
-            .collect();
-        (disp_outs, worker_outs)
-    });
-
-    // Merge the dispatcher partials. The trace anchor comes from the first
-    // dispatcher that saw a frame (= the owner of trace index 0).
-    let mut stats = SnifferStats::default();
-    let trace_start = disp_outs.iter().find_map(|o| o.trace_start);
-    let mut trace_end = None;
-    let mut parse_busy_nanos = 0u64;
-    let mut route_busy_nanos = 0u64;
-    let mut send_wait_nanos = 0u64;
-    let mut dispatcher_busy_micros = Vec::with_capacity(disp_outs.len().min(MAX_PIPELINE_THREADS));
-    for out in &disp_outs {
-        stats.absorb(&out.stats);
-        trace_end = match (trace_end, out.trace_end) {
-            (Some(a), Some(b)) => Some(std::cmp::max::<u64>(a, b)),
-            (a, b) => a.or(b),
-        };
-        parse_busy_nanos += out.parse_busy_nanos;
-        route_busy_nanos += out.route_busy_nanos;
-        send_wait_nanos += out.send_wait_nanos;
-        dispatcher_busy_micros.push(out.parse_busy_nanos / 1_000);
-    }
-
-    let mut shard_outputs = Vec::with_capacity(worker_outs.len().min(MAX_PIPELINE_THREADS));
-    let mut worker_busy_micros = Vec::with_capacity(worker_outs.len().min(MAX_PIPELINE_THREADS));
-    for (out, busy) in worker_outs {
-        shard_outputs.push(out);
-        worker_busy_micros.push(busy);
-    }
-    let sinks: Vec<Box<dyn FlowSink>> = shard_outputs
-        .iter_mut()
-        .filter_map(|o| o.sink.take())
-        .collect();
-    let intern = fold_intern(&shard_outputs);
-
-    // The joins above are the happens-before edge; fold every thread's
-    // registry into the caller's so the final stable-class snapshot equals
-    // the sequential run's.
-    tm_count!(Tm::DispatchBusyNanos, parse_busy_nanos + route_busy_nanos);
-    tm_count!(Tm::SendWaitNanos, send_wait_nanos);
-    for reg in dispatcher_registries.iter().chain(&worker_registries) {
-        telemetry::merge_into_bound(reg);
-    }
-    let report = assemble_report(
-        shard_outputs,
-        stats,
-        trace_start,
-        trace_end,
-        config.warmup_micros,
-    );
-    (
-        report,
-        PipelineTimings {
-            workers,
-            dispatchers,
-            dispatch_busy_micros: (parse_busy_nanos + route_busy_nanos) / 1_000,
-            dispatcher_busy_micros,
-            route_busy_micros: route_busy_nanos / 1_000,
-            send_wait_micros: send_wait_nanos / 1_000,
-            worker_busy_micros,
-            intern,
-        },
-        sinks,
-    )
 }
 
 /// Build the `workers` shard engines, splitting the Clist budget exactly
@@ -1093,108 +800,19 @@ fn fold_intern(outputs: &[ShardOutput]) -> InternStats {
     intern
 }
 
-/// One [`run_records`] dispatcher thread: flat-parse the slice (parallel
-/// phase), then take the routing token, route every frame in slice order,
-/// close this dispatcher's worker rings and pass the token on.
-// lint_root(ingest): per-dispatcher ingest over a raw trace slice
-#[allow(clippy::too_many_arguments)]
-fn dispatcher_task(
-    mut disp: Dispatcher,
-    index: usize,
-    slice: &[PcapRecord],
-    seq_base: u64,
-    token_rx: Option<Receiver<RouterState>>,
-    token_tx: Option<Sender<RouterState>>,
-    registry: Option<std::sync::Arc<telemetry::Registry>>,
-    trace: Option<std::sync::Arc<TraceSet>>,
-) -> DispatcherOutput {
-    // Bind this dispatcher's registry for the thread's lifetime, so its
-    // parse/route telemetry lands in cells the merge later folds in.
-    let _telemetry_guard = registry.map(telemetry::bind);
-    // Likewise its flight-recorder lane: every trace event below lands in
-    // a per-dispatcher ring the exporter renders as one timeline lane.
-    let _trace_guard = trace
-        .as_ref()
-        .map(|set| telemetry::trace_bind(set, LaneKind::Dispatcher, index as u16));
-    // Parse phase: every dispatcher runs this concurrently; nothing here
-    // touches shared state.
-    let t0 = Instant::now();
-    let mut batch = SegBatch::new();
-    batch.parse_records(slice);
-    let parse_busy_nanos = t0.elapsed().as_nanos() as u64;
-    // Routing phase: serialized by the state token, in slice order.
-    let mut st = match &token_rx {
-        Some(rx) => match rx.recv() {
-            Some(st) => st,
-            // The predecessor died without handing the token on; without
-            // its routing state determinism is already gone, so route
-            // nothing — dropping `disp` closes this dispatcher's rings.
-            None => {
-                return DispatcherOutput {
-                    stats: SnifferStats::default(),
-                    trace_start: None,
-                    trace_end: None,
-                    parse_busy_nanos,
-                    route_busy_nanos: 0,
-                    send_wait_nanos: 0,
-                }
-            }
-        },
-        None => RouterState::default(),
-    };
-    let t1 = Instant::now();
-    // Token hand-off lane: acquire here (dispatcher 0 starts holding it),
-    // release just before the send below — the export pairs the two into
-    // one "token held" slice per dispatcher.
-    if telemetry::trace_enabled() {
-        tm_trace_wall!(Te::TokenAcquire, seq_base, index as u64, seq_base);
-    }
-    for (i, frame) in batch.frames.iter().enumerate() {
-        disp.route_frame(
-            &mut st,
-            seq_base + i as u64,
-            frame.ts,
-            frame.wire_len,
-            &frame.parse,
-        );
-    }
-    disp.flush_all();
-    let route_busy_nanos = (t1.elapsed().as_nanos() as u64).saturating_sub(disp.send_wait_nanos);
-    // Close this dispatcher's rings *before* handing the token on: worker
-    // drain order (ring d to exhaustion, then ring d+1) then matches token
-    // order, which is what makes the merge's seq streams monotone.
-    drop(std::mem::take(&mut disp.links));
-    if telemetry::trace_enabled() {
-        let held_nanos = t1.elapsed().as_nanos() as u64;
-        tm_trace_wall!(Te::TokenRelease, seq_base, index as u64, held_nanos);
-    }
-    if let Some(tx) = token_tx {
-        let _ = tx.send(st);
-    }
-    DispatcherOutput {
-        stats: disp.stats,
-        trace_start: disp.trace_start,
-        trace_end: disp.trace_end,
-        parse_busy_nanos,
-        route_busy_nanos,
-        send_wait_nanos: disp.send_wait_nanos,
-    }
-}
-
 /// One shard worker: drive this shard's [`ShardEngine`]. Items arrive
 /// pre-parsed — a [`CompactSeg`] plus DPI head bytes straight into the
 /// flow table, or a DNS payload decoded here, the exact decode path the
-/// sequential sniffer runs. Multiple rings arrive from the
-/// multi-dispatcher driver and are drained strictly in dispatcher
-/// (= token) order, several batches per lock via `recv_batch`. Returns the
-/// shard's output plus its busy time (µs, excluding `recv` blocking).
+/// sequential sniffer runs — several batches per lock via `recv_batch`.
+/// Returns the shard's output plus its busy time (µs, excluding `recv`
+/// blocking).
 // lint_root(ingest): per-worker ingest: decodes DNS and drives the shard engine
 fn worker_loop(
     mut engine: ShardEngine,
     shard: usize,
-    rxs: Vec<Receiver<Batch>>,
-    recycles: Vec<Sender<Batch>>,
-    rotate_tx: Option<Sender<RotateReply>>,
+    rx: Receiver<Batch>,
+    recycle: Sender<Batch>,
+    rotate_tx: Sender<RotateReply>,
     registry: Option<std::sync::Arc<telemetry::Registry>>,
     trace: Option<std::sync::Arc<TraceSet>>,
 ) -> (ShardOutput, u64) {
@@ -1211,83 +829,75 @@ fn worker_loop(
     let mut inbox: Vec<Batch> = Vec::with_capacity(RECV_BATCH_MAX);
     let mut done: Vec<Batch> = Vec::with_capacity(RECV_BATCH_MAX);
     let mut last_seq = 0u64;
-    for (ring_index, (rx, recycle)) in rxs.iter().zip(&recycles).enumerate() {
-        // Drain this dispatcher's ring to exhaustion (recv_batch returns 0
-        // only once the ring is closed *and* empty), then move to the
-        // next: dispatcher d closed its rings before passing the routing
-        // token to d+1, so this order yields a monotone sequence stream.
-        loop {
-            let n = rx.recv_batch(&mut inbox, RECV_BATCH_MAX);
-            if n == 0 {
-                break;
-            }
-            if telemetry::trace_enabled() {
-                tm_trace_wall!(Te::RingRecvBatch, 0, ring_index as u64, n as u64);
-            }
-            let t0 = Instant::now();
-            let mut drained_items = 0u64;
-            for mut batch in inbox.drain(..) {
-                drained_items += batch.items.len() as u64;
-                for item in &batch.items {
-                    debug_assert!(
-                        item.seq >= last_seq,
-                        "worker observed seq {} after {}",
-                        item.seq,
-                        last_seq
-                    );
-                    last_seq = item.seq;
-                    let start = item.off as usize;
-                    let end = start + item.len as usize;
-                    match item.kind {
-                        ItemKind::Start => engine.note_trace_start(item.ts),
-                        ItemKind::Tick => engine.tick(item.seq, item.ts),
-                        ItemKind::Seg(seg) => {
-                            let head = batch.bytes.get(start..end).unwrap_or(&[]);
-                            engine.process_seg(
-                                item.seq,
-                                item.ts,
-                                &seg,
-                                head,
-                                &mut None::<&mut RuleEnforcer>,
-                            );
-                        }
-                        ItemKind::DnsUdp { client } => {
-                            let payload = batch.bytes.get(start..end).unwrap_or(&[]);
-                            engine.handle_dns_payload(item.seq, item.ts, client, payload);
-                        }
-                        ItemKind::DnsTcp { client } => {
-                            let payload = batch.bytes.get(start..end).unwrap_or(&[]);
-                            for msg in codec::decode_tcp_stream(payload) {
-                                engine.handle_dns_message(item.seq, item.ts, client, &msg);
-                            }
-                        }
-                        ItemKind::Rotate { horizon } => {
-                            let retired = engine.rotate(horizon);
-                            // The barrier half: the dispatcher blocks on
-                            // this reply, so the send can never find the
-                            // capacity-1 ring full. A failed send means
-                            // the dispatcher already gave up on us.
-                            if let Some(tx) = &rotate_tx {
-                                let _ = tx.send(retired);
-                            }
+    loop {
+        // Zero only once the ring is closed *and* empty.
+        let n = rx.recv_batch(&mut inbox, RECV_BATCH_MAX);
+        if n == 0 {
+            break;
+        }
+        if telemetry::trace_enabled() {
+            tm_trace_wall!(Te::RingRecvBatch, 0, shard as u64, n as u64);
+        }
+        let t0 = Instant::now();
+        let mut drained_items = 0u64;
+        for mut batch in inbox.drain(..) {
+            drained_items += batch.items.len() as u64;
+            for item in &batch.items {
+                debug_assert!(
+                    item.seq >= last_seq,
+                    "worker observed seq {} after {}",
+                    item.seq,
+                    last_seq
+                );
+                last_seq = item.seq;
+                let start = item.off as usize;
+                let end = start + item.len as usize;
+                match item.kind {
+                    ItemKind::Start => engine.note_trace_start(item.ts),
+                    ItemKind::Tick => engine.tick(item.seq, item.ts),
+                    ItemKind::Seg(seg) => {
+                        let head = batch.bytes.get(start..end).unwrap_or(&[]);
+                        engine.process_seg(
+                            item.seq,
+                            item.ts,
+                            &seg,
+                            head,
+                            &mut None::<&mut RuleEnforcer>,
+                        );
+                    }
+                    ItemKind::DnsUdp { client } => {
+                        let payload = batch.bytes.get(start..end).unwrap_or(&[]);
+                        engine.handle_dns_payload(item.seq, item.ts, client, payload);
+                    }
+                    ItemKind::DnsTcp { client } => {
+                        let payload = batch.bytes.get(start..end).unwrap_or(&[]);
+                        for msg in codec::decode_tcp_stream(payload) {
+                            engine.handle_dns_message(item.seq, item.ts, client, &msg);
                         }
                     }
+                    ItemKind::Rotate { horizon } => {
+                        let retired = engine.rotate(horizon);
+                        // The barrier half: the dispatcher blocks on this
+                        // reply, so the send can never find the capacity-1
+                        // ring full. A failed send means the dispatcher
+                        // already gave up on us.
+                        let _ = rotate_tx.send(retired);
+                    }
                 }
-                batch.items.clear();
-                batch.bytes.clear();
-                done.push(batch);
             }
-            let drain_nanos = t0.elapsed().as_nanos() as u64;
-            busy_nanos += drain_nanos;
-            if telemetry::trace_enabled() {
-                tm_trace_wall!(Te::WorkerDrain, 0, drained_items, drain_nanos);
-            }
-            // Best effort, never blocking: arenas that don't fit the
-            // recycle ring are simply dropped and the dispatcher allocates
-            // fresh ones.
-            recycle.try_send_batch(&mut done);
-            done.clear();
+            batch.items.clear();
+            batch.bytes.clear();
+            done.push(batch);
         }
+        let drain_nanos = t0.elapsed().as_nanos() as u64;
+        busy_nanos += drain_nanos;
+        if telemetry::trace_enabled() {
+            tm_trace_wall!(Te::WorkerDrain, 0, drained_items, drain_nanos);
+        }
+        // Best effort, never blocking: arenas that don't fit the recycle
+        // ring are simply dropped and the dispatcher allocates fresh ones.
+        recycle.try_send_batch(&mut done);
+        done.clear();
     }
     let t0 = Instant::now();
     let out = engine.finish_shard();

@@ -19,7 +19,7 @@
 //! every endpoint has batched forms ([`Sender::send_batch`],
 //! [`Receiver::recv_batch`] and their non-blocking `try_` variants) that
 //! move N values per lock acquisition; the singular blocking forms remain
-//! for control edges (the multi-dispatcher routing token).
+//! for control edges (the rotation barrier's reply ring).
 
 use std::collections::VecDeque;
 

@@ -2,8 +2,12 @@
 //! metric snapshot is a pure function of the input trace. A sequential
 //! run and merged parallel runs at any worker count must render the same
 //! Prometheus exposition and the same final JSONL line, byte for byte
-//! (DESIGN.md "Telemetry and live monitoring").
+//! (DESIGN.md "Telemetry and live monitoring") — and the binary's
+//! `--metrics` file is the same whether the pcap arrives as a file or on
+//! stdin, because both run the one daemon loop.
 
+use std::io::Write as _;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 use dnhunter::{ParallelSniffer, RealTimeSniffer, SnifferConfig};
@@ -115,4 +119,76 @@ fn snapshots_fire_on_packet_timestamps() {
         })
         .collect();
     assert!(frames.windows(2).all(|w| w[0] <= w[1]));
+}
+
+/// The value of counter `name` in one `--metrics` JSONL line.
+fn counter(line: &str, name: &str) -> u64 {
+    line.split(&format!("\"{name}\":"))
+        .nth(1)
+        .and_then(|r| r.split([',', '}']).next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing from {line}"))
+}
+
+#[test]
+fn cli_metrics_lines_agree_between_file_and_stdin_at_two_workers() {
+    let profile = profiles::eu1_adsl1().scaled(0.1);
+    let trace = TraceGenerator::new(profile, false).generate();
+    let bytes = trace.write_pcap(Vec::new()).expect("pcap encodes");
+    let tmp = |name: &str| {
+        std::env::temp_dir().join(format!("dnh-metrics-{}-{name}", std::process::id()))
+    };
+    let (pcap, file_out, stdin_out) = (tmp("in.pcap"), tmp("file.jsonl"), tmp("stdin.jsonl"));
+    std::fs::write(&pcap, &bytes).expect("pcap writes");
+
+    let run = |input: &str, out: &std::path::Path| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_dn-hunter"))
+            .arg(input)
+            .args(["--workers", "2", "--metrics-interval", "600", "--metrics"])
+            .arg(out)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("dn-hunter binary runs");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        if input == "-" {
+            stdin.write_all(&bytes).expect("pcap streams into stdin");
+        }
+        drop(stdin);
+        assert!(child.wait().expect("dn-hunter exits").success());
+        let text = std::fs::read_to_string(out).expect("metrics file written");
+        text.lines().map(str::to_owned).collect::<Vec<_>>()
+    };
+    let from_file = run(pcap.to_str().expect("utf-8 temp path"), &file_out);
+    let from_stdin = run("-", &stdin_out);
+
+    assert!(
+        from_file.len() >= 3,
+        "need mid-run lines plus the final one"
+    );
+    assert_eq!(
+        from_file.len(),
+        from_stdin.len(),
+        "interval line counts differ"
+    );
+    assert_eq!(
+        from_file.last(),
+        from_stdin.last(),
+        "final stable-class lines differ between file and stdin"
+    );
+    // Mid-run lines carry the workers' counters too, whichever way the
+    // bytes arrived: the rings bound how far a worker can lag the
+    // dispatcher, so by the last interval line flows have been opened.
+    for lines in [&from_file, &from_stdin] {
+        let last_mid_run = &lines[lines.len() - 2];
+        assert!(counter(last_mid_run, "dnh_ingest_frames_total") > 0);
+        assert!(
+            counter(last_mid_run, "dnh_flow_started_total") > 0,
+            "worker-side counters frozen in mid-run line: {last_mid_run}"
+        );
+    }
+    for path in [&pcap, &file_out, &stdin_out] {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(format!("{}.prom", path.display()));
+    }
 }

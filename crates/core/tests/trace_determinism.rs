@@ -1,15 +1,15 @@
 //! The flight recorder's headline guarantee: observing the pipeline does
 //! not change it. Reports, stable metrics and streaming analytics must be
-//! byte-identical with tracing on and off, across worker *and* dispatcher
-//! counts — and the `--explain` chain itself is deterministic: stable
-//! trace events are a pure function of the input trace, so the rendered
-//! provenance of any FQDN is identical no matter which lanes recorded it.
+//! byte-identical with tracing on and off, across worker counts — and the
+//! `--explain` chain itself is deterministic: stable trace events are a
+//! pure function of the input trace, so the rendered provenance of any
+//! FQDN is identical no matter which lanes recorded it.
 
 use std::sync::Arc;
 
 use dnhunter::{
-    run_records_with_sinks, FlowSink, RealTimeSniffer, SnifferConfig, SnifferReport,
-    StreamingAnalytics, StreamingConfig,
+    FlowSink, ParallelSniffer, RealTimeSniffer, SnifferConfig, SnifferReport, StreamingAnalytics,
+    StreamingConfig,
 };
 use dnhunter_simnet::{profiles, TraceGenerator};
 use dnhunter_telemetry as telemetry;
@@ -91,18 +91,21 @@ fn tracing_changes_nothing_and_explains_identically_across_the_grid() {
     };
 
     for traced in [false, true] {
-        for (workers, dispatchers) in [(1usize, 1usize), (2, 1), (2, 2), (8, 2)] {
+        for workers in [1usize, 2, 8] {
             let registry = Arc::new(telemetry::Registry::new());
             let _guard = telemetry::bind(registry.clone());
             let trace_set = traced.then(telemetry::TraceSet::new);
             let _trace_guard = trace_set
                 .as_ref()
                 .map(|set| telemetry::trace_bind(set, telemetry::LaneKind::Driver, 0));
-            let (report, _, sinks) =
-                run_records_with_sinks(&config, workers, dispatchers, &trace.records, &mut |_| {
-                    Box::new(StreamingAnalytics::new(scfg.clone())) as Box<dyn FlowSink>
-                });
-            let cell = format!("traced={traced} {workers}x{dispatchers}");
+            let mut sniffer = ParallelSniffer::with_sinks(config.clone(), workers, &mut |_| {
+                Box::new(StreamingAnalytics::new(scfg.clone())) as Box<dyn FlowSink>
+            });
+            for rec in &trace.records {
+                sniffer.process_record(rec);
+            }
+            let (report, sinks) = sniffer.finish_with_sinks();
+            let cell = format!("traced={traced} workers={workers}");
             assert_eq!(digest(&report), reference_digest, "{cell}: report diverged");
             assert_eq!(
                 telemetry::prometheus(&registry.snapshot(), false),

@@ -52,7 +52,7 @@ pub use packet::{
 };
 pub use pcap::{PcapReader, PcapRecord, PcapWriter};
 pub use proto::IpProtocol;
-pub use seg::{parse_flat, FlatFrame, FlatParse, FlatSeg, FrameFault, SegBatch, SEG_BATCH_FRAMES};
+pub use seg::{parse_flat, FlatParse, FlatSeg, FrameFault};
 pub use source::{FrameSource, PcapFileSource, PcapStreamSource, SourcePoll};
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::UdpHeader;

@@ -16,10 +16,6 @@
 //! byte-identical-to-sequential determinism tests would catch any drift
 //! end-to-end).
 //!
-//! [`SegBatch`] amortises the per-call overhead further: the parallel
-//! dispatcher parses a whole chunk of pcap records into one reusable buffer
-//! instead of making one call per frame.
-//!
 //! Telemetry matches [`crate::PacketView::parse`] exactly: accepted frames
 //! count into `dnh_net_parses_total`, rejects split by fault family into
 //! the truncated / checksum / malformed counters.
@@ -28,7 +24,6 @@ use std::net::{IpAddr, Ipv4Addr};
 
 use crate::error::NetError;
 use crate::packet::{PacketView, TransportHeader};
-use crate::pcap::PcapRecord;
 use crate::proto::IpProtocol;
 use crate::tcp::TcpFlags;
 
@@ -266,57 +261,6 @@ fn flat_fast(frame: &[u8]) -> Option<Result<FlatParse<'_>, FrameFault>> {
     }
 }
 
-/// Frames per [`SegBatch`] chunk — callers feed
-/// `records.chunks(SEG_BATCH_FRAMES)` so every sized buffer in the batch
-/// path is clamped by this constant (lint L8).
-pub const SEG_BATCH_FRAMES: usize = 256;
-
-/// One parsed record in a [`SegBatch`].
-#[derive(Debug, Clone, Copy)]
-pub struct FlatFrame<'a> {
-    /// Capture timestamp (µs).
-    pub ts: u64,
-    /// On-the-wire frame length, kept so a parse fault's flight-recorder
-    /// event carries the same byte count in every driver.
-    pub wire_len: u32,
-    pub parse: Result<FlatParse<'a>, FrameFault>,
-}
-
-/// A reusable buffer of flat-parsed frames: the dispatcher's unit of work.
-///
-/// One `SegBatch` lives as long as the records slice it borrows from; the
-/// parallel dispatcher allocates one per slice and re-fills it per chunk,
-/// so steady-state batched parsing allocates nothing.
-#[derive(Debug, Default)]
-pub struct SegBatch<'a> {
-    /// Parsed frames, in record order.
-    pub frames: Vec<FlatFrame<'a>>,
-}
-
-impl<'a> SegBatch<'a> {
-    /// A batch with capacity for one full chunk.
-    pub fn new() -> Self {
-        SegBatch {
-            frames: Vec::with_capacity(SEG_BATCH_FRAMES),
-        }
-    }
-
-    /// Flat-parse a chunk of pcap records into this buffer (replacing its
-    /// previous contents). Telemetry counts once per record, exactly as
-    /// one-at-a-time [`parse_flat`] calls would.
-    // lint_root(ingest): batched entry over raw captured records
-    pub fn parse_records(&mut self, records: &'a [PcapRecord]) {
-        self.frames.clear();
-        for rec in records {
-            self.frames.push(FlatFrame {
-                ts: rec.timestamp_micros(),
-                wire_len: rec.frame.len() as u32,
-                parse: parse_flat(&rec.frame),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,42 +416,5 @@ mod tests {
         .unwrap();
         frame.extend_from_slice(&[8, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(parse_flat(&frame), Ok(FlatParse::Opaque));
-    }
-
-    #[test]
-    fn batch_parses_records_in_order() {
-        let (sm, dm) = macs();
-        let mk = |sport: u16| {
-            build_udp_v4(
-                sm,
-                dm,
-                Ipv4Addr::new(10, 0, 0, 9),
-                Ipv4Addr::new(198, 51, 100, 7),
-                sport,
-                443,
-                b"x",
-            )
-            .unwrap()
-        };
-        let records: Vec<PcapRecord> = (0..5)
-            .map(|i| PcapRecord {
-                ts_sec: 1,
-                ts_usec: i,
-                frame: mk(40000 + i as u16),
-            })
-            .collect();
-        let mut batch = SegBatch::new();
-        batch.parse_records(&records);
-        assert_eq!(batch.frames.len(), 5);
-        for (i, f) in batch.frames.iter().enumerate() {
-            assert_eq!(f.ts, 1_000_000 + i as u64);
-            match f.parse {
-                Ok(FlatParse::Seg(s)) => assert_eq!(s.src_port, 40000 + i as u16),
-                ref other => panic!("unexpected {other:?}"),
-            }
-        }
-        // Refill replaces, never appends.
-        batch.parse_records(&records[..2]);
-        assert_eq!(batch.frames.len(), 2);
     }
 }

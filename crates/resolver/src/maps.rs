@@ -40,10 +40,10 @@ impl Hasher for FnvHasher {
         // raw state mix poorly across multi-byte keys — and hashbrown
         // derives the bucket index from exactly those low bits. On flow
         // 5-tuples this clusters badly enough to dominate the sniffer's
-        // per-packet cost (3.2x end-to-end on the eu1-adsl1 benchmark
-        // trace, see BENCH_sniffer.json). One xor-shift-multiply avalanche
-        // round (Murmur3's fmix64 first half) restores uniform low bits
-        // while keeping the hash deterministic and seed-free.
+        // per-packet cost (3.2x end-to-end on the eu1-adsl1 trace when
+        // first measured). One xor-shift-multiply avalanche round
+        // (Murmur3's fmix64 first half) restores uniform low bits while
+        // keeping the hash deterministic and seed-free.
         let mut x = self.0;
         x ^= x >> 33;
         x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);

@@ -43,20 +43,18 @@ const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
 /// Which pipeline role a recorder belongs to — one Chrome-trace lane each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LaneKind {
-    /// The thread driving ingest (sequential sniffer or push-mode caller).
+    /// The thread driving ingest (sequential sniffer, or the parallel
+    /// sniffer's dispatcher — its caller's thread).
     Driver,
-    /// A routing dispatcher (holds the `RouterState` token while routing).
-    Dispatcher,
     /// A worker shard draining inbound rings.
     Worker,
 }
 
 impl LaneKind {
-    /// Lane name stem used by exports (`driver`, `dispatcher`, `worker`).
+    /// Lane name stem used by exports (`driver`, `worker`).
     pub const fn name(self) -> &'static str {
         match self {
             LaneKind::Driver => "driver",
-            LaneKind::Dispatcher => "dispatcher",
             LaneKind::Worker => "worker",
         }
     }
@@ -455,21 +453,20 @@ mod tests {
                 assert_eq!(inner.lanes().len(), 1);
             }
             // Inner guard dropped: back on the outer set.
-            trace_note_wall(TraceEvent::TokenAcquire, 3, 0, 0);
+            trace_note_wall(TraceEvent::RingSendBatch, 3, 0, 0);
         }
         assert!(!trace_enabled());
         let lanes = set.lanes();
         assert_eq!(lanes.len(), 1);
         assert_eq!(lanes[0].records.len(), 2);
         assert_eq!(lanes[0].records[0].event, TraceEvent::FlowOpen);
-        assert_eq!(lanes[0].records[1].event, TraceEvent::TokenAcquire);
+        assert_eq!(lanes[0].records[1].event, TraceEvent::RingSendBatch);
     }
 
     #[test]
     fn lanes_sort_by_role_and_index() {
         let set = TraceSet::new();
         set.recorder(LaneKind::Worker, 1);
-        set.recorder(LaneKind::Dispatcher, 0);
         set.recorder(LaneKind::Worker, 0);
         set.recorder(LaneKind::Driver, 0);
         let order: Vec<(LaneKind, u16)> = set.lanes().iter().map(|l| (l.kind, l.index)).collect();
@@ -477,7 +474,6 @@ mod tests {
             order,
             vec![
                 (LaneKind::Driver, 0),
-                (LaneKind::Dispatcher, 0),
                 (LaneKind::Worker, 0),
                 (LaneKind::Worker, 1),
             ]

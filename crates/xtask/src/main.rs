@@ -14,14 +14,9 @@
 //! * `fuzz` — the seeded structure-aware corpus fuzzer over the ingest
 //!   parsers (DNS codec, frame parser, DPI extractors); panics shrink to
 //!   minimal reproducers committed under `tests/corpus/regressions/`.
-//! * `bench-diff` — the performance-regression gate: compares a fresh
-//!   `BENCH_sniffer.json` against the committed `BENCH_baseline.json` and
-//!   fails CI on a >15% throughput drop (see `bench_diff.rs` for the
-//!   `BENCH_OVERRIDE` waiver protocol).
 //!
 //! All run as `cargo xtask <cmd>` (aliased in `.cargo/config.toml`).
 
-mod bench_diff;
 mod fuzz;
 
 use std::process::ExitCode;
@@ -32,7 +27,6 @@ fn main() -> ExitCode {
         Some("lint") => lint(&args[1..]),
         Some("ci-check") => ci_check(&args[1..]),
         Some("fuzz") => fuzz::run(&args[1..]),
-        Some("bench-diff") => bench_diff::run(&args[1..]),
         Some(other) => {
             eprintln!("unknown xtask `{other}`\n");
             usage();
@@ -47,7 +41,7 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: cargo xtask <command>\n\ncommands:\n  lint        run the workspace invariant lints (L1-L11)\n              [--json] [--github]\n  ci-check    verify the CI workflows and the integration-test suite\n              agree (every test wired in; no stale targets)\n  fuzz        seeded corpus fuzzer over the ingest parsers\n              [--smoke] [--cases N] [--seed S] [--max-seconds T]\n  bench-diff  compare BENCH_sniffer.json against the committed baseline\n              [--baseline PATH] [--current PATH] [--threshold PCT] [--update]"
+        "usage: cargo xtask <command>\n\ncommands:\n  lint        run the workspace invariant lints (L1-L11)\n              [--json] [--github]\n  ci-check    verify the CI workflows and the integration-test suite\n              agree (every test wired in; no stale targets)\n  fuzz        seeded corpus fuzzer over the ingest parsers\n              [--smoke] [--cases N] [--seed S] [--max-seconds T]"
     );
 }
 

@@ -14,9 +14,9 @@ use std::io::Cursor;
 use std::sync::Arc;
 
 use dnhunter::{
-    run_records_with_sinks, DaemonSniffer, FlowSink, FlowrecConfig, ParallelSniffer,
-    RealTimeSniffer, Rotation, SnifferConfig, SnifferReport, StreamingAnalytics, StreamingConfig,
-    WindowConfig, WindowedAnalytics,
+    DaemonSniffer, FlowSink, FlowrecConfig, ParallelSniffer, RealTimeSniffer, Rotation,
+    SnifferConfig, SnifferReport, StreamingAnalytics, StreamingConfig, WindowConfig,
+    WindowedAnalytics,
 };
 use dnhunter_net::flowrec::encode_stream;
 use dnhunter_net::{FlowRecReader, PcapFileSource, PcapRecord, PcapWriter};
@@ -418,22 +418,21 @@ fn run_windowed_sequential(
     (windowed, render, registry.snapshot())
 }
 
-/// Windowed run through the sharded pipeline (`workers` × `dispatchers`),
-/// under a fresh registry, returning the folded render and the snapshot.
+/// Windowed run through the sharded pipeline at `workers` shards, under a
+/// fresh registry, returning the folded render and the snapshot.
 fn run_windowed_sharded(
     records: &[PcapRecord],
     workers: usize,
-    dispatchers: usize,
 ) -> (WindowedAnalytics, String, telemetry::Snapshot) {
     let registry = Arc::new(telemetry::Registry::new());
     let _guard = telemetry::bind(registry.clone());
-    let (_, _, sinks) = run_records_with_sinks(
-        &SnifferConfig::default(),
-        workers,
-        dispatchers,
-        records,
-        &mut |_| Box::new(WindowedAnalytics::new(window_cfg())) as Box<dyn FlowSink>,
-    );
+    let mut sniffer = ParallelSniffer::with_sinks(SnifferConfig::default(), workers, &mut |_| {
+        Box::new(WindowedAnalytics::new(window_cfg())) as Box<dyn FlowSink>
+    });
+    for rec in records {
+        sniffer.process_record(rec);
+    }
+    let (_, sinks) = sniffer.finish_with_sinks();
     assert_eq!(sinks.len(), workers, "one windowed partial per worker");
     let windowed = WindowedAnalytics::fold(sinks).expect("worker sinks returned");
     let render = windowed.render();
@@ -478,10 +477,10 @@ fn windowed_fault_cells_survive_and_retract_cleanly() {
                 class.name
             );
 
-            let (shard, srender, ssnap) = run_windowed_sharded(&records, 2, 2);
+            let (shard, srender, ssnap) = run_windowed_sharded(&records, 2);
             assert_eq!(
                 srender, render,
-                "{} @ {intensity}: 2-worker/2-dispatcher windowed output diverged",
+                "{} @ {intensity}: 2-worker windowed output diverged",
                 class.name
             );
             assert_eq!(ssnap.get(Metric::WindowRetractUnderflow), 0);
@@ -491,9 +490,8 @@ fn windowed_fault_cells_survive_and_retract_cleanly() {
 }
 
 #[test]
-fn windowed_storm_renders_identically_at_any_worker_and_dispatcher_count() {
-    // The full storm, swept across the worker × dispatcher grid the ISSUE
-    // names: 1/2/8 workers × 1/2 dispatchers, all byte-identical.
+fn windowed_storm_renders_identically_at_any_worker_count() {
+    // The full storm at 1/2/8 workers, all byte-identical.
     let profile = profiles::eu1_adsl1().scaled(scaled(0.05));
     let trace = TraceGenerator::new(profile, false).generate();
     let plan = FaultPlan {
@@ -513,19 +511,17 @@ fn windowed_storm_renders_identically_at_any_worker_and_dispatcher_count() {
     let (_, reference, snap) = run_windowed_sequential(&records);
     assert_eq!(snap.get(Metric::WindowRetractUnderflow), 0);
     for workers in [1usize, 2, 8] {
-        for dispatchers in [1usize, 2] {
-            let (windowed, render, snap) = run_windowed_sharded(&records, workers, dispatchers);
-            assert_eq!(
-                render, reference,
-                "{workers}w × {dispatchers}d windowed storm output diverged"
-            );
-            assert_eq!(
-                snap.get(Metric::WindowRetractUnderflow),
-                0,
-                "{workers}w × {dispatchers}d: a retraction underflowed"
-            );
-            assert_eq!(windowed.dropped_bucket_events(), 0);
-        }
+        let (windowed, render, snap) = run_windowed_sharded(&records, workers);
+        assert_eq!(
+            render, reference,
+            "{workers}-worker windowed storm output diverged"
+        );
+        assert_eq!(
+            snap.get(Metric::WindowRetractUnderflow),
+            0,
+            "{workers} workers: a retraction underflowed"
+        );
+        assert_eq!(windowed.dropped_bucket_events(), 0);
     }
 }
 
