@@ -109,7 +109,8 @@ pub(crate) struct ShardEngine {
 impl ShardEngine {
     /// Build one engine. `resolver_config` is passed separately from
     /// `config.resolver` so the pipeline can hand each shard its partition
-    /// of the Clist budget `L` (mirroring `ShardedResolver::new`).
+    /// of the Clist budget `L` (`L / workers`, remainder to the lowest
+    /// shards, minimum 1).
     pub(crate) fn new(config: SnifferConfig, resolver_config: ResolverConfig) -> Self {
         ShardEngine {
             resolver: DnsResolver::with_config(resolver_config),
@@ -671,6 +672,23 @@ mod tests {
             tag_attempts,
             tag_hits,
         }
+    }
+
+    #[test]
+    fn clist_budget_splits_with_remainder_to_lowest_shards() {
+        let capacities = |clist_size, workers| -> Vec<usize> {
+            let mut config = SnifferConfig::default();
+            config.resolver.clist_size = clist_size;
+            crate::pipeline::shard_engines(&config, workers, &mut None)
+                .iter()
+                .map(|e| e.resolver.capacity())
+                .collect()
+        };
+        // 103 over 4: never 25×4 = 100.
+        assert_eq!(capacities(103, 4), [26, 26, 26, 25]);
+        assert_eq!(capacities(100, 4), [25; 4]);
+        // An empty Clist cannot hold a binding: round up to one per shard.
+        assert_eq!(capacities(2, 4), [1; 4]);
     }
 
     #[test]

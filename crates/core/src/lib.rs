@@ -57,14 +57,6 @@ pub mod export;
 /// Multi-core ingest: sharded parallel sniffer over §3.1.1 client shards.
 pub mod pipeline;
 pub mod policy;
-/// Bounded SPSC rings connecting the pipeline's dispatcher and workers.
-/// Public only under `--cfg loom`, so the schedule-exploration tests can
-/// drive the (batched) ring protocol directly — including the deliberately
-/// racy mutant that proves the checker catches close-vs-drain races.
-#[cfg(loom)]
-pub mod ring;
-#[cfg(not(loom))]
-mod ring;
 pub mod sniffer;
 /// One-pass streaming analytics fed by the engine, merged per shard.
 pub mod stream;

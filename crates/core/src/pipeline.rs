@@ -5,29 +5,31 @@
 //! hatch in §3.1.1: partition the monitored *clients* across independent
 //! resolvers. [`ParallelSniffer`] applies that idea to the whole fast
 //! path: the caller's thread is the one dispatcher, flat-parsing each
-//! frame ([`parse_flat`]) and fanning work out over bounded ring channels
-//! to `N` shard workers.
+//! frame ([`parse_flat`]) and fanning work out over bounded channels to
+//! `N` shard workers.
 //!
 //! Work travels as batches: up to `BATCH_ITEMS` pre-parsed items plus one
 //! shared byte arena holding only what the worker still needs — a DNS
 //! response's transport payload, or the payload prefix the flow record's
 //! DPI head still wants (usually nothing once a flow's first ~[`DPI_SNAP`]
 //! bytes per direction have shipped) — so the channels move tens of bytes
-//! per packet instead of whole frames, and workers never re-parse. Arenas
-//! recycle worker→dispatcher over a return ring, and the batched ring
-//! operations (`crate::ring`) move several batches per lock handoff in
-//! both directions. Shard routing keys client IPs through the same FNV
-//! hash the sharded resolver uses ([`shard_of`]) — the *shard-affinity
-//! invariant*: a client's DNS bindings (Algorithm 1 state), the flows
-//! those bindings tag, and the §5.1 delay samples for both always live on
-//! the same worker, so workers share nothing and take no locks on the
-//! per-packet path.
+//! per packet instead of whole frames, and workers never re-parse. Every
+//! edge is a `std::sync::mpsc::sync_channel`: sealed batches travel
+//! dispatcher→worker one per send over a bounded FIFO (a slow shard
+//! backpressures ingest instead of buffering the trace), drained arenas
+//! come back worker→dispatcher best-effort for reuse, and either
+//! endpoint's drop closes the link. Shard routing keys client IPs through
+//! one FNV hash ([`shard_of`]) — the *shard-affinity invariant*: a
+//! client's DNS bindings (Algorithm 1 state), the flows those bindings
+//! tag, and the §5.1 delay samples for both always live on the same
+//! worker, so workers share nothing and take no locks on the per-packet
+//! path.
 //!
 //! Determinism is by construction, not by luck (see `DESIGN.md` §7): every
 //! frame carries a global sequence number (its arrival index), the
 //! dispatcher replicates the flow table's eviction-scan gate and
 //! broadcasts explicit tick events, each worker sees its items in
-//! sequence order over its one ring, and the final merge re-orders every
+//! sequence order over its one channel, and the final merge re-orders every
 //! output stream under the `(seq, phase)` key — so the [`SnifferReport`]
 //! is byte-identical to [`crate::RealTimeSniffer`]'s for any worker count
 //! (as long as no shard overflows its Clist partition; the default
@@ -36,6 +38,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::net::IpAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -52,36 +57,31 @@ use dnhunter_telemetry::{
 
 use crate::engine::{assemble_report, ShardEngine, ShardOutput};
 use crate::policy::RuleEnforcer;
-use crate::ring::{self, Receiver, Sender};
 use crate::sniffer::{compact_seg, SnifferConfig, SnifferReport, SnifferStats};
 use crate::stream::{FlowSink, StreamingAnalytics};
 
-/// What a worker hands back over its rotation ring: the retired
+/// What a worker hands back over its rotation channel: the retired
 /// `(bucket index, partial)` pairs its windowed sink gave up, in bucket
 /// order.
 type RotateReply = Vec<(u64, StreamingAnalytics)>;
 
 /// Frames per batch before the dispatcher seals a batch. Batching
-/// amortises the ring's lock handoff over many frames (§3.2's per-packet
+/// amortises the channel handoff over many frames (§3.2's per-packet
 /// budget is far below one syscall/lock per packet).
 const BATCH_ITEMS: usize = 128;
 /// Arena bytes per batch before an early seal (keeps batches cache-sized
 /// even under jumbo frames).
 const BATCH_BYTES: usize = 128 * 1024;
-/// Sealed batches a worker link buffers locally before one
-/// `send_batch` moves them all under a single ring lock acquisition.
-const OUTBOX_BATCHES: usize = 2;
-/// In-flight batches per dispatcher→worker ring: enough to keep a worker
+/// In-flight batches per dispatcher→worker channel: enough to keep a worker
 /// busy while the dispatcher fills the next batch, small enough that a slow
 /// shard backpressures ingest instead of buffering the trace.
 const CHANNEL_BATCHES: usize = 4;
-/// Most batches a worker drains per `recv_batch` lock acquisition.
-const RECV_BATCH_MAX: usize = CHANNEL_BATCHES;
-/// Capacity of each worker→dispatcher arena recycle ring; sized so a
-/// best-effort `try_send_batch` of every drained batch always fits.
+/// Capacity of each worker→dispatcher arena recycle channel: every batch
+/// that can be in flight on the data edge, plus slack, fits a best-effort
+/// `try_send`.
 const RECYCLE_BATCHES: usize = CHANNEL_BATCHES + 2;
 /// Hard ceiling on pipeline fan-out. The worker count is operator
-/// configuration, but every per-thread ring and merge buffer is sized from
+/// configuration, but every per-thread channel and merge buffer is sized from
 /// it, so the bounded-allocation discipline (L8) wants a named cap on those
 /// statements — and far past the core count extra threads only add
 /// contention anyway.
@@ -110,7 +110,7 @@ enum ItemKind {
     /// interval gate fired at this frame.
     Tick,
     /// Retire every windowed-analytics bucket strictly below `horizon` and
-    /// answer with the retired partials on this worker's rotation ring —
+    /// answer with the retired partials on this worker's rotation channel —
     /// the broadcast half of [`ParallelSniffer::rotate`]'s barrier.
     Rotate { horizon: u64 },
 }
@@ -175,17 +175,25 @@ fn route_deadline(route: &Route, idle: u64, linger: u64) -> u64 {
 
 /// Dispatcher-side handle for one shard worker.
 struct WorkerLink {
-    tx: Sender<Batch>,
+    tx: SyncSender<Batch>,
+    /// Batches sent and not yet received by the worker: bumped before each
+    /// send, dropped by the worker after each receive. A statistic only
+    /// (feeds `RingOccupancy`), hence `Relaxed` on both sides.
+    depth: Arc<AtomicU64>,
     recycle_rx: Receiver<Batch>,
     pending: Batch,
-    /// Sealed batches awaiting one batched send.
-    outbox: Vec<Batch>,
-    /// Recycled arenas pulled off the return ring in batches.
-    spares: Vec<Batch>,
+}
+
+/// Worker-side ends of the same channels, plus the rotation reply edge.
+struct WorkerPort {
+    rx: Receiver<Batch>,
+    depth: Arc<AtomicU64>,
+    recycle: SyncSender<Batch>,
+    rotate_tx: SyncSender<RotateReply>,
 }
 
 /// Busy-time decomposition of one pipeline run, for the throughput
-/// baseline. "Busy" excludes time blocked on channel waits (a full ring
+/// baseline. "Busy" excludes time blocked on channel waits (a full channel
 /// means the dispatcher is waiting for a slow shard, and on a one-core
 /// host it means the worker is running *on the dispatcher's core*), so
 /// even with fewer cores than pipeline threads the per-stage busy time
@@ -475,9 +483,9 @@ impl Dispatcher {
         }
     }
 
-    /// Move a shard's filled batch into its outbox, swapping in a recycled
-    /// (or fresh) arena; once [`OUTBOX_BATCHES`] have accumulated, one
-    /// batched send moves them all under a single lock handoff.
+    /// Send a shard's filled batch, swapping in a recycled (or fresh)
+    /// arena. Send time is accounted separately from dispatch busy time: a
+    /// full channel means the dispatcher is *waiting* on a slow shard.
     fn seal_pending(&mut self, shard: usize) {
         let Some(link) = self.links.get_mut(shard) else {
             return;
@@ -485,41 +493,24 @@ impl Dispatcher {
         if link.pending.items.is_empty() {
             return;
         }
-        if link.spares.is_empty() {
-            link.recycle_rx
-                .try_recv_batch(&mut link.spares, RECYCLE_BATCHES);
-        }
-        let next = link.spares.pop().unwrap_or_default();
+        let next = link.recycle_rx.try_recv().unwrap_or_default();
         let batch = std::mem::replace(&mut link.pending, next);
         tm_count!(Tm::PipelineBatchesSent);
         tm_observe!(Tm::BatchItems, batch.items.len() as u64);
-        link.outbox.push(batch);
-        if link.outbox.len() >= OUTBOX_BATCHES {
-            self.send_outbox(shard);
-        }
-    }
-
-    /// Send a shard's outbox in one batched ring operation. Send time is
-    /// accounted separately from dispatch busy time: a full ring means the
-    /// dispatcher is *waiting* on a slow shard.
-    fn send_outbox(&mut self, shard: usize) {
-        let Some(link) = self.links.get_mut(shard) else {
-            return;
-        };
-        if link.outbox.is_empty() {
-            return;
-        }
-        let batches = link.outbox.len() as u64;
+        let queued = link.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        tm_observe!(Tm::RingOccupancy, queued);
         // allow_lint(L7): wall-clock here feeds only the `send_wait_nanos`
         // telemetry split; no emitted byte depends on it
         let t0 = Instant::now();
-        // A send only fails when the worker died; the merge then simply
-        // misses that shard's output — nothing to do here.
-        let _ = link.tx.send_batch(&mut link.outbox);
-        link.outbox.clear();
+        // A send only fails when the worker died; `finish` re-raises its
+        // panic at the join — nothing to do here.
+        if let Err(TrySendError::Full(batch)) = link.tx.try_send(batch) {
+            tm_count!(Tm::PipelineSendStalls);
+            let _ = link.tx.send(batch);
+        }
         self.send_wait_nanos += t0.elapsed().as_nanos() as u64;
         if telemetry::trace_enabled() {
-            tm_trace_wall!(Te::RingSendBatch, 0, shard as u64, batches);
+            tm_trace_wall!(Te::RingSendBatch, 0, shard as u64, 1);
         }
     }
 
@@ -527,7 +518,6 @@ impl Dispatcher {
     fn flush_all(&mut self) {
         for shard in 0..self.links.len() {
             self.seal_pending(shard);
-            self.send_outbox(shard);
         }
     }
 }
@@ -544,7 +534,7 @@ pub struct ParallelSniffer {
     config: SnifferConfig,
     dispatcher: Dispatcher,
     handles: Vec<JoinHandle<(ShardOutput, u64)>>,
-    /// Receive half of each worker's capacity-1 rotation ring, shard
+    /// Receive half of each worker's capacity-1 rotation channel, shard
     /// order; [`ParallelSniffer::rotate`] blocks on one reply per worker.
     rotation_rxs: Vec<Receiver<RotateReply>>,
     seq: u64,
@@ -554,15 +544,15 @@ pub struct ParallelSniffer {
     /// lifetime; `finish` folds them into the dispatcher's registry so the
     /// final stable-class snapshot equals the sequential run's, and
     /// [`crate::DaemonSniffer::live_snapshot`] samples them mid-run.
-    pub(crate) worker_registries: Vec<std::sync::Arc<telemetry::Registry>>,
+    pub(crate) worker_registries: Vec<Arc<telemetry::Registry>>,
 }
 
 impl ParallelSniffer {
     /// Spawn `workers` shard threads (at least one, at most
     /// `MAX_PIPELINE_THREADS`). Each worker gets its
-    /// slice of the Clist budget `L`, partitioned exactly as
-    /// `ShardedResolver::new` partitions it (§3.1.1 — sharding splits the
-    /// §4.2 memory budget, it does not multiply it).
+    /// slice of the Clist budget `L`: `L / workers` entries, the remainder
+    /// one each to the lowest shards, at least 1 (§3.1.1 — sharding splits
+    /// the §4.2 memory budget, it does not multiply it).
     pub fn new(config: SnifferConfig, workers: usize) -> Self {
         Self::build(config, workers, None)
     }
@@ -598,26 +588,32 @@ impl ParallelSniffer {
             .into_iter()
             .enumerate()
         {
-            let (tx, rx) = ring::channel::<Batch>(CHANNEL_BATCHES);
-            let (recycle_tx, recycle_rx) = ring::channel::<Batch>(RECYCLE_BATCHES);
-            let (rotate_tx, rotate_rx) = ring::channel::<RotateReply>(1);
+            let (tx, rx) = sync_channel::<Batch>(CHANNEL_BATCHES);
+            let (recycle_tx, recycle_rx) = sync_channel::<Batch>(RECYCLE_BATCHES);
+            let (rotate_tx, rotate_rx) = sync_channel::<RotateReply>(1);
             rotation_rxs.push(rotate_rx);
+            let depth = Arc::new(AtomicU64::new(0));
+            links.push(WorkerLink {
+                tx,
+                depth: Arc::clone(&depth),
+                recycle_rx,
+                pending: Batch::default(),
+            });
+            let port = WorkerPort {
+                rx,
+                depth,
+                recycle: recycle_tx,
+                rotate_tx,
+            };
             let registry = telemetry_on.then(|| {
-                let reg = std::sync::Arc::new(telemetry::Registry::new());
-                worker_registries.push(std::sync::Arc::clone(&reg));
+                let reg = Arc::new(telemetry::Registry::new());
+                worker_registries.push(Arc::clone(&reg));
                 reg
             });
             let trace = trace.clone();
             handles.push(std::thread::spawn(move || {
-                worker_loop(engine, shard, rx, recycle_tx, rotate_tx, registry, trace)
+                worker_loop(engine, shard, port, registry, trace)
             }));
-            links.push(WorkerLink {
-                tx,
-                recycle_rx,
-                pending: Batch::default(),
-                outbox: Vec::with_capacity(OUTBOX_BATCHES),
-                spares: Vec::with_capacity(RECYCLE_BATCHES),
-            });
         }
         let dispatcher = Dispatcher::new(&config, links);
         ParallelSniffer {
@@ -639,7 +635,7 @@ impl ParallelSniffer {
     /// no window a live flow can still contribute to is emitted early.
     /// Runs as a barrier: a `Rotate` item is broadcast to every shard,
     /// pending batches flush, and the call blocks until each worker
-    /// answers on its capacity-1 rotation ring — cheap at rotation cadence,
+    /// answers on its capacity-1 rotation channel — cheap at rotation cadence,
     /// and it pins retirement to the same packet-clock instant at every
     /// worker count.
     // lint_root(determinism): rotation barrier fires identically at every worker count
@@ -654,8 +650,8 @@ impl ParallelSniffer {
         self.dispatcher.flush_all();
         let mut replies = Vec::with_capacity(self.rotation_rxs.len());
         for rx in &self.rotation_rxs {
-            // `None` = the worker died; treat as "nothing retired" and let
-            // the join in `finish` surface the loss.
+            // `Err` = the worker died; treat as "nothing retired" and let
+            // the join in `finish` re-raise its panic.
             replies.push(rx.recv().unwrap_or_default());
         }
         (horizon, replies)
@@ -679,7 +675,7 @@ impl ParallelSniffer {
     pub fn process_frame(&mut self, ts: u64, frame: &[u8]) {
         let t0 = Instant::now();
         // Blocking sends inside this frame's window are counted by
-        // `send_outbox` into `send_wait_nanos`; subtract them so busy time
+        // `seal_pending` into `send_wait_nanos`; subtract them so busy time
         // is dispatcher CPU only.
         let send_before = self.dispatcher.send_wait_nanos;
         let seq = self.seq;
@@ -692,7 +688,9 @@ impl ParallelSniffer {
     }
 
     /// End of trace: flush every pending batch, close the channels, join
-    /// the workers and merge their outputs into the one report.
+    /// the workers and merge their outputs into the one report. A worker
+    /// that panicked has its panic re-raised here (and from every other
+    /// `finish*`), never papered over with a partial report.
     pub fn finish(self) -> SnifferReport {
         self.finish_full().0
     }
@@ -714,18 +712,27 @@ impl ParallelSniffer {
 
     fn finish_full(mut self) -> (SnifferReport, PipelineTimings, Vec<Box<dyn FlowSink>>) {
         self.dispatcher.flush_all();
-        // Dropping the links drops the senders, which closes each ring;
+        // Dropping the links drops the senders, which closes each channel;
         // workers drain what is queued, flush their engines and return.
         let links = std::mem::take(&mut self.dispatcher.links);
         let workers = links.len();
         drop(links);
         let mut outputs = Vec::with_capacity(workers);
         let mut worker_busy_micros = Vec::with_capacity(workers);
+        let mut panicked = None;
         for handle in std::mem::take(&mut self.handles) {
-            if let Ok((out, busy)) = handle.join() {
-                outputs.push(out);
-                worker_busy_micros.push(busy);
+            match handle.join() {
+                Ok((out, busy)) => {
+                    outputs.push(out);
+                    worker_busy_micros.push(busy);
+                }
+                Err(payload) => panicked = panicked.or(Some(payload)),
             }
+        }
+        // Every worker is joined first; then the first panic continues on
+        // the caller's thread instead of a report missing that shard.
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
         }
         // Shard-order extraction; the streaming fold is commutative, but a
         // stable order keeps the driver's view reproducible regardless.
@@ -762,10 +769,11 @@ impl ParallelSniffer {
     }
 }
 
-/// Build the `workers` shard engines, splitting the Clist budget exactly
-/// as `ShardedResolver::new` partitions it (§3.1.1 — sharding splits the
-/// §4.2 memory budget, it does not multiply it).
-fn shard_engines(
+/// Build the `workers` shard engines, splitting the Clist budget `L`:
+/// `L / workers` entries each, the remainder one each to the lowest
+/// shards, at least 1 (§3.1.1 — sharding splits the §4.2 memory budget, it
+/// does not multiply it).
+pub(crate) fn shard_engines(
     config: &SnifferConfig,
     workers: usize,
     make_sink: &mut Option<&mut dyn FnMut(usize) -> Box<dyn FlowSink>>,
@@ -803,18 +811,16 @@ fn fold_intern(outputs: &[ShardOutput]) -> InternStats {
 /// One shard worker: drive this shard's [`ShardEngine`]. Items arrive
 /// pre-parsed — a [`CompactSeg`] plus DPI head bytes straight into the
 /// flow table, or a DNS payload decoded here, the exact decode path the
-/// sequential sniffer runs — several batches per lock via `recv_batch`.
-/// Returns the shard's output plus its busy time (µs, excluding `recv`
-/// blocking).
+/// sequential sniffer runs — one batch per `recv`, until the dispatcher
+/// drops its sender and the queue is drained. Returns the shard's output
+/// plus its busy time (µs, excluding `recv` blocking).
 // lint_root(ingest): per-worker ingest: decodes DNS and drives the shard engine
 fn worker_loop(
     mut engine: ShardEngine,
     shard: usize,
-    rx: Receiver<Batch>,
-    recycle: Sender<Batch>,
-    rotate_tx: Sender<RotateReply>,
-    registry: Option<std::sync::Arc<telemetry::Registry>>,
-    trace: Option<std::sync::Arc<TraceSet>>,
+    port: WorkerPort,
+    registry: Option<Arc<telemetry::Registry>>,
+    trace: Option<Arc<TraceSet>>,
 ) -> (ShardOutput, u64) {
     // Bind this shard's registry for the thread's whole lifetime, so every
     // engine/resolver/flow-table update below lands in per-shard cells that
@@ -826,78 +832,69 @@ fn worker_loop(
         .as_ref()
         .map(|set| telemetry::trace_bind(set, LaneKind::Worker, shard as u16));
     let mut busy_nanos = 0u64;
-    let mut inbox: Vec<Batch> = Vec::with_capacity(RECV_BATCH_MAX);
-    let mut done: Vec<Batch> = Vec::with_capacity(RECV_BATCH_MAX);
     let mut last_seq = 0u64;
-    loop {
-        // Zero only once the ring is closed *and* empty.
-        let n = rx.recv_batch(&mut inbox, RECV_BATCH_MAX);
-        if n == 0 {
-            break;
-        }
+    // `Err` only once the dispatcher dropped its sender *and* the queue is
+    // drained: nothing sent before the close is lost.
+    while let Ok(mut batch) = port.rx.recv() {
+        port.depth.fetch_sub(1, Ordering::Relaxed);
         if telemetry::trace_enabled() {
-            tm_trace_wall!(Te::RingRecvBatch, 0, shard as u64, n as u64);
+            tm_trace_wall!(Te::RingRecvBatch, 0, shard as u64, 1);
         }
         let t0 = Instant::now();
-        let mut drained_items = 0u64;
-        for mut batch in inbox.drain(..) {
-            drained_items += batch.items.len() as u64;
-            for item in &batch.items {
-                debug_assert!(
-                    item.seq >= last_seq,
-                    "worker observed seq {} after {}",
-                    item.seq,
-                    last_seq
-                );
-                last_seq = item.seq;
-                let start = item.off as usize;
-                let end = start + item.len as usize;
-                match item.kind {
-                    ItemKind::Start => engine.note_trace_start(item.ts),
-                    ItemKind::Tick => engine.tick(item.seq, item.ts),
-                    ItemKind::Seg(seg) => {
-                        let head = batch.bytes.get(start..end).unwrap_or(&[]);
-                        engine.process_seg(
-                            item.seq,
-                            item.ts,
-                            &seg,
-                            head,
-                            &mut None::<&mut RuleEnforcer>,
-                        );
-                    }
-                    ItemKind::DnsUdp { client } => {
-                        let payload = batch.bytes.get(start..end).unwrap_or(&[]);
-                        engine.handle_dns_payload(item.seq, item.ts, client, payload);
-                    }
-                    ItemKind::DnsTcp { client } => {
-                        let payload = batch.bytes.get(start..end).unwrap_or(&[]);
-                        for msg in codec::decode_tcp_stream(payload) {
-                            engine.handle_dns_message(item.seq, item.ts, client, &msg);
-                        }
-                    }
-                    ItemKind::Rotate { horizon } => {
-                        let retired = engine.rotate(horizon);
-                        // The barrier half: the dispatcher blocks on this
-                        // reply, so the send can never find the capacity-1
-                        // ring full. A failed send means the dispatcher
-                        // already gave up on us.
-                        let _ = rotate_tx.send(retired);
+        for item in &batch.items {
+            debug_assert!(
+                item.seq >= last_seq,
+                "worker observed seq {} after {}",
+                item.seq,
+                last_seq
+            );
+            last_seq = item.seq;
+            let start = item.off as usize;
+            let end = start + item.len as usize;
+            match item.kind {
+                ItemKind::Start => engine.note_trace_start(item.ts),
+                ItemKind::Tick => engine.tick(item.seq, item.ts),
+                ItemKind::Seg(seg) => {
+                    let head = batch.bytes.get(start..end).unwrap_or(&[]);
+                    engine.process_seg(
+                        item.seq,
+                        item.ts,
+                        &seg,
+                        head,
+                        &mut None::<&mut RuleEnforcer>,
+                    );
+                }
+                ItemKind::DnsUdp { client } => {
+                    let payload = batch.bytes.get(start..end).unwrap_or(&[]);
+                    engine.handle_dns_payload(item.seq, item.ts, client, payload);
+                }
+                ItemKind::DnsTcp { client } => {
+                    let payload = batch.bytes.get(start..end).unwrap_or(&[]);
+                    for msg in codec::decode_tcp_stream(payload) {
+                        engine.handle_dns_message(item.seq, item.ts, client, &msg);
                     }
                 }
+                ItemKind::Rotate { horizon } => {
+                    let retired = engine.rotate(horizon);
+                    // The barrier half: the dispatcher blocks on this
+                    // reply, so the send can never find the capacity-1
+                    // channel full. A failed send means the dispatcher
+                    // already gave up on us.
+                    let _ = port.rotate_tx.send(retired);
+                }
             }
-            batch.items.clear();
-            batch.bytes.clear();
-            done.push(batch);
         }
         let drain_nanos = t0.elapsed().as_nanos() as u64;
         busy_nanos += drain_nanos;
         if telemetry::trace_enabled() {
-            tm_trace_wall!(Te::WorkerDrain, 0, drained_items, drain_nanos);
+            tm_trace_wall!(Te::WorkerDrain, 0, batch.items.len() as u64, drain_nanos);
         }
-        // Best effort, never blocking: arenas that don't fit the recycle
-        // ring are simply dropped and the dispatcher allocates fresh ones.
-        recycle.try_send_batch(&mut done);
-        done.clear();
+        batch.items.clear();
+        batch.bytes.clear();
+        // Best effort, never blocking: an arena that doesn't fit the
+        // recycle channel is simply dropped and the dispatcher allocates a
+        // fresh one.
+        let _ = port.recycle.try_send(batch);
     }
     let t0 = Instant::now();
     let out = engine.finish_shard();

@@ -1,20 +1,13 @@
-//! Sharded resolver for larger client populations.
+//! Client sharding for larger client populations.
 //!
 //! Paper §3.1.1: "when the number of monitored clients increase, several
 //! load balancing strategies can be used. For example, two resolvers can be
 //! maintained for odd and even fourth octet value in the client IP-address."
-//! This generalises that idea to `N` shards keyed on the client address, each
-//! behind its own lock so shards can be driven from different threads.
+//! This generalises that idea to `N` shards keyed on the client address;
+//! the parallel ingest pipeline gives each shard its own worker-private
+//! resolver and routes by [`shard_of`].
 
 use std::net::IpAddr;
-use std::sync::Arc;
-
-use dnhunter_dns::DomainName;
-
-use crate::maps::{OrderedTables, TableFamily};
-use crate::resolver::{DnsResolver, InsertOutcome, ResolverConfig};
-use crate::stats::ResolverStats;
-use crate::sync::Mutex;
 
 /// Shard index for a client address, over `shards` shards.
 ///
@@ -28,11 +21,10 @@ use crate::sync::Mutex;
 /// percent of uniform for any address-assignment policy while remaining
 /// deterministic across runs.
 ///
-/// This is a free function (not just a [`ShardedResolver`] method) because
-/// the parallel ingest pipeline must route *frames* with the same key the
-/// resolver shards use — the shard-affinity invariant: a client's DNS
-/// bindings and the flows they tag always meet on the same shard,
-/// preserving Algorithm 1's per-client ordering.
+/// The parallel ingest pipeline routes DNS responses *and* data frames by
+/// this one key — the shard-affinity invariant: a client's DNS bindings
+/// and the flows they tag always meet on the same shard, preserving
+/// Algorithm 1's per-client ordering.
 pub fn shard_of(client: IpAddr, shards: usize) -> usize {
     debug_assert!(shards > 0, "shard_of needs at least one shard");
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -49,141 +41,20 @@ pub fn shard_of(client: IpAddr, shards: usize) -> usize {
     (hash % shards.max(1) as u64) as usize
 }
 
-/// `N` independent §3.1 resolvers, selected by client IP — the paper's
-/// §6 path to larger client populations (its odd/even fourth-octet split,
-/// generalised to hashing; see [`shard_of`]).
-pub struct ShardedResolver<F: TableFamily = OrderedTables> {
-    shards: Vec<Mutex<DnsResolver<F>>>,
-}
-
-impl<F: TableFamily> ShardedResolver<F> {
-    /// Build `shards` resolvers whose Clist capacities sum to
-    /// `config.clist_size` (so total memory matches a single resolver of
-    /// the same configured size — sharding only partitions the paper's
-    /// §4.2 budget `L`). When the size does not divide evenly the
-    /// remainder is spread one entry at a time over the first shards; a
-    /// configured size below the shard count is rounded up to one entry
-    /// per shard, since an empty Clist cannot hold any binding.
-    pub fn new(shards: usize, config: ResolverConfig) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let base = config.clist_size / shards;
-        let remainder = config.clist_size % shards;
-        ShardedResolver {
-            shards: (0..shards)
-                .map(|i| {
-                    let per_shard = (base + usize::from(i < remainder)).max(1);
-                    Mutex::new(DnsResolver::with_config(ResolverConfig {
-                        clist_size: per_shard,
-                        ..config
-                    }))
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of shards (the paper's §6 example uses 2).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total Clist capacity across all shards — `config.clist_size`, or the
-    /// shard count if the configured size was smaller (paper §3.1.1 sizes
-    /// the Clist as `L`; sharding only partitions that budget).
-    pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().capacity()).sum()
-    }
-
-    /// Shard index for a client (see the free function [`shard_of`] for the
-    /// §3.1.1 load-balancing rationale).
-    pub fn shard_of(&self, client: IpAddr) -> usize {
-        shard_of(client, self.shards.len())
-    }
-
-    /// Insert a resolution (see [`DnsResolver::insert`], the paper's §3.1
-    /// update step).
-    // allow_lint(L1): shard_of returns hash % shards.len(), always in bounds
-    pub fn insert(&self, client: IpAddr, fqdn: &DomainName, servers: &[IpAddr]) -> InsertOutcome {
-        self.shards[self.shard_of(client)]
-            .lock()
-            .insert(client, fqdn, servers)
-    }
-
-    /// Insert only if the `(client, server)` pair is not yet bound,
-    /// returning whether this call inserted. **Deliberately broken**: the
-    /// check and the insert take the shard lock twice, so two threads can
-    /// both observe "absent" and both insert — a classic check-then-act
-    /// race. Compiled only under `--cfg loom`, where `tests/loom_shard.rs`
-    /// uses it to prove the model checker catches exactly this locking
-    /// mutation (a correct version would hold one guard across both steps).
-    #[cfg(loom)]
-    pub fn insert_if_absent_racy(
-        &self,
-        client: IpAddr,
-        fqdn: &DomainName,
-        servers: &[IpAddr],
-    ) -> bool {
-        let shard = self.shard_of(client);
-        let absent = servers
-            .iter()
-            .all(|s| self.shards[shard].lock().peek(client, *s).is_none());
-        // Guard dropped: another thread may insert here.
-        crate::sync::explore_preempt();
-        if absent {
-            self.shards[shard].lock().insert(client, fqdn, servers);
-        }
-        absent
-    }
-
-    /// Lookup (see [`DnsResolver::lookup`], Algorithm 1 lines 27–34).
-    // allow_lint(L1): shard_of returns hash % shards.len(), always in bounds
-    pub fn lookup(&self, client: IpAddr, server: IpAddr) -> Option<Arc<DomainName>> {
-        self.shards[self.shard_of(client)]
-            .lock()
-            .lookup(client, server)
-    }
-
-    /// Aggregate statistics across shards (sums to the same §6 counters a
-    /// single resolver would report).
-    pub fn stats(&self) -> ResolverStats {
-        let mut total = ResolverStats::default();
-        for s in &self.shards {
-            let st = *s.lock().stats();
-            total.responses += st.responses;
-            total.bindings += st.bindings;
-            total.replaced_same_fqdn += st.replaced_same_fqdn;
-            total.replaced_different_fqdn += st.replaced_different_fqdn;
-            total.evictions += st.evictions;
-            total.lookups += st.lookups;
-            total.hits += st.hits;
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ip(s: &str) -> IpAddr {
-        s.parse().unwrap()
-    }
-
-    fn name(s: &str) -> DomainName {
-        s.parse().unwrap()
-    }
-
     #[test]
     fn shard_assignment_is_deterministic_and_balanced() {
-        let r: ShardedResolver = ShardedResolver::new(4, ResolverConfig::default());
-        assert_eq!(r.shard_count(), 4);
         // FNV mixes all bytes: clients differing only in an upper octet
         // still spread, unlike the paper's last-octet scheme.
         let mut counts = [0usize; 4];
         for a in 0..16u8 {
             for d in 0..64u8 {
                 let c = IpAddr::V4(std::net::Ipv4Addr::new(10, a, 0, d));
-                let s = r.shard_of(c);
-                assert_eq!(s, r.shard_of(c), "assignment must be stable");
+                let s = shard_of(c, 4);
+                assert_eq!(s, shard_of(c, 4), "assignment must be stable");
                 counts[s] += 1;
             }
         }
@@ -203,101 +74,14 @@ mod tests {
         // fourth-octet split would alternate them over exactly two residues,
         // and modulo-N over the last octet would use at most 16. FNV must
         // reach every shard.
-        let r: ShardedResolver = ShardedResolver::new(8, ResolverConfig::default());
         let mut seen = [false; 8];
         for d in 0..16u8 {
             let c = IpAddr::V4(std::net::Ipv4Addr::new(192, 168, 7, 0x40 + d));
-            seen[r.shard_of(c)] = true;
+            seen[shard_of(c, 8)] = true;
         }
         assert!(
             seen.iter().filter(|&&s| s).count() >= 5,
             "a /28 should land on most of 8 shards, got {seen:?}"
         );
-    }
-
-    #[test]
-    fn capacity_remainder_is_distributed() {
-        // 103 entries over 4 shards: 26 + 26 + 26 + 25, never 25×4 = 100.
-        let cfg = |n| ResolverConfig {
-            clist_size: n,
-            labels_per_server: 1,
-        };
-        let r: ShardedResolver = ShardedResolver::new(4, cfg(103));
-        assert_eq!(r.capacity(), 103);
-        // Even splits are unchanged.
-        let r: ShardedResolver = ShardedResolver::new(4, cfg(100));
-        assert_eq!(r.capacity(), 100);
-        // Degenerate configs round up to one entry per shard.
-        let r: ShardedResolver = ShardedResolver::new(4, cfg(2));
-        assert_eq!(r.capacity(), 4);
-    }
-
-    #[test]
-    fn insert_lookup_roundtrip_across_shards() {
-        let r: ShardedResolver = ShardedResolver::new(4, ResolverConfig::default());
-        for i in 1..=20u8 {
-            let c = IpAddr::V4(std::net::Ipv4Addr::new(10, 0, 0, i));
-            r.insert(c, &name(&format!("host{i}.example.com")), &[ip("23.0.0.1")]);
-        }
-        for i in 1..=20u8 {
-            let c = IpAddr::V4(std::net::Ipv4Addr::new(10, 0, 0, i));
-            assert_eq!(
-                r.lookup(c, ip("23.0.0.1")).unwrap().to_string(),
-                format!("host{i}.example.com")
-            );
-        }
-        let stats = r.stats();
-        assert_eq!(stats.lookups, 20);
-        assert_eq!(stats.hits, 20);
-        assert_eq!(stats.responses, 20);
-    }
-
-    #[test]
-    fn shards_split_capacity() {
-        let r: ShardedResolver = ShardedResolver::new(
-            4,
-            ResolverConfig {
-                clist_size: 100,
-                labels_per_server: 1,
-            },
-        );
-        // Each shard has L=25; this is visible through eviction behaviour
-        // (one client always maps to one shard, whichever it is).
-        let c = ip("10.0.0.4");
-        for i in 0..30 {
-            r.insert(
-                c,
-                &name(&format!("n{i}.x.com")),
-                &[IpAddr::V4(std::net::Ipv4Addr::new(
-                    1,
-                    1,
-                    (i / 256) as u8,
-                    (i % 256) as u8,
-                ))],
-            );
-        }
-        assert_eq!(r.stats().evictions, 5);
-    }
-
-    #[test]
-    fn concurrent_use_from_threads() {
-        use std::sync::Arc as StdArc;
-        let r: StdArc<ShardedResolver> =
-            StdArc::new(ShardedResolver::new(4, ResolverConfig::default()));
-        let mut handles = Vec::new();
-        for t in 0..4u8 {
-            let r = StdArc::clone(&r);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..100u8 {
-                    let c = IpAddr::V4(std::net::Ipv4Addr::new(10, 0, t, i));
-                    r.insert(c, &"w.example.com".parse().unwrap(), &[ip("9.9.9.9")]);
-                    assert!(r.lookup(c, ip("9.9.9.9")).is_some());
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(r.stats().hits, 400);
     }
 }

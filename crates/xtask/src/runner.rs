@@ -40,13 +40,9 @@ const DOC_CRATES: &[&str] = &["resolver", "dns"];
 /// Individual per-packet files in crates that are otherwise not hot
 /// (the `core` crate also holds reporting/export code where a panic is
 /// acceptable). These get the hot-path treatment (L1, L2) plus the guard
-/// discipline check (L3) — the pipeline holds ring locks and sends across
-/// channels, the classic place to deadlock a sniffer.
-const HOT_FILES: &[&str] = &[
-    "crates/core/src/engine.rs",
-    "crates/core/src/pipeline.rs",
-    "crates/core/src/ring.rs",
-];
+/// discipline check (L3) — the pipeline sends across bounded channels,
+/// the classic place to deadlock a sniffer.
+const HOT_FILES: &[&str] = &["crates/core/src/engine.rs", "crates/core/src/pipeline.rs"];
 
 /// Where the `metrics!` catalog lives (L9).
 const METRIC_CATALOG: &str = "crates/telemetry/src/metric.rs";

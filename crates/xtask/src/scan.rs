@@ -25,7 +25,7 @@ pub struct Line {
     pub inner_doc: bool,
     /// Brace depth at the start of the line.
     pub depth: usize,
-    /// Line is inside `#[cfg(test)]` / `#[cfg(loom)]` / `#[test]` code.
+    /// Line is inside `#[cfg(test)]` / `#[test]` code.
     pub test: bool,
 }
 
@@ -324,7 +324,7 @@ fn closes_raw(bytes: &[char], from: usize, hashes: u32) -> bool {
 }
 
 /// Second pass: brace depth at line start, plus test-span marking for
-/// `#[cfg(test)]`, `#[cfg(loom)]` and `#[test]` items.
+/// `#[cfg(test)]` and `#[test]` items.
 fn mark_depth_and_tests(lines: &mut [Line]) {
     let mut depth = 0usize;
     // (depth the guarded item's block was opened at) for active test spans.
@@ -335,9 +335,7 @@ fn mark_depth_and_tests(lines: &mut [Line]) {
         let code = line.code.clone();
         let trimmed = code.trim();
         if test_until_depth.is_none()
-            && (trimmed.contains("cfg(test)")
-                || trimmed.contains("cfg(loom)")
-                || trimmed.contains("#[test]"))
+            && (trimmed.contains("cfg(test)") || trimmed.contains("#[test]"))
         {
             pending_attr = true;
         }
