@@ -67,8 +67,8 @@ pub fn domain_tree(
             .insert(f.key.server);
         // Walk tokens outermost-first (`mediaN` under `linkedin.com`).
         let mut node = &mut root;
-        let subs = fqdn.sub_labels(suffixes);
-        for label in subs.iter().rev() {
+        let subs: Vec<&str> = fqdn.sub_labels(suffixes).collect();
+        for label in subs.into_iter().rev() {
             let token = normalize_token(label).unwrap_or_else(|| "N".to_string());
             node = node.children.entry(token).or_default();
         }

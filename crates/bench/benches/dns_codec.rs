@@ -37,6 +37,14 @@ fn bench_decode(c: &mut Criterion) {
         g.bench_function(format!("response_{answers}_answers"), |b| {
             b.iter(|| black_box(codec::decode(&bytes).expect("decodes")))
         });
+        // The sniffer's form: one scratch message, sections reused.
+        let mut scratch = DnsMessage::default();
+        g.bench_function(format!("response_{answers}_answers_into_scratch"), |b| {
+            b.iter(|| {
+                codec::decode_into(&mut scratch, black_box(&bytes)).expect("decodes");
+                black_box(scratch.answers.len())
+            })
+        });
     }
     g.finish();
 }

@@ -104,6 +104,11 @@ pub(crate) struct ShardEngine {
     /// Optional streaming-analytics sink, fed as events happen (one per
     /// shard; the driver folds them after the run).
     sink: Option<Box<dyn FlowSink>>,
+    /// Decode scratch: every UDP response is decoded into this one
+    /// message, whose section `Vec`s keep their capacity.
+    dns_scratch: dnhunter_dns::DnsMessage,
+    /// Answer-list scratch for [`ShardEngine::handle_dns_message`].
+    addr_scratch: Vec<IpAddr>,
 }
 
 impl ShardEngine {
@@ -125,6 +130,8 @@ impl ShardEngine {
             tagged: Vec::new(),
             trace_start: None,
             sink: None,
+            dns_scratch: dnhunter_dns::DnsMessage::default(),
+            addr_scratch: Vec::new(),
             config,
         }
     }
@@ -157,14 +164,12 @@ impl ShardEngine {
     /// the frame.
     // lint_root(ingest): per-shard handler for attacker-controlled DNS responses
     pub(crate) fn handle_dns_payload(&mut self, seq: u64, ts: u64, client: IpAddr, payload: &[u8]) {
-        let msg = match dnhunter_dns::codec::decode(payload) {
-            Ok(m) => m,
-            Err(_) => {
-                self.stats.dns_decode_errors += 1;
-                return;
-            }
-        };
-        self.handle_dns_message(seq, ts, client, &msg);
+        let mut msg = std::mem::take(&mut self.dns_scratch);
+        match dnhunter_dns::codec::decode_into(&mut msg, payload) {
+            Ok(()) => self.handle_dns_message(seq, ts, client, &msg),
+            Err(_) => self.stats.dns_decode_errors += 1,
+        }
+        self.dns_scratch = msg;
     }
 
     /// Common path for UDP and TCP responses. Truncated (TC-bit) responses
@@ -186,7 +191,9 @@ impl ShardEngine {
         if msg.header.truncated {
             return;
         }
-        let servers = msg.answer_addresses();
+        let mut servers = std::mem::take(&mut self.addr_scratch);
+        servers.clear();
+        servers.extend(msg.answer_address_iter());
         if let Some(name) = msg.queried_fqdn() {
             let outcome = self.resolver.insert(client, name, &servers);
             // Provenance: which response, what it bound, what it displaced.
@@ -210,13 +217,14 @@ impl ShardEngine {
                 ts,
                 first_flow_delay: None,
             });
-            for s in servers {
+            for &s in &servers {
                 self.response_index.insert((client, s), idx);
             }
             if let Some(sink) = self.sink.as_deref_mut() {
                 sink.on_answered_response(ts);
             }
         }
+        self.addr_scratch = servers;
     }
 
     /// Feed one data segment (anything that is not DNS) through the flow
@@ -268,7 +276,7 @@ impl ShardEngine {
         let label = self.resolver.lookup(key.client, key.server);
         if telemetry::trace_enabled() {
             let server_key = key.server_trace_key();
-            match label.as_deref() {
+            match &label {
                 Some(name) => tm_trace!(Te::ResolverHit, seq, ts, server_key, name.trace_key()),
                 None => tm_trace!(Te::ResolverMiss, seq, ts, server_key, u64::from(in_warmup)),
             }
@@ -313,18 +321,17 @@ impl ShardEngine {
                 sink.on_any_flow_delay(ts, d);
             }
         }
-        let fqdn = label.map(|arc| (*arc).clone());
+        let fqdn = label;
         // §6 extension: when the resolver keeps several labels per pair,
         // record the alternatives so downstream consumers can resolve
         // ambiguity themselves.
         let alt_labels = if self.config.resolver.labels_per_server > 1 && fqdn.is_some() {
             let mut alts: Vec<DomainName> = Vec::new();
-            for arc in self.resolver.lookup_all(key.client, key.server) {
+            for alt in self.resolver.lookup_all(key.client, key.server) {
                 // Distinct alternatives only; repeated resolutions of the
-                // primary name are not ambiguity. Compare before cloning —
-                // the common case (no ambiguity) then allocates nothing.
-                if Some(&*arc) != fqdn.as_ref() && !alts.iter().any(|a| a == &*arc) {
-                    alts.push((*arc).clone());
+                // primary name are not ambiguity.
+                if Some(&alt) != fqdn.as_ref() && !alts.contains(&alt) {
+                    alts.push(alt);
                 }
             }
             alts
@@ -492,7 +499,7 @@ impl ShardEngine {
         );
         let flow = TaggedFlow {
             key,
-            fqdn: label.map(|arc| (*arc).clone()),
+            fqdn: label,
             second_level: None,
             alt_labels: Vec::new(),
             tag_delay_micros: tag_delay,

@@ -9,7 +9,7 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 use crate::error::{DnsError, Result};
 use crate::message::{DnsHeader, DnsMessage, QClass, QType, Question, Rcode, ResourceRecord};
-use crate::name::DomainName;
+use crate::name::{len_entry, DomainName, MAX_NAME_OCTETS};
 use crate::rdata::RData;
 
 /// Encode a message to wire bytes (RFC 1035 §4 format, suitable for a
@@ -32,24 +32,37 @@ pub fn encode(msg: &DnsMessage) -> Result<Vec<u8>> {
     Ok(enc.buf)
 }
 
-/// Decode a message from wire bytes (RFC 1035 §4).
+/// Decode a message from wire bytes (RFC 1035 §4) into a fresh
+/// [`DnsMessage`]; see [`decode_into`], which this wraps.
+pub fn decode(buf: &[u8]) -> Result<DnsMessage> {
+    let mut msg = DnsMessage::default();
+    decode_into(&mut msg, buf)?;
+    Ok(msg)
+}
+
+/// Decode a message from wire bytes (RFC 1035 §4) into `msg`, replacing
+/// its contents and reusing its four section `Vec`s — a caller that keeps
+/// one scratch message decodes a steady stream of responses with one
+/// allocation each: the question name's buffer, which every answer owner
+/// that points back at it shares. On error the sections are left empty.
 ///
 /// Telemetry: successful decodes count into
 /// `dnh_dns_messages_decoded_total`, failures into
 /// `dnh_dns_decode_errors_total` (both stable — every driver decodes each
 /// DNS payload the same number of times).
 // lint_root(ingest): DNS wire-format decode of untrusted payloads
-pub fn decode(buf: &[u8]) -> Result<DnsMessage> {
-    match decode_inner(buf) {
-        Ok(msg) => {
-            dnhunter_telemetry::tm_count!(dnhunter_telemetry::Metric::DnsMessagesDecoded);
-            Ok(msg)
-        }
-        Err(e) => {
-            dnhunter_telemetry::tm_count!(dnhunter_telemetry::Metric::DnsDecodeErrors);
-            Err(e)
-        }
+pub fn decode_into(msg: &mut DnsMessage, buf: &[u8]) -> Result<()> {
+    let decoded = decode_sections(msg, buf);
+    if decoded.is_ok() {
+        dnhunter_telemetry::tm_count!(dnhunter_telemetry::Metric::DnsMessagesDecoded);
+    } else {
+        dnhunter_telemetry::tm_count!(dnhunter_telemetry::Metric::DnsDecodeErrors);
+        msg.questions.clear();
+        msg.answers.clear();
+        msg.authorities.clear();
+        msg.additionals.clear();
     }
+    decoded
 }
 
 /// Cap on the *pre-allocated* capacity per message section. Header counts
@@ -60,32 +73,20 @@ pub fn decode(buf: &[u8]) -> Result<DnsMessage> {
 /// buffer contents.
 const MAX_SECTION_PREALLOC: usize = 256;
 
-fn decode_inner(buf: &[u8]) -> Result<DnsMessage> {
-    let mut dec = Decoder { buf, pos: 0 };
+fn decode_sections(msg: &mut DnsMessage, buf: &[u8]) -> Result<()> {
+    let mut dec = Decoder::new(buf);
     let (header, counts) = dec.header()?;
-    let mut questions = Vec::with_capacity((counts.0 as usize).min(MAX_SECTION_PREALLOC));
+    msg.header = header;
+    msg.questions.clear();
+    msg.questions
+        .reserve_exact(usize::from(counts.0).min(MAX_SECTION_PREALLOC));
     for _ in 0..counts.0 {
-        questions.push(dec.question()?);
+        msg.questions.push(dec.question()?);
     }
-    let mut answers = Vec::with_capacity((counts.1 as usize).min(MAX_SECTION_PREALLOC));
-    for _ in 0..counts.1 {
-        answers.push(dec.record()?);
-    }
-    let mut authorities = Vec::with_capacity((counts.2 as usize).min(MAX_SECTION_PREALLOC));
-    for _ in 0..counts.2 {
-        authorities.push(dec.record()?);
-    }
-    let mut additionals = Vec::with_capacity((counts.3 as usize).min(MAX_SECTION_PREALLOC));
-    for _ in 0..counts.3 {
-        additionals.push(dec.record()?);
-    }
-    Ok(DnsMessage {
-        header,
-        questions,
-        answers,
-        authorities,
-        additionals,
-    })
+    dec.records(&mut msg.answers, counts.1)?;
+    dec.records(&mut msg.authorities, counts.2)?;
+    dec.records(&mut msg.additionals, counts.3)?;
+    Ok(())
 }
 
 /// Encode a message for a TCP transport: two-byte big-endian length prefix
@@ -188,24 +189,25 @@ impl Encoder {
 
     /// Write a name with compression: at every suffix, if that suffix was
     /// written before at a pointer-reachable offset, emit a pointer instead.
-    // allow_lint(L1): i ranges over 0..labels.len(), so labels[i] and labels[i..] are in bounds
     fn name(&mut self, name: &DomainName) -> Result<()> {
-        let labels = name.labels();
-        for i in 0..labels.len() {
-            let suffix = labels[i..].join(".");
-            if let Some(&off) = self.compression.get(&suffix) {
+        // Every suffix of the name is a tail of its dotted text.
+        let dotted = name.text();
+        let mut at = 0;
+        for label in name.labels() {
+            let suffix = dotted.get(at..).unwrap_or_default();
+            if let Some(&off) = self.compression.get(suffix) {
                 let ptr = 0xc000 | off;
                 self.buf.extend_from_slice(&ptr.to_be_bytes());
                 return Ok(());
             }
             let here = self.buf.len();
             if here <= 0x3fff {
-                self.compression.insert(suffix, here as u16);
+                self.compression.insert(suffix.to_string(), here as u16);
             }
-            let label = labels[i].as_bytes();
             debug_assert!(label.len() <= 63);
             self.buf.push(label.len() as u8);
-            self.buf.extend_from_slice(label);
+            self.buf.extend_from_slice(label.as_bytes());
+            at += label.len() + 1;
         }
         self.buf.push(0);
         Ok(())
@@ -282,12 +284,57 @@ impl Encoder {
 // Decoding
 // ---------------------------------------------------------------------------
 
+/// The fixed header (RFC 1035 §4.1.1); no name can start inside it.
+const HEADER_OCTETS: usize = 12;
+
+/// Compression pointers one name may follow before it is called a loop.
+const MAX_POINTER_JUMPS: usize = 32;
+
+/// Names the per-message memo holds. A response carries the queried name,
+/// a CNAME target or two, and pointers back at them.
+const NAME_MEMO: usize = 8;
+
+/// Scratch for one name's buffer (see [`DomainName`]): dotted text, then
+/// the length table. A wire name is at most [`MAX_NAME_OCTETS`];
+/// replacing invalid UTF-8 triples a label's text at worst, and each
+/// label adds a dot and a two-byte table entry — three bytes for its one
+/// length octet — so `3 * MAX_NAME_OCTETS` bounds the whole.
+const NAME_SCRATCH: usize = 3 * MAX_NAME_OCTETS;
+
+/// A name already decoded from this message, filed under the wire offset
+/// its first label sits at.
+struct MemoEntry {
+    at: usize,
+    /// Compression pointers followed from `at` to the end of the name.
+    jumps: usize,
+    name: DomainName,
+}
+
 struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Names decoded so far: a name that is nothing but a pointer to one
+    /// of them (every answer owner, in the usual response) is a refcount
+    /// bump instead of a second buffer.
+    memo: [Option<MemoEntry>; NAME_MEMO],
+    scratch: [u8; NAME_SCRATCH],
+    /// The length table of the name being decoded, until it is appended
+    /// to the scratch: two bytes per label, and at most 127 labels fit in
+    /// [`MAX_NAME_OCTETS`].
+    lens: [u8; MAX_NAME_OCTETS],
 }
 
 impl<'a> Decoder<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Decoder {
+            buf,
+            pos: 0,
+            memo: [const { None }; NAME_MEMO],
+            scratch: [0; NAME_SCRATCH],
+            lens: [0; MAX_NAME_OCTETS],
+        }
+    }
+
     // allow_lint(L1): pos..pos+n is readable — the `pos + n > buf.len()` check above returns Malformed first
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
@@ -340,23 +387,48 @@ impl<'a> Decoder<'a> {
         ))
     }
 
+    /// Append wire label number `labels` to the name being assembled: its
+    /// text — invalid UTF-8 replaced, ASCII lower-cased (the `Cow` borrows
+    /// unless a replacement was needed) — joins the dotted text, which
+    /// fills the first `used` bytes of the scratch, and its length joins
+    /// the table. Returns the new text length; `None` if the scratch were
+    /// too small, which [`NAME_SCRATCH`] rules out.
+    fn append_label(&mut self, raw: &[u8], labels: u8, used: usize) -> Option<usize> {
+        let text = String::from_utf8_lossy(raw);
+        let dot = usize::from(labels > 0);
+        let end = used + dot + text.len();
+        let (sep, label) = self.scratch.get_mut(used..end)?.split_at_mut(dot);
+        sep.fill(b'.');
+        label.copy_from_slice(text.as_bytes());
+        label.make_ascii_lowercase();
+        let entry = 2 * usize::from(labels);
+        self.lens
+            .get_mut(entry..entry + 2)?
+            .copy_from_slice(&len_entry(text.len()));
+        Some(end)
+    }
+
     /// Decode a (possibly compressed) name starting at the cursor.
     fn name(&mut self) -> Result<DomainName> {
-        let mut labels = Vec::new();
+        let wire = self.buf;
         let mut pos = self.pos;
         let mut jumped = false;
         let mut jumps = 0usize;
         let mut total_octets = 1usize;
+        // Where the labels begin (past any leading pointers), and how many
+        // pointers led there: what the memo files this name under.
+        let mut labels_at = pos;
+        let mut jumps_before = 0usize;
+        let mut labels = 0u8;
+        let mut used = 0usize; // bytes of dotted text in the scratch
         loop {
-            let len = *self
-                .buf
+            let len = *wire
                 .get(pos)
                 .ok_or_else(|| DnsError::Malformed("name runs off buffer".into()))?
                 as usize;
             if len & 0xc0 == 0xc0 {
                 // Compression pointer.
-                let b2 = *self
-                    .buf
+                let b2 = *wire
                     .get(pos + 1)
                     .ok_or_else(|| DnsError::Malformed("pointer truncated".into()))?
                     as usize;
@@ -366,8 +438,13 @@ impl<'a> Decoder<'a> {
                         "forward pointer {target} at offset {pos}"
                     )));
                 }
+                if target < HEADER_OCTETS {
+                    return Err(DnsError::BadPointer(format!(
+                        "pointer into the header ({target}) at offset {pos}"
+                    )));
+                }
                 jumps += 1;
-                if jumps > 32 {
+                if jumps > MAX_POINTER_JUMPS {
                     return Err(DnsError::BadPointer("pointer chain too long".into()));
                 }
                 if !jumped {
@@ -375,6 +452,18 @@ impl<'a> Decoder<'a> {
                     jumped = true;
                 }
                 pos = target;
+                if labels == 0 {
+                    // Nothing but pointers so far: this name *is* the name
+                    // at `target`.
+                    if let Some(hit) = self.memo.iter().flatten().find(|e| e.at == target) {
+                        if jumps + hit.jumps > MAX_POINTER_JUMPS {
+                            return Err(DnsError::BadPointer("pointer chain too long".into()));
+                        }
+                        return Ok(hit.name.clone());
+                    }
+                    labels_at = target;
+                    jumps_before = jumps;
+                }
                 continue;
             }
             if len & 0xc0 != 0 {
@@ -389,21 +478,41 @@ impl<'a> Decoder<'a> {
                 break;
             }
             let start = pos + 1;
-            let end = start + len;
-            if end > self.buf.len() {
-                return Err(DnsError::Malformed("label runs off buffer".into()));
-            }
+            let end_of_label = start + len;
+            let raw = wire
+                .get(start..end_of_label)
+                .ok_or_else(|| DnsError::Malformed("label runs off buffer".into()))?;
             total_octets += len + 1;
-            if total_octets > crate::name::MAX_NAME_OCTETS {
+            if total_octets > MAX_NAME_OCTETS {
                 return Err(DnsError::NameTooLong(total_octets));
             }
-            // allow_lint(L1): start..end is readable — the `end > buf.len()` check above returns Malformed first
-            let raw = &self.buf[start..end];
-            let label = String::from_utf8_lossy(raw).to_ascii_lowercase();
-            labels.push(label);
-            pos = end;
+            used = self
+                .append_label(raw, labels, used)
+                .ok_or(DnsError::NameTooLong(total_octets))?;
+            labels += 1;
+            pos = end_of_label;
         }
-        Ok(DomainName::from_labels_unchecked(labels))
+        let lens = self.lens.get(..2 * usize::from(labels)).unwrap_or_default();
+        let table = self.scratch.get_mut(used..used + lens.len());
+        table
+            .ok_or(DnsError::NameTooLong(total_octets))?
+            .copy_from_slice(lens);
+        let buf = self.scratch.get(..used + lens.len()).unwrap_or_default();
+        let buf = std::str::from_utf8(buf)
+            .map_err(|_| DnsError::Malformed("name scratch is not UTF-8".into()))?;
+        let name = DomainName::from_buffer(buf, used, labels);
+        if labels > 0 {
+            // The first names of a message are the ones later records
+            // point at: once the memo is full it stays as it is.
+            if let Some(free) = self.memo.iter_mut().find(|e| e.is_none()) {
+                *free = Some(MemoEntry {
+                    at: labels_at,
+                    jumps: jumps - jumps_before,
+                    name: name.clone(),
+                });
+            }
+        }
+        Ok(name)
     }
 
     fn question(&mut self) -> Result<Question> {
@@ -415,6 +524,16 @@ impl<'a> Decoder<'a> {
             qtype,
             qclass,
         })
+    }
+
+    /// Refill one section with its `count` records, keeping its capacity.
+    fn records(&mut self, section: &mut Vec<ResourceRecord>, count: u16) -> Result<()> {
+        section.clear();
+        section.reserve_exact(usize::from(count).min(MAX_SECTION_PREALLOC));
+        for _ in 0..count {
+            section.push(self.record()?);
+        }
+        Ok(())
     }
 
     fn record(&mut self) -> Result<ResourceRecord> {
@@ -679,6 +798,25 @@ mod tests {
         buf.extend_from_slice(&[0xc0, 40]); // forward pointer
         buf.extend_from_slice(&[0, 1, 0, 1]);
         assert!(matches!(decode(&buf), Err(DnsError::BadPointer(_))));
+    }
+
+    #[test]
+    fn rejects_pointer_into_header() {
+        // Offsets 0..12 are the fixed header; with ID 0x0377 a pointer to
+        // offset 0 would otherwise decode header bytes as the label "w..".
+        for target in 0..12u8 {
+            let mut buf = vec![0u8; 12];
+            buf[0..2].copy_from_slice(&[0x03, 0x77]);
+            buf[4..6].copy_from_slice(&1u16.to_be_bytes()); // QDCOUNT=1
+            buf[6..8].copy_from_slice(&1u16.to_be_bytes()); // ANCOUNT=1
+            buf.extend_from_slice(b"\x02ok\x00\x00\x01\x00\x01");
+            buf.extend_from_slice(&[0xc0, target]);
+            buf.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 10, 0, 0, 1]);
+            assert!(
+                matches!(decode(&buf), Err(DnsError::BadPointer(_))),
+                "pointer to header offset {target}"
+            );
+        }
     }
 
     #[test]

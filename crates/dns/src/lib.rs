@@ -18,6 +18,9 @@
 
 #![forbid(unsafe_code)]
 
+/// Reference model of [`DomainName`]'s §4.1 label arithmetic, for
+/// differential tests and the fuzzer.
+pub mod check;
 /// RFC 1035 §4 wire codec (name compression, pointer chasing).
 pub mod codec;
 /// Error type for DNS parsing; limits per RFC 1035 §2.3.4.

@@ -216,6 +216,20 @@ pub struct DnsMessage {
     pub additionals: Vec<ResourceRecord>,
 }
 
+impl Default for DnsMessage {
+    /// An empty query with id 0 (RFC 1035 §4.1): the blank a scratch
+    /// message for [`crate::codec::decode_into`] starts from.
+    fn default() -> Self {
+        DnsMessage {
+            header: DnsHeader::query(0),
+            questions: Vec::new(),
+            answers: Vec::new(),
+            authorities: Vec::new(),
+            additionals: Vec::new(),
+        }
+    }
+}
+
 impl DnsMessage {
     /// A standard A/AAAA/PTR/... query for `name` (RFC 1035 §4.1).
     pub fn query(id: u16, name: DomainName, qtype: QType) -> Self {
@@ -268,7 +282,13 @@ impl DnsMessage {
     /// "answer list" of the paper. CNAME chains contribute nothing here;
     /// their terminal A records do.
     pub fn answer_addresses(&self) -> Vec<IpAddr> {
-        self.answers.iter().filter_map(|rr| rr.rdata.ip()).collect()
+        self.answer_address_iter().collect()
+    }
+
+    /// [`DnsMessage::answer_addresses`] (the paper's §3.1 answer list)
+    /// without the `Vec`, for callers that keep their own scratch.
+    pub fn answer_address_iter(&self) -> impl Iterator<Item = IpAddr> + '_ {
+        self.answers.iter().filter_map(|rr| rr.rdata.ip())
     }
 
     /// The FQDN that was queried, following CNAME indirection: the paper tags

@@ -10,6 +10,8 @@
 
 use std::collections::HashSet;
 
+use crate::name::DomainName;
+
 /// Single-label public suffixes (classic TLDs).
 pub const SINGLE_LABEL: &[&str] = &[
     "com", "net", "org", "edu", "gov", "mil", "int", "arpa", "biz", "info", "name", "io", "tv",
@@ -50,6 +52,7 @@ pub const MULTI_LABEL: &[&str] = &[
 /// paper's second-level-domain ("organization") notion, §4.1.
 #[derive(Debug, Clone)]
 pub struct SuffixSet {
+    /// Dotted lowercase suffixes, probed with slices of a name's text.
     suffixes: HashSet<String>,
     /// Longest suffix in the set, in labels; bounds the matching loop.
     max_labels: usize,
@@ -59,17 +62,14 @@ impl SuffixSet {
     /// The built-in table (common public suffixes; extend via [`SuffixSet::insert`]
     /// for deployment-specific zones, per the paper's §4.1 grouping).
     pub fn builtin() -> Self {
-        let mut suffixes = HashSet::new();
-        for s in SINGLE_LABEL {
-            suffixes.insert((*s).to_string());
+        let mut set = SuffixSet {
+            suffixes: HashSet::new(),
+            max_labels: 0,
+        };
+        for s in SINGLE_LABEL.iter().chain(MULTI_LABEL) {
+            set.insert(s);
         }
-        for s in MULTI_LABEL {
-            suffixes.insert((*s).to_string());
-        }
-        SuffixSet {
-            suffixes,
-            max_labels: 2,
-        }
+        set
     }
 
     /// Add a suffix (lowercased) to the set, widening the paper's §4.1
@@ -81,22 +81,18 @@ impl SuffixSet {
     }
 
     /// Number of labels of the longest public suffix matching the tail of
-    /// `labels` (which must be lowercase, TLD-last). Returns 1 as a fallback
-    /// for unknown TLDs, 0 for an empty name — so `sld_len = suffix + 1`,
-    /// the paper's second-level domain (§4.1).
-    // allow_lint(L1): take <= upper <= labels.len(), so labels.len() - take never underflows
-    pub fn matching_suffix_labels(&self, labels: &[String]) -> usize {
-        if labels.is_empty() {
+    /// `name`. Returns 1 as a fallback for unknown TLDs, 0 for the root
+    /// name — so `sld_len = suffix + 1`, the paper's second-level domain
+    /// (§4.1).
+    pub fn matching_suffix_labels(&self, name: &DomainName) -> usize {
+        if name.is_root() {
             return 0;
         }
-        let upper = self.max_labels.min(labels.len());
-        for take in (1..=upper).rev() {
-            let candidate = labels[labels.len() - take..].join(".");
-            if self.suffixes.contains(&candidate) {
-                return take;
-            }
-        }
-        1 // unknown TLD: treat the last label as the public suffix
+        let upper = self.max_labels.min(name.label_count());
+        (1..=upper)
+            .rev()
+            .find(|&take| self.suffixes.contains(name.tail_text(take)))
+            .unwrap_or(1) // unknown TLD: treat the last label as the public suffix
     }
 
     /// True if the exact string is a known public suffix (§4.1 grouping).
@@ -115,8 +111,8 @@ impl Default for SuffixSet {
 mod tests {
     use super::*;
 
-    fn labels(s: &str) -> Vec<String> {
-        s.split('.').map(str::to_string).collect()
+    fn labels(s: &str) -> DomainName {
+        s.parse().unwrap()
     }
 
     #[test]
@@ -142,7 +138,7 @@ mod tests {
     #[test]
     fn empty_name() {
         let set = SuffixSet::builtin();
-        assert_eq!(set.matching_suffix_labels(&[]), 0);
+        assert_eq!(set.matching_suffix_labels(&DomainName::root()), 0);
     }
 
     #[test]

@@ -49,10 +49,7 @@ pub fn tokenize_label(label: &str) -> Vec<String> {
 /// Tokenize a whole FQDN per Algorithm 4: drop the TLD and second-level
 /// domain, tokenize every remaining label.
 pub fn tokenize_fqdn(fqdn: &DomainName, suffixes: &SuffixSet) -> Vec<String> {
-    fqdn.sub_labels(suffixes)
-        .iter()
-        .flat_map(|l| tokenize_label(l))
-        .collect()
+    fqdn.sub_labels(suffixes).flat_map(tokenize_label).collect()
 }
 
 #[cfg(test)]

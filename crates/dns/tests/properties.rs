@@ -28,7 +28,7 @@ proptest! {
     /// Encoded length matches the wire rule (sum of labels + len bytes + root).
     #[test]
     fn encoded_len_formula(name in arb_name()) {
-        let expected: usize = 1 + name.labels().iter().map(|l| l.len() + 1).sum::<usize>();
+        let expected: usize = 1 + name.labels().map(|l| l.len() + 1).sum::<usize>();
         prop_assert_eq!(name.encoded_len(), expected);
     }
 

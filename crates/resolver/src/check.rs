@@ -17,7 +17,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::IpAddr;
-use std::sync::Arc;
 
 use dnhunter_dns::DomainName;
 
@@ -29,7 +28,7 @@ use crate::resolver::{DnsResolver, InsertOutcome, ResolverConfig};
 struct ShadowEntry {
     id: u64,
     client: IpAddr,
-    fqdn: Arc<DomainName>,
+    fqdn: DomainName,
 }
 
 /// The naive replica of the paper's §3.1 circular-list resolver: a FIFO
@@ -89,7 +88,7 @@ impl ShadowModel {
         self.entries.push_back(ShadowEntry {
             id,
             client,
-            fqdn: Arc::new(fqdn.clone()),
+            fqdn: fqdn.clone(),
         });
         for &server in servers {
             let refs = self.pairs.entry((client, server)).or_default();
@@ -104,18 +103,18 @@ impl ShadowModel {
 
     /// Mirror of [`DnsResolver::peek`] — the paper's §3.1 most-recent-binding
     /// rule, without touching hit counters.
-    pub fn peek(&self, client: IpAddr, server: IpAddr) -> Option<Arc<DomainName>> {
+    pub fn peek(&self, client: IpAddr, server: IpAddr) -> Option<DomainName> {
         let refs = self.pairs.get(&(client, server))?;
         refs.iter()
             .rev()
             .find(|&&r| self.is_live(r))
             .and_then(|&r| self.entry(r))
-            .map(|e| Arc::clone(&e.fqdn))
+            .map(|e| e.fqdn.clone())
     }
 
     /// Mirror of [`DnsResolver::lookup_all`] — the paper's §4.1 multi-label
     /// view, newest first.
-    pub fn lookup_all(&self, client: IpAddr, server: IpAddr) -> Vec<Arc<DomainName>> {
+    pub fn lookup_all(&self, client: IpAddr, server: IpAddr) -> Vec<DomainName> {
         let Some(refs) = self.pairs.get(&(client, server)) else {
             return Vec::new();
         };
@@ -123,7 +122,7 @@ impl ShadowModel {
             .rev()
             .filter(|&&r| self.is_live(r))
             .filter_map(|&r| self.entry(r))
-            .map(|e| Arc::clone(&e.fqdn))
+            .map(|e| e.fqdn.clone())
             .collect()
     }
 
@@ -197,7 +196,7 @@ impl<F: TableFamily> CheckedResolver<F> {
 
     /// Lookup through both (§3.1, counting hits); panics (debug builds) on
     /// disagreement.
-    pub fn lookup(&mut self, client: IpAddr, server: IpAddr) -> Option<Arc<DomainName>> {
+    pub fn lookup(&mut self, client: IpAddr, server: IpAddr) -> Option<DomainName> {
         let got = self.real.lookup(client, server);
         #[cfg(debug_assertions)]
         {
@@ -212,7 +211,7 @@ impl<F: TableFamily> CheckedResolver<F> {
 
     /// Peek through both (§3.1 most-recent-binding rule); panics (debug
     /// builds) on disagreement.
-    pub fn peek(&self, client: IpAddr, server: IpAddr) -> Option<Arc<DomainName>> {
+    pub fn peek(&self, client: IpAddr, server: IpAddr) -> Option<DomainName> {
         let got = self.real.peek(client, server);
         #[cfg(debug_assertions)]
         {
@@ -227,7 +226,7 @@ impl<F: TableFamily> CheckedResolver<F> {
 
     /// Multi-label lookup through both (§4.1 view); panics (debug builds) on
     /// disagreement.
-    pub fn lookup_all(&self, client: IpAddr, server: IpAddr) -> Vec<Arc<DomainName>> {
+    pub fn lookup_all(&self, client: IpAddr, server: IpAddr) -> Vec<DomainName> {
         let got = self.real.lookup_all(client, server);
         #[cfg(debug_assertions)]
         {

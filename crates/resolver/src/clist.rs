@@ -45,6 +45,12 @@ impl<T> CircularList<T> {
         self.slots.len()
     }
 
+    /// Heap bytes of the ring itself — `L` slots (§4.2), occupied or not;
+    /// what the values own on the heap is the caller's to add.
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Option<(u64, T)>>()
+    }
+
     /// Occupied slots (never exceeds the §4.2 `L`).
     pub fn len(&self) -> usize {
         self.occupied

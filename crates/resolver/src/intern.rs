@@ -2,38 +2,40 @@
 //!
 //! Algorithm 1 (paper §3.1) inserts one Clist entry per sniffed DNS
 //! response, and each entry carries the response's FQDN. Popular names
-//! (CDN front-ends, trackers, ad servers) recur constantly in real traces,
-//! so allocating a fresh `DomainName` (a `Vec` of label `String`s) per
-//! response is pure waste under the §3.2 real-time constraint. The
-//! interner deduplicates: one shared `Arc<DomainName>` per live name,
-//! handed out again for every repeat resolution. Counters record how many
-//! allocations were avoided, feeding the ingest benchmark's
-//! before/after numbers.
-
-use std::sync::Arc;
+//! (CDN front-ends, trackers, ad servers) recur constantly in real traces.
+//! A [`DomainName`] is one refcounted buffer, so the decoder's name could
+//! be stored as it is — but then every response would keep its own copy of
+//! the same text alive in the Clist. The interner deduplicates: one buffer
+//! per live name, handed out again (a refcount bump) for every repeat
+//! resolution, while the decoder's duplicate is dropped with its message.
+//! That is what keeps resolver state at one name buffer per *distinct*
+//! name under the §3.2 real-time constraint. Counters record how many
+//! buffers were shared rather than retained, feeding the ingest
+//! benchmark's before/after numbers.
 
 use dnhunter_dns::DomainName;
 
-use crate::maps::FnvHashMap;
+use crate::maps::{hash_table_bytes, FnvHashSet};
 
 /// Interning counters: how often the §3.1 insert path reused a live name
-/// versus allocating a new one. `reused` is exactly the number of
-/// `DomainName` heap allocations the diet avoided.
+/// versus retaining a new one. `reused` is exactly the number of name
+/// buffers the diet kept out of resolver state.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct InternStats {
-    /// Names allocated (first sighting, or resighting after pruning).
+    /// Names retained (first sighting, or resighting after pruning).
     pub allocated: u64,
-    /// Names served from the intern table (allocation avoided).
+    /// Names served from the intern table (no second buffer retained).
     pub reused: u64,
 }
 
 /// Deduplication table for the FQDNs stored in Clist entries (paper §3.1).
 ///
-/// Dead names — evicted from every Clist slot, so the table holds the only
-/// `Arc` — are pruned lazily when the table doubles past its previous live
-/// size, keeping the amortized per-insert cost O(1).
+/// Dead names — evicted from every Clist slot and dropped by every flow
+/// row or map key a lookup handed them to, so the table holds the only
+/// reference — are pruned lazily when the table doubles past its previous
+/// live size, keeping the amortized per-insert cost O(1).
 pub struct NameInterner {
-    names: FnvHashMap<Arc<DomainName>, ()>,
+    names: FnvHashSet<DomainName>,
     /// Prune when `names.len()` reaches this threshold.
     prune_at: usize,
     stats: InternStats,
@@ -46,7 +48,7 @@ impl Default for NameInterner {
     /// A fresh, empty intern table (see the type-level §3.1 rationale).
     fn default() -> Self {
         NameInterner {
-            names: FnvHashMap::default(),
+            names: FnvHashSet::default(),
             prune_at: MIN_PRUNE_AT,
             stats: InternStats::default(),
         }
@@ -60,29 +62,36 @@ impl NameInterner {
         Self::default()
     }
 
-    /// Return a shared `Arc` for `name`, allocating only on first sighting
-    /// — the allocation-diet replacement for the per-response
-    /// `Arc::new(fqdn.clone())` in Algorithm 1's insert path.
-    pub fn intern(&mut self, name: &DomainName) -> Arc<DomainName> {
-        if let Some((existing, ())) = self.names.get_key_value(name) {
+    /// The shared copy of `name`: the table's own on a repeat sighting,
+    /// a clone of the caller's (a refcount bump, no deep copy) on the
+    /// first — Algorithm 1's insert path stores what this returns.
+    pub fn intern(&mut self, name: &DomainName) -> DomainName {
+        if let Some(existing) = self.names.get(name) {
             self.stats.reused += 1;
-            return Arc::clone(existing);
+            return existing.clone();
         }
         self.stats.allocated += 1;
-        let arc = Arc::new(name.clone());
         if self.names.len() >= self.prune_at {
             self.prune();
         }
-        self.names.insert(Arc::clone(&arc), ());
-        arc
+        self.names.insert(name.clone());
+        name.clone()
     }
 
-    /// Drop names no longer referenced by any Clist entry and re-arm the
+    /// Drop names nothing but the table still holds and re-arm the
     /// threshold (lazy garbage collection mirroring the Clist's own
     /// bounded-lifetime design, paper §3.1.1).
     fn prune(&mut self) {
-        self.names.retain(|k, ()| Arc::strong_count(k) > 1);
+        self.names.retain(|k| k.holders() > 1);
         self.prune_at = (self.names.len() * 2).max(MIN_PRUNE_AT);
+    }
+
+    /// Heap bytes of the table itself plus every resident name buffer,
+    /// each counted once (the §6 memory question; see
+    /// [`crate::DnsResolver::memory_estimate`]).
+    pub fn heap_bytes(&self) -> usize {
+        let table = hash_table_bytes(self.names.capacity(), std::mem::size_of::<DomainName>());
+        table + self.names.iter().map(DomainName::heap_bytes).sum::<usize>()
     }
 
     /// Allocation-avoidance counters (the §3.2 real-time argument,
@@ -107,11 +116,11 @@ mod tests {
     }
 
     #[test]
-    fn repeat_interning_reuses_one_arc() {
+    fn repeat_interning_reuses_one_buffer() {
         let mut i = NameInterner::new();
         let a = i.intern(&name("www.example.com"));
         let b = i.intern(&name("www.example.com"));
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(a.ptr_eq(&b));
         assert_eq!(i.stats().allocated, 1);
         assert_eq!(i.stats().reused, 1);
         assert_eq!(i.resident(), 1);
@@ -122,7 +131,7 @@ mod tests {
         let mut i = NameInterner::new();
         let a = i.intern(&name("a.example.com"));
         let b = i.intern(&name("b.example.com"));
-        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(!a.ptr_eq(&b));
         assert_eq!(i.stats().allocated, 2);
         assert_eq!(i.stats().reused, 0);
     }
@@ -138,6 +147,6 @@ mod tests {
         // The threshold crossing pruned the dead names; `live` survives.
         assert!(i.resident() < MIN_PRUNE_AT);
         let again = i.intern(&name("keep.example.com"));
-        assert!(Arc::ptr_eq(&live, &again));
+        assert!(live.ptr_eq(&again));
     }
 }

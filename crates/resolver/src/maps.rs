@@ -12,7 +12,7 @@
 //! keys. Lint L2 (`cargo xtask lint`) enforces that per-packet code uses
 //! [`FnvHashMap`] / [`TableFamily`] rather than a bare `HashMap`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::net::IpAddr;
 
@@ -76,6 +76,10 @@ impl BuildHasher for FnvBuildHasher {
 /// for instead of the SipHash default (lint L2, paper footnote 2).
 pub type FnvHashMap<K, V> = HashMap<K, V, FnvBuildHasher>;
 
+/// A `HashSet` keyed by FNV-1a, for the same reason as [`FnvHashMap`]
+/// (lint L2, paper footnote 2).
+pub type FnvHashSet<K> = HashSet<K, FnvBuildHasher>;
+
 /// Minimal map operations the resolver needs (paper Algorithm 1's INSERT
 /// and LOOKUP touch the tables only through these).
 pub trait MapOps<K, V>: Default {
@@ -93,6 +97,49 @@ pub trait MapOps<K, V>: Default {
     fn get_or_default(&mut self, k: K) -> &mut V
     where
         V: Default;
+    /// Every value, in the backend's own order — for walking the §3.1
+    /// structure when sizing it, never for output.
+    fn values<'a>(&'a self) -> impl Iterator<Item = &'a V>
+    where
+        V: 'a;
+    /// Estimated heap bytes of the map's own nodes or buckets (not what
+    /// its values own) — the paper's §6 memory question, per map.
+    fn table_bytes(&self) -> usize;
+}
+
+/// Heap bytes of a `BTreeMap<K, V>` holding `len` entries. The standard
+/// library's nodes have room for 11 entries (plus 12 edges when internal)
+/// whatever they hold, so a 3-entry map costs a whole leaf — the dominant
+/// term for the paper's per-client server maps (Fig. 2). Nodes past the
+/// first are taken as 8/11 full, between half full after a split and full.
+fn btree_bytes<K, V>(len: usize) -> usize {
+    const NODE_ENTRIES: usize = 11;
+    const TYPICAL_FILL: usize = 8;
+    let leaf = 2 * size_of::<usize>() + NODE_ENTRIES * (size_of::<K>() + size_of::<V>());
+    let internal = leaf + (NODE_ENTRIES + 1) * size_of::<usize>();
+    let nodes_for = |n: usize, fits: usize, fill: usize| match n {
+        0 => 0,
+        n if n <= fits => 1,
+        n => n.div_ceil(fill),
+    };
+    let mut level = nodes_for(len, NODE_ENTRIES, TYPICAL_FILL);
+    let mut bytes = level * leaf;
+    while level > 1 {
+        level = nodes_for(level, NODE_ENTRIES + 1, TYPICAL_FILL + 1);
+        bytes += level * internal;
+    }
+    bytes
+}
+
+/// Heap bytes of a hashbrown table with room for `capacity` entries of
+/// `entry` bytes (paper footnote 2's backend): a power-of-two bucket
+/// array at most 7/8 full, one control byte per bucket plus one group.
+pub(crate) fn hash_table_bytes(capacity: usize, entry: usize) -> usize {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = (capacity * 8).div_ceil(7).next_power_of_two().max(4);
+    buckets * (entry + 1) + 16
 }
 
 impl<K: Ord, V> MapOps<K, V> for BTreeMap<K, V> {
@@ -117,6 +164,15 @@ impl<K: Ord, V> MapOps<K, V> for BTreeMap<K, V> {
     {
         self.entry(k).or_default()
     }
+    fn values<'a>(&'a self) -> impl Iterator<Item = &'a V>
+    where
+        V: 'a,
+    {
+        BTreeMap::values(self)
+    }
+    fn table_bytes(&self) -> usize {
+        btree_bytes::<K, V>(self.len())
+    }
 }
 
 impl<K: Eq + Hash, V, S: BuildHasher + Default> MapOps<K, V> for HashMap<K, V, S> {
@@ -140,6 +196,15 @@ impl<K: Eq + Hash, V, S: BuildHasher + Default> MapOps<K, V> for HashMap<K, V, S
         V: Default,
     {
         self.entry(k).or_default()
+    }
+    fn values<'a>(&'a self) -> impl Iterator<Item = &'a V>
+    where
+        V: 'a,
+    {
+        HashMap::values(self)
+    }
+    fn table_bytes(&self) -> usize {
+        hash_table_bytes(self.capacity(), size_of::<(K, V)>())
     }
 }
 

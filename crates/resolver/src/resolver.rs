@@ -1,7 +1,6 @@
 //! The DNS Resolver structure — paper Algorithm 1.
 
 use std::net::IpAddr;
-use std::sync::Arc;
 
 use dnhunter_dns::{DnsMessage, DomainName};
 use dnhunter_telemetry::{tm_count, tm_gauge, Metric as Tm};
@@ -54,9 +53,41 @@ pub struct InsertOutcome {
 /// (Algorithm 1 lines 23–25).
 #[derive(Debug, Clone)]
 struct DnEntry {
-    fqdn: Arc<DomainName>,
+    fqdn: DomainName,
     client: IpAddr,
-    servers: Vec<IpAddr>,
+    servers: Servers,
+}
+
+/// The answer list of one Clist entry. Most responses carry one address,
+/// which lives inline; only longer lists own a heap block (sized exactly,
+/// and the enum is no larger than the `Vec` it replaces).
+#[derive(Debug, Clone)]
+enum Servers {
+    One(IpAddr),
+    Many(Box<[IpAddr]>),
+}
+
+impl Servers {
+    fn new(servers: &[IpAddr]) -> Self {
+        match servers {
+            [one] => Servers::One(*one),
+            many => Servers::Many(many.into()),
+        }
+    }
+
+    fn as_slice(&self) -> &[IpAddr] {
+        match self {
+            Servers::One(one) => std::slice::from_ref(one),
+            Servers::Many(many) => many,
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Servers::One(_) => 0,
+            Servers::Many(many) => std::mem::size_of_val(&**many),
+        }
+    }
 }
 
 /// The resolver: a bounded replica of every monitored client's DNS cache.
@@ -69,7 +100,7 @@ pub struct DnsResolver<F: TableFamily = OrderedTables> {
     clients: F::Client<F::Server<Vec<SlotRef>>>,
     stats: ResolverStats,
     /// FQDN dedup table (§3.2 allocation diet): repeat resolutions of the
-    /// same name share one `Arc` instead of cloning per response.
+    /// same name share one buffer instead of retaining one per response.
     interner: NameInterner,
 }
 
@@ -138,23 +169,24 @@ impl<F: TableFamily> DnsResolver<F> {
         &self.config
     }
 
-    /// Rough heap footprint of the live structure, in bytes — the paper's
-    /// §6 asks how big `L` can be under real-time constraints; this answers
-    /// "what does that cost in memory".
+    /// Heap footprint of the live structure, in bytes — the paper's §6
+    /// asks how big `L` can be under real-time constraints; this answers
+    /// "what does that cost in memory". Counted from the layout: the Clist
+    /// ring, boxed answer lists, each distinct name buffer once (via the
+    /// interner), the slot-reference vectors, and the two map levels'
+    /// nodes or buckets ([`MapOps::table_bytes`], the one estimated part).
     pub fn memory_estimate(&self) -> usize {
-        use std::mem::size_of;
-        // Clist slots: option + generation + entry struct.
-        let mut bytes = self.clist.capacity() * (size_of::<u64>() + size_of::<DnEntry>());
+        let mut bytes = self.clist.heap_bytes() + self.interner.heap_bytes();
         for e in self.clist.iter() {
-            bytes += e.fqdn.encoded_len() + size_of::<DomainName>();
-            bytes += e.servers.len() * size_of::<IpAddr>();
+            bytes += e.servers.heap_bytes();
         }
-        // Two map levels: assume ~48 bytes of node overhead per entry, a
-        // reasonable midpoint for BTreeMap/HashMap nodes.
-        const NODE: usize = 48;
-        bytes += self.clients.len() * (size_of::<IpAddr>() + NODE);
-        bytes += self.stats.bindings.min(self.clist.len() as u64 * 4) as usize
-            * (size_of::<IpAddr>() + size_of::<crate::clist::SlotRef>() + NODE);
+        bytes += self.clients.table_bytes();
+        for server_map in self.clients.values() {
+            bytes += server_map.table_bytes();
+            for refs in server_map.values() {
+                bytes += refs.capacity() * std::mem::size_of::<SlotRef>();
+            }
+        }
         bytes
     }
 
@@ -173,12 +205,12 @@ impl<F: TableFamily> DnsResolver<F> {
         if servers.is_empty() {
             return outcome;
         }
+        let fqdn = self.interner.intern(fqdn);
         let entry = DnEntry {
-            fqdn: self.interner.intern(fqdn),
+            fqdn: fqdn.clone(),
             client,
-            servers: servers.to_vec(),
+            servers: Servers::new(servers),
         };
-        let fqdn_arc = Arc::clone(&entry.fqdn);
         // Insert into the circular array, possibly recycling a slot
         // (lines 22–25: delete the evicted entry's back-references).
         let (slot, evicted) = self.clist.push(entry);
@@ -204,7 +236,7 @@ impl<F: TableFamily> DnsResolver<F> {
             let refs = server_map.get_or_default(server);
             // Account replacements against the newest still-valid label.
             if let Some(prev) = refs.iter().rev().find_map(|r| clist.get(*r)) {
-                if prev.fqdn == fqdn_arc {
+                if prev.fqdn == fqdn {
                     stats.replaced_same_fqdn += 1;
                 } else {
                     stats.replaced_different_fqdn += 1;
@@ -229,17 +261,17 @@ impl<F: TableFamily> DnsResolver<F> {
         if !response.header.is_response {
             return InsertOutcome::default();
         }
-        let Some(name) = response.queried_fqdn().cloned() else {
+        let Some(name) = response.queried_fqdn() else {
             self.stats.responses += 1;
             return InsertOutcome::default();
         };
         let servers = response.answer_addresses();
-        self.insert(client, &name, &servers)
+        self.insert(client, name, &servers)
     }
 
     /// LOOKUP (Algorithm 1, lines 27–34): the FQDN `client` most recently
     /// resolved for `server`.
-    pub fn lookup(&mut self, client: IpAddr, server: IpAddr) -> Option<Arc<DomainName>> {
+    pub fn lookup(&mut self, client: IpAddr, server: IpAddr) -> Option<DomainName> {
         self.stats.lookups += 1;
         tm_count!(Tm::ResolverLookups);
         let found = self.peek(client, server);
@@ -252,18 +284,18 @@ impl<F: TableFamily> DnsResolver<F> {
 
     /// [`DnsResolver::lookup`] (Algorithm 1 lines 27–34) without touching
     /// the statistics.
-    pub fn peek(&self, client: IpAddr, server: IpAddr) -> Option<Arc<DomainName>> {
+    pub fn peek(&self, client: IpAddr, server: IpAddr) -> Option<DomainName> {
         let server_map = self.clients.get(&client)?;
         let refs = server_map.get(&server)?;
         refs.iter()
             .rev()
             .find_map(|r| self.clist.get(*r))
-            .map(|e| Arc::clone(&e.fqdn))
+            .map(|e| e.fqdn.clone())
     }
 
     /// All still-live labels for the pair, newest first (§6 multi-label
     /// extension). Always at most `labels_per_server` entries.
-    pub fn lookup_all(&self, client: IpAddr, server: IpAddr) -> Vec<Arc<DomainName>> {
+    pub fn lookup_all(&self, client: IpAddr, server: IpAddr) -> Vec<DomainName> {
         let Some(server_map) = self.clients.get(&client) else {
             return Vec::new();
         };
@@ -273,7 +305,7 @@ impl<F: TableFamily> DnsResolver<F> {
         refs.iter()
             .rev()
             .filter_map(|r| self.clist.get(*r))
-            .map(|e| Arc::clone(&e.fqdn))
+            .map(|e| e.fqdn.clone())
             .collect()
     }
 
@@ -283,7 +315,7 @@ impl<F: TableFamily> DnsResolver<F> {
         let Some(server_map) = self.clients.get_mut(&old.client) else {
             return;
         };
-        for server in &old.servers {
+        for server in old.servers.as_slice() {
             let now_empty = if let Some(refs) = server_map.get_mut(server) {
                 refs.retain(|r| clist.get(*r).is_some());
                 refs.is_empty()
@@ -304,6 +336,7 @@ impl<F: TableFamily> DnsResolver<F> {
 mod tests {
     use super::*;
     use crate::maps::HashedTables;
+    use std::collections::BTreeMap;
 
     fn ip(s: &str) -> IpAddr {
         s.parse().unwrap()
@@ -471,6 +504,62 @@ mod tests {
         assert_eq!(r.stats().responses, 1);
         assert_eq!(r.stats().bindings, 0);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn one_name_from_many_clients_is_one_buffer() {
+        let mut r = resolver(64);
+        let s = ip("93.184.216.34");
+        let clients: Vec<IpAddr> = (1..=20).map(|c| ip(&format!("10.0.0.{c}"))).collect();
+        for &c in &clients {
+            // A fresh buffer per response, as the decoder hands them over.
+            r.insert(c, &fqdn("www.example.com"), &[s]);
+        }
+        assert_eq!(r.interner.resident(), 1);
+        assert_eq!(r.intern_stats().allocated, 1);
+        assert_eq!(r.intern_stats().reused, 19);
+        let first = r.peek(clients[0], s).unwrap();
+        assert!(r.clist.iter().all(|e| e.fqdn.ptr_eq(&first)));
+        assert!(clients
+            .iter()
+            .all(|&c| r.lookup(c, s).unwrap().ptr_eq(&first)));
+        // The table, 20 Clist entries, `first`: the buffer is counted once
+        // however many hold it.
+        assert_eq!(first.holders(), 22);
+    }
+
+    #[test]
+    fn memory_estimate_adds_up_from_the_layout() {
+        use std::mem::size_of;
+        let mut r = resolver(8);
+        let name = fqdn("www.example.com");
+        let c = ip("10.0.0.1");
+        r.insert(c, &name, &[ip("1.1.1.1")]);
+        r.insert(c, &name, &[ip("2.2.2.2"), ip("3.3.3.3"), ip("4.4.4.4")]);
+        let slot = size_of::<Option<(u64, DnEntry)>>();
+        assert_eq!(size_of::<Servers>(), size_of::<Vec<IpAddr>>());
+        // One leaf node holds up to 11 entries, whatever it holds.
+        let leaf = |value: usize| 2 * size_of::<usize>() + 11 * (size_of::<IpAddr>() + value);
+        let refs: usize = r
+            .clients
+            .values()
+            .flat_map(|servers| servers.values())
+            .map(|refs| refs.capacity() * size_of::<SlotRef>())
+            .sum();
+        let want = 8 * slot // the ring, occupied or not
+            + 3 * size_of::<IpAddr>() // the one boxed answer list; the single answer is inline
+            + r.interner.heap_bytes() // one buffer for the one name, plus the table
+            + leaf(size_of::<BTreeMap<IpAddr, Vec<SlotRef>>>()) // 1 client
+            + leaf(size_of::<Vec<SlotRef>>()) // its 4 servers
+            + refs;
+        assert_eq!(r.memory_estimate(), want);
+        // Refcounts, "www.example.com", three two-byte label lengths.
+        assert_eq!(name.heap_bytes(), 16 + 15 + 6);
+        assert!(r.interner.heap_bytes() >= name.heap_bytes() + size_of::<DomainName>());
+        // A second resolution of the same name adds no name bytes.
+        let before = r.memory_estimate();
+        r.insert(ip("10.0.0.1"), &fqdn("www.example.com"), &[ip("1.1.1.1")]);
+        assert_eq!(r.memory_estimate(), before);
     }
 
     #[test]

@@ -49,7 +49,7 @@ proptest! {
         }
         for ((c, s), f) in model {
             let got = resolver.peek(client_ip(c), server_ip(s));
-            prop_assert_eq!(got.map(|a| (*a).clone()), Some(fqdn(f)));
+            prop_assert_eq!(got, Some(fqdn(f)));
         }
     }
 
@@ -85,7 +85,7 @@ proptest! {
             for s in 0..10u8 {
                 if let Some(hit) = resolver.peek(client_ip(c), server_ip(s)) {
                     let in_window = window.iter().any(|op| {
-                        op.client == c && op.server == s && fqdn(op.fqdn) == *hit
+                        op.client == c && op.server == s && fqdn(op.fqdn) == hit
                     });
                     prop_assert!(in_window, "hit {hit} for ({c},{s}) not among last {l} inserts");
                 }

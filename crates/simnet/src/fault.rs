@@ -314,7 +314,7 @@ fn is_tcp_syn(frame: &[u8]) -> bool {
     }
 }
 
-/// Build one hostile DNS "response" frame, cycling through four attack
+/// Build one hostile DNS "response" frame, cycling through five attack
 /// shapes. Every payload must *fail* `dnhunter_dns::codec::decode` — the
 /// fault matrix asserts the decode-reject counter moves, and the fuzz
 /// harness keeps these shapes in its corpus.
@@ -332,9 +332,12 @@ fn malicious_dns_frame(kind: usize) -> Vec<u8> {
     .expect("hostile payloads are well under the UDP size cap")
 }
 
+/// How many distinct payloads [`malicious_dns_payload`] cycles through.
+const MALICIOUS_SHAPES: usize = 5;
+
 /// The hostile payload shapes, indexable for corpus reuse.
 pub fn malicious_dns_payload(kind: usize) -> Vec<u8> {
-    match kind % 4 {
+    match kind % MALICIOUS_SHAPES {
         // A name that is a compression pointer to itself: a naive decoder
         // chases it forever.
         0 => {
@@ -366,7 +369,19 @@ pub fn malicious_dns_payload(kind: usize) -> Vec<u8> {
             p
         }
         // Not even a full 12-byte header.
-        _ => vec![0x66, 0x64, 0x81, 0x80, 0x00, 0x01, 0x00],
+        3 => vec![0x66, 0x64, 0x81, 0x80, 0x00, 0x01, 0x00],
+        // An answer owned by a compression pointer into the header: the ID
+        // 0x0377 reads as a 3-byte label, so a decoder that only rejects
+        // forward pointers turns header bytes into a name.
+        _ => {
+            let mut p = header(0x0377, 1, 1);
+            p.extend_from_slice(b"\x02ok\x00\x00\x01\x00\x01");
+            p.extend_from_slice(&[0xc0, 0]); // answer name: pointer to offset 0
+            p.extend_from_slice(&[0x00, 0x01, 0x00, 0x01]); // TYPE A, IN
+            p.extend_from_slice(&[0x00, 0x00, 0x00, 0x3c]); // TTL
+            p.extend_from_slice(&[0x00, 0x04, 10, 0, 0, 1]);
+            p
+        }
     }
 }
 
@@ -581,7 +596,7 @@ mod tests {
 
     #[test]
     fn malicious_payloads_all_fail_decode() {
-        for kind in 0..4 {
+        for kind in 0..MALICIOUS_SHAPES {
             let payload = malicious_dns_payload(kind);
             assert!(
                 dnhunter_dns::codec::decode(&payload).is_err(),

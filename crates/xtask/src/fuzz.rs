@@ -4,7 +4,8 @@
 //!
 //! Four targets, one per parsing layer the fault model attacks:
 //!
-//! * `dns` — `dnhunter_dns::codec::decode` and `decode_tcp_stream`
+//! * `dns` — `dnhunter_dns::codec::decode` and `decode_tcp_stream`, plus
+//!   the name-model differential (`dnhunter_dns::check`) on whatever decodes
 //! * `net` — `dnhunter_net::Packet::parse`
 //! * `dpi` — the flow-layer extractors (`http::parse_request`,
 //!   `tls::inspect`, `dpi::classify`)
@@ -27,7 +28,10 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::OnceLock;
 use std::time::Instant;
+
+use dnhunter_dns::suffix::SuffixSet;
 
 /// Fixed default seed: `cargo xtask fuzz` is reproducible run-to-run
 /// unless `--seed` says otherwise.
@@ -83,8 +87,15 @@ impl Target {
     fn exercise(self, input: &[u8]) {
         match self {
             Target::Dns => {
-                let _ = dnhunter_dns::codec::decode(input);
-                let _ = dnhunter_dns::codec::decode_tcp_stream(input);
+                // Beyond not panicking: every name that does decode must
+                // agree with the label-vector reference model.
+                static SUFFIXES: OnceLock<SuffixSet> = OnceLock::new();
+                let suffixes = SUFFIXES.get_or_init(SuffixSet::builtin);
+                let udp = dnhunter_dns::codec::decode(input).ok();
+                let tcp = dnhunter_dns::codec::decode_tcp_stream(input);
+                for msg in udp.iter().chain(&tcp) {
+                    dnhunter_dns::check::assert_message_names_agree(msg, suffixes);
+                }
             }
             Target::Net => {
                 let _ = dnhunter_net::Packet::parse(input);
