@@ -4,7 +4,6 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dnhunter_bench::harness::resolver_events_from_frames;
 use dnhunter_resolver::dimensioning::replay;
-use dnhunter_resolver::OrderedTables;
 use dnhunter_simnet::{profiles, TraceGenerator};
 
 fn bench_clist_sizes(c: &mut Criterion) {
@@ -20,7 +19,7 @@ fn bench_clist_sizes(c: &mut Criterion) {
     let mut g = c.benchmark_group("clist_replay");
     for l in [128usize, 1_024, 8_192, 65_536] {
         g.bench_with_input(BenchmarkId::from_parameter(l), &l, |b, &l| {
-            b.iter(|| black_box(replay::<OrderedTables>(&events, l)))
+            b.iter(|| black_box(replay(&events, l)))
         });
     }
     g.finish();

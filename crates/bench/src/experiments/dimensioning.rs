@@ -1,12 +1,11 @@
 //! §6: dimensioning the FQDN Clist, answer-list statistics, and label
-//! confusion — plus the design ablations DESIGN.md calls out.
+//! confusion.
 
 use std::fmt::Write as _;
 
 use dnhunter_analytics::confusion::{answer_list_report, confusion_report};
 use dnhunter_dns::suffix::SuffixSet;
 use dnhunter_resolver::dimensioning::{smallest_sufficient, sweep};
-use dnhunter_resolver::{HashedTables, OrderedTables};
 
 use crate::harness::Harness;
 
@@ -39,7 +38,7 @@ pub fn report(h: &mut Harness) -> String {
         responses
     );
 
-    let points = sweep::<OrderedTables>(&events, SIZES);
+    let points = sweep(&events, SIZES);
     let _ = writeln!(
         out,
         "{:>10} {:>12} {:>10} {:>12}",
@@ -72,16 +71,6 @@ pub fn report(h: &mut Harness) -> String {
             );
         }
     }
-
-    // Ablation: ordered vs hashed tables give identical efficiency.
-    let hashed = sweep::<HashedTables>(&events, &[SIZES[SIZES.len() - 1]]);
-    let _ = writeln!(
-        out,
-        "map-backend ablation: ordered {:.3} vs hashed {:.3} efficiency at L={}",
-        points.last().expect("sizes non-empty").efficiency,
-        hashed[0].efficiency,
-        SIZES[SIZES.len() - 1]
-    );
 
     // Answer-list distribution and confusion, from the EU1-ADSL1 run.
     let run = h.run("EU1-ADSL1");

@@ -193,6 +193,7 @@ pub fn run_frame_daemon(
                     }
                 }
                 on_record(ts);
+                source.recycle(rec);
             }
             SourcePoll::Pending => {
                 std::thread::sleep(std::time::Duration::from_micros(PENDING_BACKOFF_MICROS));
@@ -529,7 +530,6 @@ impl RotationEmitter {
             }
             let first_bucket = (e + 1).saturating_sub(n);
             let start = first_bucket * slide;
-            let view = self.acc.rebased_view(start, first_bucket);
             self.write_header_once();
             self.out.push_str("{\"window_start\":");
             push_u64(&mut self.out, start);
@@ -538,7 +538,8 @@ impl RotationEmitter {
             self.out.push_str(",\"seq\":");
             push_u64(&mut self.out, e - lo);
             self.out.push_str(",\"summary\":");
-            view.render_summary_object(&mut self.out);
+            // No rebased view: the summary reads no bin key.
+            self.acc.render_summary_object(&mut self.out);
             self.out.push_str("}\n");
             self.next_pos += 1;
         }

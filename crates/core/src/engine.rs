@@ -20,7 +20,7 @@ use dnhunter_dns::suffix::SuffixSet;
 use dnhunter_dns::DomainName;
 use dnhunter_flow::{CompactSeg, FlowEvent, FlowKey, FlowTable};
 use dnhunter_resolver::maps::FnvHashMap;
-use dnhunter_resolver::{DnsResolver, InternStats, OrderedTables, ResolverConfig, ResolverStats};
+use dnhunter_resolver::{DnsResolver, InternStats, ResolverConfig, ResolverStats};
 use dnhunter_telemetry::{
     self as telemetry, tm_count, tm_span, tm_trace, Metric as Tm, TraceEvent as Te,
 };
@@ -82,7 +82,7 @@ pub(crate) struct ShardOutput {
 /// tagging and delay accounting of the paper's Fig. 1 fast path.
 pub(crate) struct ShardEngine {
     pub(crate) config: SnifferConfig,
-    resolver: DnsResolver<OrderedTables>,
+    resolver: DnsResolver,
     flows: FlowTable,
     pub(crate) stats: SnifferStats,
     pending_tags: FnvHashMap<FlowKey, PendingTag>,
@@ -143,7 +143,7 @@ impl ShardEngine {
     }
 
     /// Access the live resolver (e.g. to pre-warm it).
-    pub(crate) fn resolver_mut(&mut self) -> &mut DnsResolver<OrderedTables> {
+    pub(crate) fn resolver_mut(&mut self) -> &mut DnsResolver {
         &mut self.resolver
     }
 

@@ -5,7 +5,7 @@ use dnhunter_dns::codec;
 use dnhunter_flow::{CompactSeg, FlowTableConfig};
 use dnhunter_net::seg::{parse_flat, FlatParse, FlatSeg, FrameFault};
 use dnhunter_net::{IpProtocol, PcapRecord};
-use dnhunter_resolver::{DnsResolver, OrderedTables, ResolverConfig, ResolverStats};
+use dnhunter_resolver::{DnsResolver, ResolverConfig, ResolverStats};
 use dnhunter_telemetry::{self as telemetry, tm_count, tm_trace, Metric as Tm, TraceEvent as Te};
 use serde::{Deserialize, Serialize};
 
@@ -156,7 +156,7 @@ impl RealTimeSniffer {
     }
 
     /// Access the live resolver (e.g. to pre-warm it).
-    pub fn resolver_mut(&mut self) -> &mut DnsResolver<OrderedTables> {
+    pub fn resolver_mut(&mut self) -> &mut DnsResolver {
         self.engine.resolver_mut()
     }
 

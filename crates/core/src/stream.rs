@@ -822,6 +822,10 @@ impl StreamingAnalytics {
 
     /// The summary as one JSON object (no wrapper, no newline) — shared
     /// between the stream summary line and the windowed per-window lines.
+    /// Reads totals, key sets and rankings only — no snapshot bin, no
+    /// birth-bin value, no run anchor — so an aggregate on the absolute
+    /// bucket clock and its [`rebased_view`](Self::rebased_view) render
+    /// the same bytes; the windowed renderers rely on that.
     pub(crate) fn render_summary_object(&self, out: &mut String) {
         let st = &self.state;
         out.push_str("{\"flows\":");
@@ -1377,5 +1381,11 @@ mod tests {
         let view = absolute.rebased_view(origin, 7);
         assert!(view.data_eq(&fresh));
         assert_eq!(view.render(), fresh.render());
+        // The summary object is anchor-free: the windowed renderers take it
+        // from the absolute accumulator without building the view.
+        let (mut from_absolute, mut from_view) = (String::new(), String::new());
+        absolute.render_summary_object(&mut from_absolute);
+        view.render_summary_object(&mut from_view);
+        assert_eq!(from_absolute, from_view);
     }
 }

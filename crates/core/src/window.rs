@@ -180,9 +180,9 @@ impl WindowedAnalytics {
             self.dropped_bucket_events += 1;
             return None;
         }
-        let cfg = self.cfg.bucket_sink_config();
+        let cfg = &self.cfg;
         Some(self.buckets.entry(idx).or_insert_with(|| {
-            let mut sink = StreamingAnalytics::new(cfg);
+            let mut sink = StreamingAnalytics::new(cfg.bucket_sink_config());
             // Anchor at 0 so the partial's bins are absolute bucket
             // indices — the invariant the whole module rides on.
             sink.on_trace_start(0);
@@ -253,6 +253,14 @@ impl WindowedAnalytics {
     /// slice of the trace over those spans would be.
     // lint_root(determinism): window sweep output must be byte-identical across worker counts
     pub fn for_each_window(&self, mut f: impl FnMut(WindowSpan, &StreamingAnalytics)) {
+        let slide = self.cfg.slide_micros;
+        self.sweep(|span, acc| f(span, &acc.rebased_view(span.start, span.start / slide)));
+    }
+
+    /// The sweep behind [`for_each_window`](Self::for_each_window): `f`
+    /// receives the window aggregate as accumulated, still on the absolute
+    /// bucket clock — enough for everything that reads no bin key.
+    fn sweep(&self, mut f: impl FnMut(WindowSpan, &StreamingAnalytics)) {
         let n = self.cfg.steps();
         let (Some(&lo), Some(&hi)) = (self.buckets.keys().next(), self.buckets.keys().next_back())
         else {
@@ -291,8 +299,7 @@ impl WindowedAnalytics {
                 end: (e + 1) * slide,
                 seq,
             };
-            let view = acc.rebased_view(span.start, first_bucket);
-            f(span, &view);
+            f(span, &acc);
         }
     }
 
@@ -315,7 +322,9 @@ impl WindowedAnalytics {
         out.push_str(",\"dropped_bucket_events\":");
         push_u64(&mut out, self.dropped_bucket_events);
         out.push_str("}\n");
-        self.for_each_window(|span, view| {
+        // The summary reads no bin key, so it renders straight off the
+        // sweep's accumulator: no per-window clone and rebase.
+        self.sweep(|span, acc| {
             out.push_str("{\"window_start\":");
             push_u64(&mut out, span.start);
             out.push_str(",\"window_end\":");
@@ -323,7 +332,7 @@ impl WindowedAnalytics {
             out.push_str(",\"seq\":");
             push_u64(&mut out, span.seq);
             out.push_str(",\"summary\":");
-            view.render_summary_object(&mut out);
+            acc.render_summary_object(&mut out);
             out.push_str("}\n");
         });
         out

@@ -134,8 +134,15 @@ impl<R: Read> PcapReader<R> {
     }
 
     /// Read the next record; `Ok(None)` at clean end-of-file.
-    // allow_lint(L1): constant indices into the fixed [u8; 16] record header cannot be out of bounds
     pub fn next_record(&mut self) -> Result<Option<PcapRecord>> {
+        self.next_record_into(Vec::new())
+    }
+
+    /// [`next_record`](Self::next_record) carrying the frame in `frame`'s
+    /// allocation (its contents are discarded) — for callers that get
+    /// their records back.
+    // allow_lint(L1): constant indices into the fixed [u8; 16] record header cannot be out of bounds
+    pub fn next_record_into(&mut self, mut frame: Vec<u8>) -> Result<Option<PcapRecord>> {
         let mut hdr = [0u8; 16];
         match self.inner.read_exact(&mut hdr) {
             Ok(()) => {}
@@ -150,7 +157,8 @@ impl<R: Read> PcapReader<R> {
                 "record claims {incl_len} bytes, above snaplen"
             )));
         }
-        let mut frame = vec![0u8; incl_len];
+        frame.clear();
+        frame.resize(incl_len, 0);
         self.inner
             .read_exact(&mut frame)
             .map_err(|e| NetError::BadPcap(format!("record body truncated: {e}")))?;

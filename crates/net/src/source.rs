@@ -40,6 +40,11 @@ pub trait FrameSource {
     /// Try to produce the next record without blocking longer than one
     /// underlying read.
     fn poll_next(&mut self) -> Result<SourcePoll>;
+
+    /// Hand back a record the caller is done with, so that its frame
+    /// buffer can carry a later one. Purely an economy: dropping the
+    /// record instead is always correct, and so is ignoring it here.
+    fn recycle(&mut self, _rec: PcapRecord) {}
 }
 
 /// The batch backend: a capture file (or any blocking reader holding a
@@ -47,6 +52,8 @@ pub trait FrameSource {
 /// or has ended.
 pub struct PcapFileSource<R: Read> {
     reader: PcapReader<R>,
+    /// The last recycled frame buffer, for the next record.
+    spare: Vec<u8>,
 }
 
 impl<R: Read> PcapFileSource<R> {
@@ -54,16 +61,22 @@ impl<R: Read> PcapFileSource<R> {
     pub fn new(inner: R) -> Result<Self> {
         Ok(PcapFileSource {
             reader: PcapReader::new(inner)?,
+            spare: Vec::new(),
         })
     }
 }
 
 impl<R: Read> FrameSource for PcapFileSource<R> {
     fn poll_next(&mut self) -> Result<SourcePoll> {
-        match self.reader.next_record()? {
+        let spare = std::mem::take(&mut self.spare);
+        match self.reader.next_record_into(spare)? {
             Some(rec) => Ok(SourcePoll::Ready(rec)),
             None => Ok(SourcePoll::Eof),
         }
+    }
+
+    fn recycle(&mut self, rec: PcapRecord) {
+        self.spare = rec.frame;
     }
 }
 
@@ -71,21 +84,27 @@ impl<R: Read> FrameSource for PcapFileSource<R> {
 /// worth: large enough to amortize syscalls, small enough to bound the
 /// per-poll latency contribution.
 const STREAM_READ_CHUNK: usize = 64 * 1024;
-/// Compact the internal buffer once this much dead prefix accumulates.
-const STREAM_COMPACT_AT: usize = 256 * 1024;
+/// The stream buffer: the largest record that can be pending plus one
+/// read, so that after moving the pending bytes to the front there is
+/// always room to ask for a whole chunk.
+const STREAM_BUF: usize = 16 + SNAPLEN as usize + STREAM_READ_CHUNK;
 
 /// The live backend: an incrementally-arriving pcap byte stream.
 ///
 /// Each `poll_next` does **at most one** `read()` on the inner reader, so
 /// a slow writer can never wedge the event loop for more than one
-/// blocking read; everything else is buffer surgery. A zero-byte read is
-/// end-of-stream (the FIFO writer closed); ending inside a record is an
-/// error, exactly like a truncated capture file.
+/// blocking read; everything else is cursor arithmetic over one
+/// fixed-size buffer. A zero-byte read is end-of-stream (the FIFO writer
+/// closed); ending inside a record is an error, exactly like a truncated
+/// capture file.
 pub struct PcapStreamSource<R: Read> {
     inner: R,
+    /// `STREAM_BUF` bytes, allocated once; `start..end` is unparsed input.
     buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted lazily).
     start: usize,
+    end: usize,
+    /// The last recycled frame buffer, for the next record.
+    spare: Vec<u8>,
     /// Byte-order flag from the global header, once parsed.
     swapped: Option<bool>,
     eof: bool,
@@ -97,15 +116,17 @@ impl<R: Read> PcapStreamSource<R> {
     pub fn new(inner: R) -> Self {
         PcapStreamSource {
             inner,
-            buf: Vec::with_capacity(STREAM_READ_CHUNK),
+            buf: vec![0; STREAM_BUF],
             start: 0,
+            end: 0,
+            spare: Vec::new(),
             swapped: None,
             eof: false,
         }
     }
 
     fn pending_len(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     // allow_lint(L1): every caller checks `pending_len()` covers `at + 4`
@@ -168,12 +189,10 @@ impl<R: Read> PcapStreamSource<R> {
         let ts_sec = self.read_u32(0, swapped);
         let ts_usec = self.read_u32(4, swapped);
         let body_start = self.start + 16;
-        let frame = self.buf[body_start..body_start + incl_len].to_vec();
+        let mut frame = std::mem::take(&mut self.spare);
+        frame.clear();
+        frame.extend_from_slice(&self.buf[body_start..body_start + incl_len]);
         self.start += 16 + incl_len;
-        if self.start >= STREAM_COMPACT_AT {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
         Ok(Some(PcapRecord {
             ts_sec,
             ts_usec,
@@ -195,30 +214,27 @@ impl<R: Read> PcapStreamSource<R> {
 
     /// One read into the buffer; returns false at end-of-stream.
     fn fill(&mut self) -> Result<bool> {
-        let old_len = self.buf.len();
-        self.buf.resize(old_len + STREAM_READ_CHUNK, 0);
+        if self.buf.len() - self.end < STREAM_READ_CHUNK {
+            // Called only with no complete record buffered, so what moves
+            // is less than one record and a chunk fits behind it.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        // allow_lint(L1): at least STREAM_READ_CHUNK bytes are free past `end`, by the move above
+        let free = &mut self.buf[self.end..self.end + STREAM_READ_CHUNK];
         loop {
-            // allow_lint(L1): `old_len` was `buf.len()` before the resize above
-            match self.inner.read(&mut self.buf[old_len..]) {
-                Ok(0) => {
-                    self.buf.truncate(old_len);
-                    return Ok(false);
-                }
+            match self.inner.read(free) {
+                Ok(0) => return Ok(false),
                 Ok(n) => {
-                    self.buf.truncate(old_len + n);
+                    self.end += n;
                     return Ok(true);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Non-blocking fd with nothing buffered: genuinely
-                    // pending, not end-of-stream.
-                    self.buf.truncate(old_len);
-                    return Ok(true);
-                }
-                Err(e) => {
-                    self.buf.truncate(old_len);
-                    return Err(NetError::Io(e.to_string()));
-                }
+                // Non-blocking fd with nothing buffered: genuinely
+                // pending, not end-of-stream.
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(true),
+                Err(e) => return Err(NetError::Io(e.to_string())),
             }
         }
     }
@@ -244,6 +260,10 @@ impl<R: Read> FrameSource for PcapStreamSource<R> {
             return Ok(SourcePoll::Eof);
         }
         Ok(SourcePoll::Pending)
+    }
+
+    fn recycle(&mut self, rec: PcapRecord) {
+        self.spare = rec.frame;
     }
 }
 
@@ -320,6 +340,69 @@ mod tests {
             });
             assert_eq!(drain(src).unwrap(), expect, "chunk={chunk}");
         }
+    }
+
+    #[test]
+    fn stream_source_moves_its_tail_and_reuses_recycled_frames() {
+        // Several buffers' worth of records, one of them as large as a
+        // record can be, so the pending tail is moved to the front many
+        // times and once with almost no room to spare.
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for i in 0..600usize {
+            let len = if i == 300 {
+                SNAPLEN as usize
+            } else {
+                (i * 131) % 3000
+            };
+            w.write_record(&PcapRecord::from_micros(i as u64, vec![i as u8; len]))
+                .unwrap();
+        }
+        let bytes = w.into_inner().unwrap();
+        assert!(bytes.len() > 3 * STREAM_BUF);
+        let expect: Vec<PcapRecord> = PcapReader::new(Cursor::new(bytes.clone()))
+            .unwrap()
+            .map(|r| r.unwrap())
+            .collect();
+        for chunk in [999usize, STREAM_READ_CHUNK, usize::MAX] {
+            let mut src = PcapStreamSource::new(Dribble {
+                bytes: bytes.clone(),
+                pos: 0,
+                chunk,
+            });
+            let mut got = 0;
+            loop {
+                match src.poll_next().unwrap() {
+                    SourcePoll::Ready(rec) => {
+                        assert_eq!(rec, expect[got], "chunk={chunk} record={got}");
+                        got += 1;
+                        src.recycle(rec);
+                    }
+                    SourcePoll::Pending => {}
+                    SourcePoll::Eof => break,
+                }
+            }
+            assert_eq!(got, expect.len(), "chunk={chunk}");
+            // The one frame buffer grew to the largest record and stayed.
+            assert!(src.spare.capacity() >= SNAPLEN as usize);
+        }
+    }
+
+    #[test]
+    fn file_source_reuses_recycled_frames() {
+        let bytes = sample_capture();
+        let expect = drain(PcapFileSource::new(Cursor::new(bytes.clone())).unwrap()).unwrap();
+        let mut src = PcapFileSource::new(Cursor::new(bytes)).unwrap();
+        // Hand every record back: later, shorter or longer frames must
+        // come out exact from the reused buffer.
+        src.recycle(PcapRecord::from_micros(0, vec![0xff; 64]));
+        for want in &expect {
+            let SourcePoll::Ready(rec) = src.poll_next().unwrap() else {
+                panic!("file source not ready");
+            };
+            assert_eq!(&rec, want);
+            src.recycle(rec);
+        }
+        assert!(matches!(src.poll_next().unwrap(), SourcePoll::Eof));
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //!
 //! A fixed-size ring with an insertion pointer: inserting at a full slot
 //! evicts the previous occupant (returned to the caller so back-references
-//! can be cleaned up). Each slot carries a generation counter so stale
-//! references can be detected cheaply in debug builds.
+//! can be cleaned up). Each slot carries the generation it was filled at —
+//! the running count of pushes — so a stale reference is detected by one
+//! comparison, and a generation by itself names a slot
+//! ([`CircularList::at`]).
 
 /// A reference to a Clist (§3.1) slot at a particular occupancy
 /// generation.
@@ -93,6 +95,18 @@ impl<T> CircularList<T> {
         }
     }
 
+    /// The value pushed at `generation`, unless its slot has been recycled
+    /// since (§3.1 FIFO overwrite). [`CircularList::push`] advances the
+    /// pointer and the generation in lock-step from zero, so the slot is
+    /// `(generation − 1) mod L` and the generation alone is a reference.
+    pub fn at(&self, generation: u64) -> Option<&T> {
+        let index = generation.checked_sub(1)? % self.slots.len() as u64;
+        self.get(SlotRef {
+            index: index as usize,
+            generation,
+        })
+    }
+
     /// Mutable variant of [`CircularList::get`] (same §3.1 staleness rule).
     // allow_lint(L1): SlotRef.index was produced by push() modulo slots.len(), and the list never shrinks
     pub fn get_mut(&mut self, slot: SlotRef) -> Option<&mut T> {
@@ -164,6 +178,23 @@ mod tests {
         assert_eq!(r1.index, r2.index);
         assert_eq!(c.get(r1), None); // old generation
         assert_eq!(c.get(r2), Some(&"y"));
+    }
+
+    #[test]
+    fn a_generation_alone_finds_its_slot() {
+        let mut c = CircularList::new(3);
+        assert_eq!(c.at(0), None);
+        assert_eq!(c.at(1), None);
+        for (i, v) in ["a", "b", "c", "d", "e"].into_iter().enumerate() {
+            let (slot, _) = c.push(v);
+            assert_eq!(slot.generation, i as u64 + 1);
+            assert_eq!(c.at(slot.generation), Some(&v));
+        }
+        // Two laps in: generations 3..=5 are live, 1 and 2 were recycled.
+        assert_eq!(c.at(1), None);
+        assert_eq!(c.at(2), None);
+        assert_eq!(c.at(3), Some(&"c"));
+        assert_eq!(c.at(6), None);
     }
 
     #[test]

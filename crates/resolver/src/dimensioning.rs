@@ -10,7 +10,6 @@ use std::net::IpAddr;
 
 use dnhunter_dns::DomainName;
 
-use crate::maps::TableFamily;
 use crate::resolver::{DnsResolver, ResolverConfig};
 
 /// One event in a resolver workload (the paper's §6 replay input): a
@@ -44,8 +43,8 @@ pub struct SizingPoint {
 
 /// Replay `events` against a fresh resolver with Clist size `l` (the
 /// paper's §6 methodology).
-pub fn replay<F: TableFamily>(events: &[ResolverEvent], l: usize) -> SizingPoint {
-    let mut r: DnsResolver<F> = DnsResolver::with_config(ResolverConfig {
+pub fn replay(events: &[ResolverEvent], l: usize) -> SizingPoint {
+    let mut r = DnsResolver::with_config(ResolverConfig {
         clist_size: l,
         labels_per_server: 1,
     });
@@ -73,8 +72,8 @@ pub fn replay<F: TableFamily>(events: &[ResolverEvent], l: usize) -> SizingPoint
 
 /// Sweep several Clist sizes over the same workload, tracing the paper's
 /// §6 efficiency-vs-`L` curve.
-pub fn sweep<F: TableFamily>(events: &[ResolverEvent], sizes: &[usize]) -> Vec<SizingPoint> {
-    sizes.iter().map(|&l| replay::<F>(events, l)).collect()
+pub fn sweep(events: &[ResolverEvent], sizes: &[usize]) -> Vec<SizingPoint> {
+    sizes.iter().map(|&l| replay(events, l)).collect()
 }
 
 /// The smallest tested size reaching `target` efficiency, if any — how
@@ -90,7 +89,6 @@ pub fn smallest_sufficient(points: &[SizingPoint], target: f64) -> Option<Sizing
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maps::OrderedTables;
 
     fn ip(a: u8, b: u8) -> IpAddr {
         IpAddr::V4(std::net::Ipv4Addr::new(10, 0, a, b))
@@ -124,7 +122,7 @@ mod tests {
     #[test]
     fn efficiency_grows_with_l() {
         let events = gapped_workload(200, 50);
-        let points = sweep::<OrderedTables>(&events, &[10, 40, 60, 100]);
+        let points = sweep(&events, &[10, 40, 60, 100]);
         assert!(points[0].efficiency < 0.1);
         assert!(points[1].efficiency < 0.5); // L=40 < gap+1
         assert!(points[2].efficiency > 0.9); // L=60 > gap
@@ -138,9 +136,9 @@ mod tests {
     #[test]
     fn evictions_reported() {
         let events = gapped_workload(100, 10);
-        let p = replay::<OrderedTables>(&events, 20);
+        let p = replay(&events, 20);
         assert_eq!(p.evictions, 80);
-        let p_big = replay::<OrderedTables>(&events, 1000);
+        let p_big = replay(&events, 1000);
         assert_eq!(p_big.evictions, 0);
         // A bigger Clist costs more memory.
         assert!(p_big.memory_bytes > p.memory_bytes);

@@ -6,11 +6,12 @@
 //!
 //! * FQDN entries live in a FIFO circular list (*Clist*) of size `L`
 //!   ([`clist`]), which bounds entry lifetime without garbage collection.
-//! * Lookup goes `clientIP → serverIP → FQDN` through two levels of maps
-//!   ([`maps`]); the paper uses ordered C++ `map`s and notes hash tables as
-//!   an alternative — both are provided and benchmarked.
+//! * Lookup goes `(clientIP, serverIP) → FQDN` through one hash table
+//!   ([`resolver`]) whose value is the Clist generation of the pair's
+//!   newest binding; the paper uses two levels of ordered C++ `map`s and
+//!   notes hash tables as the cheaper alternative (footnote 2).
 //! * When a Clist slot is overwritten, its back-references are removed from
-//!   the maps (Algorithm 1 lines 23–25).
+//!   the index (Algorithm 1 lines 23–25).
 //! * [`DnsResolver::lookup`] implements lines 27–34: given the
 //!   `(clientIP, serverIP)` of a new flow, return the FQDN the client
 //!   resolved most recently for that server.
@@ -29,7 +30,7 @@ pub mod clist;
 pub mod dimensioning;
 /// FQDN interning: the §3.2 real-time allocation diet for Algorithm 1.
 pub mod intern;
-/// Map implementations backing the §3.1 two-level lookup.
+/// The FNV-keyed hash tables of the per-packet path (paper footnote 2).
 pub mod maps;
 /// The single-threaded DNS resolver of the paper's §3.1 / Algorithm 1.
 pub mod resolver;
@@ -40,7 +41,6 @@ pub mod stats;
 
 pub use check::{CheckedResolver, ShadowModel};
 pub use intern::{InternStats, NameInterner};
-pub use maps::{HashedTables, OrderedTables, TableFamily};
 pub use resolver::{DnsResolver, InsertOutcome, ResolverConfig};
 pub use shard::shard_of;
 pub use stats::ResolverStats;

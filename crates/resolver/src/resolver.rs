@@ -1,13 +1,16 @@
 //! The DNS Resolver structure — paper Algorithm 1.
 
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 use std::net::IpAddr;
 
 use dnhunter_dns::{DnsMessage, DomainName};
 use dnhunter_telemetry::{tm_count, tm_gauge, Metric as Tm};
 
-use crate::clist::{CircularList, SlotRef};
+use crate::clist::CircularList;
 use crate::intern::{InternStats, NameInterner};
-use crate::maps::{MapOps, OrderedTables, TableFamily};
+use crate::maps::{hash_table_bytes, FnvHashMap};
 use crate::stats::ResolverStats;
 
 /// Configuration of a [`DnsResolver`] (the paper's §3.1 engine).
@@ -90,21 +93,73 @@ impl Servers {
     }
 }
 
+/// Key of the lookup index: a monitored client and one server address a
+/// response told it about. Two 17-byte `IpAddr`s, alignment 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pair {
+    client: IpAddr,
+    server: IpAddr,
+}
+
+impl Hash for Pair {
+    /// The address octets and nothing else: 8 bytes through FNV for an
+    /// IPv4 pair, where the derived impl feeds it 40 (discriminants and
+    /// array length prefixes). Mixed-family byte streams may coincide;
+    /// that is a collision `Eq` settles, not an equality.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for ip in [self.client, self.server] {
+            match ip {
+                IpAddr::V4(a) => state.write(&a.octets()),
+                IpAddr::V6(a) => state.write(&a.octets()),
+            }
+        }
+    }
+}
+
+/// A Clist generation stored unaligned, so that an index bucket is
+/// 34 + 8 = 42 bytes rather than the 48 a `u64` would pad it to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Gen([u8; 8]);
+
+impl Gen {
+    fn new(generation: u64) -> Self {
+        Gen(generation.to_le_bytes())
+    }
+
+    fn get(self) -> u64 {
+        u64::from_le_bytes(self.0)
+    }
+}
+
 /// The resolver: a bounded replica of every monitored client's DNS cache.
 ///
-/// Generic over the map backend (ordered maps as in the paper, or hash maps
-/// as in its footnote 2); see [`crate::maps`].
-pub struct DnsResolver<F: TableFamily = OrderedTables> {
+/// The paper's Fig. 2 reaches a Clist entry through two levels of ordered
+/// maps; this is its footnote 2 taken one step further — one hash table
+/// keyed by the `(client, server)` pair whose value is the Clist
+/// generation of the pair's newest binding. The generation is the whole
+/// reference: [`CircularList::push`] advances slot and generation in
+/// lock-step, and because eviction is FIFO an older binding of a pair
+/// never outlives a newer one, so a key is dropped exactly when the
+/// binding it names is recycled.
+pub struct DnsResolver {
     config: ResolverConfig,
     clist: CircularList<DnEntry>,
-    clients: F::Client<F::Server<Vec<SlotRef>>>,
+    /// `(client, server)` → generation of the pair's newest binding. Every
+    /// key names a live Clist entry.
+    pairs: FnvHashMap<Pair, Gen>,
+    /// Keys of `pairs` per client; its length is [`Self::clients_tracked`].
+    clients: FnvHashMap<IpAddr, u32>,
+    /// §6 multi-label history: generations of a pair's bindings older than
+    /// the one in `pairs`, oldest first, at most `labels_per_server - 1`.
+    /// Never touched when `labels_per_server` is 1.
+    older: FnvHashMap<Pair, Vec<u64>>,
     stats: ResolverStats,
     /// FQDN dedup table (§3.2 allocation diet): repeat resolutions of the
     /// same name share one buffer instead of retaining one per response.
     interner: NameInterner,
 }
 
-impl<F: TableFamily> DnsResolver<F> {
+impl DnsResolver {
     /// Build with the given configuration (Clist size per the paper's §6
     /// dimensioning).
     pub fn with_config(config: ResolverConfig) -> Self {
@@ -114,7 +169,9 @@ impl<F: TableFamily> DnsResolver<F> {
         );
         DnsResolver {
             clist: CircularList::new(config.clist_size),
-            clients: Default::default(),
+            pairs: FnvHashMap::default(),
+            clients: FnvHashMap::default(),
+            older: FnvHashMap::default(),
             config,
             stats: ResolverStats::default(),
             interner: NameInterner::new(),
@@ -158,10 +215,16 @@ impl<F: TableFamily> DnsResolver<F> {
         self.clist.is_empty()
     }
 
-    /// Number of distinct clients currently tracked (outer map of the §3.1
-    /// two-level lookup).
+    /// Number of distinct clients with a live binding (the outer level of
+    /// the paper's Fig. 2 lookup).
     pub fn clients_tracked(&self) -> usize {
         self.clients.len()
+    }
+
+    /// Number of distinct `(client, server)` pairs with a live binding —
+    /// the population of the Fig. 2 lookup structure.
+    pub fn pairs_tracked(&self) -> usize {
+        self.pairs.len()
     }
 
     /// The configuration in use (`L` and the §6 multi-label width).
@@ -173,19 +236,18 @@ impl<F: TableFamily> DnsResolver<F> {
     /// asks how big `L` can be under real-time constraints; this answers
     /// "what does that cost in memory". Counted from the layout: the Clist
     /// ring, boxed answer lists, each distinct name buffer once (via the
-    /// interner), the slot-reference vectors, and the two map levels'
-    /// nodes or buckets ([`MapOps::table_bytes`], the one estimated part).
+    /// interner), and the buckets of the pair index, the per-client counts
+    /// and (multi-label mode only) the history table with its vectors.
     pub fn memory_estimate(&self) -> usize {
         let mut bytes = self.clist.heap_bytes() + self.interner.heap_bytes();
         for e in self.clist.iter() {
             bytes += e.servers.heap_bytes();
         }
-        bytes += self.clients.table_bytes();
-        for server_map in self.clients.values() {
-            bytes += server_map.table_bytes();
-            for refs in server_map.values() {
-                bytes += refs.capacity() * std::mem::size_of::<SlotRef>();
-            }
+        bytes += hash_table_bytes(self.pairs.capacity(), size_of::<(Pair, Gen)>());
+        bytes += hash_table_bytes(self.clients.capacity(), size_of::<(IpAddr, u32)>());
+        bytes += hash_table_bytes(self.older.capacity(), size_of::<(Pair, Vec<u64>)>());
+        for gens in self.older.values() {
+            bytes += gens.capacity() * size_of::<u64>();
         }
         bytes
     }
@@ -214,42 +276,46 @@ impl<F: TableFamily> DnsResolver<F> {
         // Insert into the circular array, possibly recycling a slot
         // (lines 22–25: delete the evicted entry's back-references).
         let (slot, evicted) = self.clist.push(entry);
+        let generation = slot.generation;
         if let Some(old) = evicted {
             self.stats.evictions += 1;
             outcome.evicted += 1;
             tm_count!(Tm::ResolverEvictions);
-            self.remove_backrefs(&old);
+            // A recycled slot held the entry pushed one lap earlier.
+            self.remove_backrefs(&old, generation - self.clist.capacity() as u64);
         } else {
             // The push claimed a fresh slot instead of recycling one.
             tm_gauge!(Tm::ClistOccupancy, 1);
         }
         // Link (client, serverIP) → new entry for every answer address
         // (lines 10–21).
-        let max_labels = self.config.labels_per_server;
-        let clist = &self.clist;
-        let stats = &mut self.stats;
-        let server_map = self.clients.get_or_default(client);
+        let mut new_pairs = 0;
         for &server in servers {
-            stats.bindings += 1;
+            self.stats.bindings += 1;
             outcome.bindings += 1;
             tm_count!(Tm::ResolverBindings);
-            let refs = server_map.get_or_default(server);
-            // Account replacements against the newest still-valid label.
-            if let Some(prev) = refs.iter().rev().find_map(|r| clist.get(*r)) {
-                if prev.fqdn == fqdn {
-                    stats.replaced_same_fqdn += 1;
+            let pair = Pair { client, server };
+            let Some(prev) = self.pairs.insert(pair, Gen::new(generation)) else {
+                new_pairs += 1;
+                continue;
+            };
+            // Account the replacement against the label it displaces
+            // (live, or `remove_backrefs` would have dropped the key).
+            if let Some(displaced) = self.clist.at(prev.get()) {
+                if displaced.fqdn == fqdn {
+                    self.stats.replaced_same_fqdn += 1;
                 } else {
-                    stats.replaced_different_fqdn += 1;
+                    self.stats.replaced_different_fqdn += 1;
                     outcome.replaced_different += 1;
                     tm_count!(Tm::ResolverConfusion);
                 }
             }
-            refs.retain(|r| clist.get(*r).is_some());
-            refs.push(slot);
-            if refs.len() > max_labels {
-                let drop_n = refs.len() - max_labels;
-                refs.drain(..drop_n);
+            if self.config.labels_per_server > 1 {
+                self.remember_older(pair, prev.get(), generation);
             }
+        }
+        if new_pairs > 0 {
+            *self.clients.entry(client).or_default() += new_pairs;
         }
         outcome
     }
@@ -285,49 +351,71 @@ impl<F: TableFamily> DnsResolver<F> {
     /// [`DnsResolver::lookup`] (Algorithm 1 lines 27–34) without touching
     /// the statistics.
     pub fn peek(&self, client: IpAddr, server: IpAddr) -> Option<DomainName> {
-        let server_map = self.clients.get(&client)?;
-        let refs = server_map.get(&server)?;
-        refs.iter()
-            .rev()
-            .find_map(|r| self.clist.get(*r))
-            .map(|e| e.fqdn.clone())
+        let newest = self.pairs.get(&Pair { client, server })?;
+        self.clist.at(newest.get()).map(|e| e.fqdn.clone())
     }
 
     /// All still-live labels for the pair, newest first (§6 multi-label
     /// extension). Always at most `labels_per_server` entries.
     pub fn lookup_all(&self, client: IpAddr, server: IpAddr) -> Vec<DomainName> {
-        let Some(server_map) = self.clients.get(&client) else {
+        let pair = Pair { client, server };
+        let Some(newest) = self.pairs.get(&pair) else {
             return Vec::new();
         };
-        let Some(refs) = server_map.get(&server) else {
-            return Vec::new();
-        };
-        refs.iter()
-            .rev()
-            .filter_map(|r| self.clist.get(*r))
+        let older = self.older.get(&pair).map(Vec::as_slice).unwrap_or_default();
+        std::iter::once(newest.get())
+            .chain(older.iter().rev().copied())
+            .filter_map(|generation| self.clist.at(generation))
             .map(|e| e.fqdn.clone())
             .collect()
     }
 
-    /// Remove an evicted entry's back-references from the lookup maps.
-    fn remove_backrefs(&mut self, old: &DnEntry) {
-        let clist = &self.clist;
-        let Some(server_map) = self.clients.get_mut(&old.client) else {
-            return;
-        };
-        for server in old.servers.as_slice() {
-            let now_empty = if let Some(refs) = server_map.get_mut(server) {
-                refs.retain(|r| clist.get(*r).is_some());
-                refs.is_empty()
-            } else {
-                false
+    /// Multi-label mode only: `prev` stopped being the pair's newest
+    /// binding when `newest` was pushed. Keep it behind the index entry,
+    /// shedding what the Clist has recycled and then the oldest beyond
+    /// the configured width.
+    fn remember_older(&mut self, pair: Pair, prev: u64, newest: u64) {
+        let lap = self.clist.capacity() as u64;
+        let gens = self.older.entry(pair).or_default();
+        gens.push(prev);
+        gens.retain(|&g| g + lap > newest);
+        let keep = self.config.labels_per_server - 1;
+        if gens.len() > keep {
+            gens.drain(..gens.len() - keep);
+        }
+    }
+
+    /// Remove an evicted entry's back-references from the index: every
+    /// pair still naming `generation`, along with its history (older
+    /// still, so recycled already). A pair rebound since then names a
+    /// newer entry and stays.
+    fn remove_backrefs(&mut self, old: &DnEntry, generation: u64) {
+        let stale = Gen::new(generation);
+        let mut removed = 0;
+        for &server in old.servers.as_slice() {
+            let pair = Pair {
+                client: old.client,
+                server,
             };
-            if now_empty {
-                server_map.remove(server);
+            match self.pairs.entry(pair) {
+                Entry::Occupied(newest) if *newest.get() == stale => {
+                    newest.remove();
+                    removed += 1;
+                    if self.config.labels_per_server > 1 {
+                        self.older.remove(&pair);
+                    }
+                }
+                _ => {}
             }
         }
-        if server_map.is_empty() {
-            self.clients.remove(&old.client);
+        if removed == 0 {
+            return;
+        }
+        if let Entry::Occupied(mut count) = self.clients.entry(old.client) {
+            *count.get_mut() -= removed;
+            if *count.get() == 0 {
+                count.remove();
+            }
         }
     }
 }
@@ -335,8 +423,6 @@ impl<F: TableFamily> DnsResolver<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maps::HashedTables;
-    use std::collections::BTreeMap;
 
     fn ip(s: &str) -> IpAddr {
         s.parse().unwrap()
@@ -444,7 +530,7 @@ mod tests {
 
     #[test]
     fn multilabel_mode_retains_history() {
-        let mut r: DnsResolver = DnsResolver::with_config(ResolverConfig {
+        let mut r = DnsResolver::with_config(ResolverConfig {
             clist_size: 16,
             labels_per_server: 3,
         });
@@ -486,18 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn hashed_backend_behaves_identically() {
-        let mut r: DnsResolver<HashedTables> = DnsResolver::with_config(ResolverConfig {
-            clist_size: 4,
-            labels_per_server: 1,
-        });
-        let c = ip("10.0.0.1");
-        r.insert(c, &fqdn("x.com"), &[ip("9.9.9.9")]);
-        assert_eq!(r.lookup(c, ip("9.9.9.9")).unwrap().to_string(), "x.com");
-        assert_eq!(r.stats().hit_ratio(), 1.0);
-    }
-
-    #[test]
     fn empty_answer_lists_add_nothing() {
         let mut r = resolver(4);
         r.insert(ip("10.0.0.1"), &fqdn("nxdomain.example.com"), &[]);
@@ -530,7 +604,6 @@ mod tests {
 
     #[test]
     fn memory_estimate_adds_up_from_the_layout() {
-        use std::mem::size_of;
         let mut r = resolver(8);
         let name = fqdn("www.example.com");
         let c = ip("10.0.0.1");
@@ -538,28 +611,68 @@ mod tests {
         r.insert(c, &name, &[ip("2.2.2.2"), ip("3.3.3.3"), ip("4.4.4.4")]);
         let slot = size_of::<Option<(u64, DnEntry)>>();
         assert_eq!(size_of::<Servers>(), size_of::<Vec<IpAddr>>());
-        // One leaf node holds up to 11 entries, whatever it holds.
-        let leaf = |value: usize| 2 * size_of::<usize>() + 11 * (size_of::<IpAddr>() + value);
-        let refs: usize = r
-            .clients
-            .values()
-            .flat_map(|servers| servers.values())
-            .map(|refs| refs.capacity() * size_of::<SlotRef>())
-            .sum();
+        // The index bucket: two addresses and an unaligned generation.
+        assert_eq!(size_of::<(Pair, Gen)>(), 42);
+        // A hashbrown table: a power-of-two bucket array, a control byte
+        // per bucket and one trailing group of 16.
+        let table = |buckets: usize, bucket: usize| buckets * (bucket + 1) + 16;
         let want = 8 * slot // the ring, occupied or not
             + 3 * size_of::<IpAddr>() // the one boxed answer list; the single answer is inline
             + r.interner.heap_bytes() // one buffer for the one name, plus the table
-            + leaf(size_of::<BTreeMap<IpAddr, Vec<SlotRef>>>()) // 1 client
-            + leaf(size_of::<Vec<SlotRef>>()) // its 4 servers
-            + refs;
+            + table(8, 42) // 4 pairs: past the 3 that 4 buckets hold
+            + table(4, size_of::<(IpAddr, u32)>()); // 1 client; single-label mode keeps no history
         assert_eq!(r.memory_estimate(), want);
         // Refcounts, "www.example.com", three two-byte label lengths.
         assert_eq!(name.heap_bytes(), 16 + 15 + 6);
         assert!(r.interner.heap_bytes() >= name.heap_bytes() + size_of::<DomainName>());
-        // A second resolution of the same name adds no name bytes.
+        // A second resolution of the same name to a known address adds
+        // neither name bytes nor an index bucket.
         let before = r.memory_estimate();
         r.insert(ip("10.0.0.1"), &fqdn("www.example.com"), &[ip("1.1.1.1")]);
         assert_eq!(r.memory_estimate(), before);
+    }
+
+    #[test]
+    fn memory_estimate_counts_multilabel_history() {
+        let mut r = DnsResolver::with_config(ResolverConfig {
+            clist_size: 8,
+            labels_per_server: 3,
+        });
+        let (c, s) = (ip("10.0.0.1"), ip("23.9.9.9"));
+        r.insert(c, &fqdn("a.com"), &[s]);
+        let single = r.memory_estimate();
+        // The first rebinding opens the pair's history: a table of one
+        // 58-byte bucket group and the vector behind it.
+        r.insert(c, &fqdn("a.com"), &[s]);
+        let history = r.older.values().map(Vec::capacity).sum::<usize>() * size_of::<u64>();
+        assert!(history >= size_of::<u64>());
+        assert_eq!(
+            r.memory_estimate(),
+            single + 4 * (size_of::<(Pair, Vec<u64>)>() + 1) + 16 + history
+        );
+    }
+
+    #[test]
+    fn eviction_keeps_a_rebound_pair_and_drops_its_history() {
+        let mut r = DnsResolver::with_config(ResolverConfig {
+            clist_size: 2,
+            labels_per_server: 2,
+        });
+        let (c, s) = (ip("10.0.0.1"), ip("23.9.9.9"));
+        r.insert(c, &fqdn("a.com"), &[s]);
+        r.insert(c, &fqdn("b.com"), &[s]);
+        assert_eq!(r.lookup_all(c, s), vec![fqdn("b.com"), fqdn("a.com")]);
+        // Recycling a.com's slot leaves the pair with b.com: the newer
+        // binding outlives the older one.
+        r.insert(c, &fqdn("other.com"), &[ip("1.1.1.1")]);
+        assert_eq!(r.lookup_all(c, s), vec![fqdn("b.com")]);
+        assert_eq!(r.pairs_tracked(), 2);
+        // Recycling b.com's slot ends the pair, history and all.
+        r.insert(c, &fqdn("last.com"), &[ip("2.2.2.2")]);
+        assert!(r.lookup_all(c, s).is_empty());
+        assert_eq!(r.pairs_tracked(), 2);
+        assert!(r.older.is_empty());
+        assert_eq!(r.clients_tracked(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use dnhunter_dns::DomainName;
 use dnhunter_resolver::clist::{CircularList, SlotRef};
-use dnhunter_resolver::{CheckedResolver, DnsResolver, HashedTables, ResolverConfig};
+use dnhunter_resolver::{CheckedResolver, DnsResolver, ResolverConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -143,37 +143,33 @@ proptest! {
 
     /// Every mutation and query agrees with the naive shadow model
     /// (`resolver::check`) — a `VecDeque` ring plus per-pair id lists — under
-    /// workloads small enough to force constant eviction, for both the
-    /// ordered-map tables (the paper's choice) and the hashed tables.
-    /// `CheckedResolver` asserts agreement internally after every op.
+    /// workloads small enough to force constant eviction.
+    /// `CheckedResolver` asserts agreement internally after every op; the
+    /// wider differential (IPv6, many wraps, duplicate answers) is the
+    /// workspace-level `tests/resolver_index.rs`.
     #[test]
     fn resolver_agrees_with_shadow_model(ops in arb_ops(), l in 1usize..16, k in 1usize..4) {
         let config = ResolverConfig { clist_size: l, labels_per_server: k };
-        let mut ordered: CheckedResolver = CheckedResolver::with_config(config);
-        let mut hashed: CheckedResolver<HashedTables> = CheckedResolver::with_config(config);
+        let mut checked = CheckedResolver::with_config(config);
         for op in &ops {
             // Alternate single- and dual-server answers so eviction has to
-            // clean back-references in more than one per-pair list.
+            // clean back-references of more than one pair.
             let servers: Vec<IpAddr> = if op.fqdn % 3 == 0 {
                 vec![server_ip(op.server), server_ip(op.server.wrapping_add(1) % 10)]
             } else {
                 vec![server_ip(op.server)]
             };
-            ordered.insert(client_ip(op.client), &fqdn(op.fqdn), &servers);
-            hashed.insert(client_ip(op.client), &fqdn(op.fqdn), &servers);
-            ordered.lookup(client_ip(op.client), server_ip(op.server));
-            let _ = hashed.lookup_all(client_ip(op.client), server_ip(op.server));
+            checked.insert(client_ip(op.client), &fqdn(op.fqdn), &servers);
+            checked.lookup(client_ip(op.client), server_ip(op.server));
+            let _ = checked.lookup_all(client_ip(op.client), server_ip(op.server));
         }
         for c in 0..6u8 {
             for s in 0..10u8 {
-                let _ = ordered.peek(client_ip(c), server_ip(s));
-                let _ = ordered.lookup_all(client_ip(c), server_ip(s));
-                let _ = hashed.peek(client_ip(c), server_ip(s));
+                let _ = checked.peek(client_ip(c), server_ip(s));
+                let _ = checked.lookup_all(client_ip(c), server_ip(s));
             }
         }
-        ordered.verify();
-        hashed.verify();
-        prop_assert_eq!(ordered.real().len(), hashed.real().len());
+        checked.verify();
     }
 
     /// Multi-label mode returns newest-first, at most `labels_per_server`

@@ -256,7 +256,7 @@ pub fn l2_no_siphash_maps(file: &SourceFile) -> Vec<Violation> {
                             i,
                             "L2",
                             format!(
-                                "`HashMap::{ctor}` uses the default SipHash hasher in a per-packet path; use `resolver::maps::FnvHashMap` / `TableFamily`"
+                                "`HashMap::{ctor}` uses the default SipHash hasher in a per-packet path; use `resolver::maps::FnvHashMap`"
                             ),
                         ));
                     }
