@@ -19,7 +19,7 @@ use std::net::IpAddr;
 use dnhunter_dns::suffix::SuffixSet;
 use dnhunter_dns::DomainName;
 use dnhunter_flow::{CompactSeg, FlowEvent, FlowKey, FlowTable};
-use dnhunter_resolver::maps::FnvHashMap;
+use dnhunter_resolver::maps::{FnvHashMap, PairMap};
 use dnhunter_resolver::{DnsResolver, InternStats, ResolverConfig, ResolverStats};
 use dnhunter_telemetry::{
     self as telemetry, tm_count, tm_span, tm_trace, Metric as Tm, TraceEvent as Te,
@@ -46,12 +46,20 @@ pub(crate) const PHASE_FRAME: u8 = 0;
 /// Phase of events produced by an eviction scan (tick) or the final flush.
 pub(crate) const PHASE_SCAN: u8 = 1;
 
-/// Book-keeping for one sniffed DNS response, tagged with its frame seq.
+/// [`ResponseRecord::first_flow_delay`] of a response no flow has used yet.
+const NO_FLOW: u64 = u64::MAX;
+
+/// Book-keeping for one sniffed DNS response of any kind, tagged with its
+/// frame seq: 32 bytes, off which the report's `dns_response_times`,
+/// `answers_per_response` and first-flow delay samples are all read.
 #[derive(Debug)]
 struct ResponseRecord {
     seq: u64,
     ts: u64,
-    first_flow_delay: Option<u64>,
+    /// µs from the response to the first flow it covered, or [`NO_FLOW`].
+    first_flow_delay: u64,
+    /// Answer addresses; 0 for truncated and answerless responses.
+    answers: usize,
 }
 
 /// Tag assigned when a flow started.
@@ -69,8 +77,6 @@ pub(crate) struct ShardOutput {
     pub(crate) resolver_stats: ResolverStats,
     pub(crate) intern: InternStats,
     responses: Vec<ResponseRecord>,
-    dns_response_times: Vec<(u64, u64)>,
-    answers_per_response: Vec<(u64, usize)>,
     any_flow_delays: Vec<(u64, u64)>,
     tagged: Vec<(EventKey, TaggedFlow)>,
     /// The shard's streaming-analytics partial, riding back to the driver
@@ -88,12 +94,10 @@ pub(crate) struct ShardEngine {
     pending_tags: FnvHashMap<FlowKey, PendingTag>,
     /// (client, server) → index into `responses` of the latest response
     /// binding that pair.
-    response_index: FnvHashMap<(IpAddr, IpAddr), usize>,
+    response_index: PairMap<usize>,
+    /// One record per DNS response seen, in arrival order (Fig. 14 time
+    /// series, §6 answer counts, Figs. 12–13 first-flow delays).
     responses: Vec<ResponseRecord>,
-    /// (seq, ts) of every DNS response seen (Fig. 14 time series).
-    dns_response_times: Vec<(u64, u64)>,
-    /// (seq, answer count) per answered response (§6 distribution).
-    answers_per_response: Vec<(u64, usize)>,
     /// (seq, delay µs) from a response to every subsequent flow using it.
     any_flow_delays: Vec<(u64, u64)>,
     /// Finished flows in event order, awaiting the merge.
@@ -122,10 +126,8 @@ impl ShardEngine {
             flows: FlowTable::new(config.flow_table.clone()),
             stats: SnifferStats::default(),
             pending_tags: FnvHashMap::default(),
-            response_index: FnvHashMap::default(),
+            response_index: PairMap::default(),
             responses: Vec::new(),
-            dns_response_times: Vec::new(),
-            answers_per_response: Vec::new(),
             any_flow_delays: Vec::new(),
             tagged: Vec::new(),
             trace_start: None,
@@ -187,38 +189,36 @@ impl ShardEngine {
         }
         self.stats.dns_responses += 1;
         tm_count!(Tm::DnsResponsesSniffed);
-        self.dns_response_times.push((seq, ts));
-        if msg.header.truncated {
-            return;
-        }
         let mut servers = std::mem::take(&mut self.addr_scratch);
         servers.clear();
-        servers.extend(msg.answer_address_iter());
-        if let Some(name) = msg.queried_fqdn() {
-            let outcome = self.resolver.insert(client, name, &servers);
-            // Provenance: which response, what it bound, what it displaced.
-            // The FQDN key is only hashed when a recorder is listening.
-            if telemetry::trace_enabled() {
-                let fqdn_key = name.trace_key();
-                tm_trace!(Te::DnsResponse, seq, ts, fqdn_key, servers.len() as u64);
-                if outcome.bindings > 0 {
-                    tm_trace!(Te::ResolverBind, seq, ts, fqdn_key, outcome.bindings);
-                }
-                if outcome.evicted > 0 {
-                    tm_trace!(Te::ResolverEvict, seq, ts, fqdn_key, outcome.evicted);
+        if !msg.header.truncated {
+            servers.extend(msg.answer_address_iter());
+            if let Some(name) = msg.queried_fqdn() {
+                let outcome = self.resolver.insert(client, name, &servers);
+                // Provenance: which response, what it bound, what it displaced.
+                // The FQDN key is only hashed when a recorder is listening.
+                if telemetry::trace_enabled() {
+                    let fqdn_key = name.trace_key();
+                    tm_trace!(Te::DnsResponse, seq, ts, fqdn_key, servers.len() as u64);
+                    if outcome.bindings > 0 {
+                        tm_trace!(Te::ResolverBind, seq, ts, fqdn_key, outcome.bindings);
+                    }
+                    if outcome.evicted > 0 {
+                        tm_trace!(Te::ResolverEvict, seq, ts, fqdn_key, outcome.evicted);
+                    }
                 }
             }
         }
+        let idx = self.responses.len();
+        self.responses.push(ResponseRecord {
+            seq,
+            ts,
+            first_flow_delay: NO_FLOW,
+            answers: servers.len(),
+        });
         if !servers.is_empty() {
-            self.answers_per_response.push((seq, servers.len()));
-            let idx = self.responses.len();
-            self.responses.push(ResponseRecord {
-                seq,
-                ts,
-                first_flow_delay: None,
-            });
             for &s in &servers {
-                self.response_index.insert((client, s), idx);
+                self.response_index.insert(client, s, idx);
             }
             if let Some(sink) = self.sink.as_deref_mut() {
                 sink.on_answered_response(ts);
@@ -270,15 +270,18 @@ impl ShardEngine {
         key: FlowKey,
         enforcer: &mut Option<&mut E>,
     ) {
-        let in_warmup = self
-            .trace_start
-            .is_some_and(|t0| ts.saturating_sub(t0) < self.config.warmup_micros);
-        let label = self.resolver.lookup(key.client, key.server);
+        let mut tag = self.tag_flow_start(seq, ts, key.client, key.server);
         if telemetry::trace_enabled() {
             let server_key = key.server_trace_key();
-            match &label {
+            match &tag.fqdn {
                 Some(name) => tm_trace!(Te::ResolverHit, seq, ts, server_key, name.trace_key()),
-                None => tm_trace!(Te::ResolverMiss, seq, ts, server_key, u64::from(in_warmup)),
+                None => tm_trace!(
+                    Te::ResolverMiss,
+                    seq,
+                    ts,
+                    server_key,
+                    u64::from(tag.in_warmup)
+                ),
             }
             tm_trace!(
                 Te::FlowOpen,
@@ -288,68 +291,70 @@ impl ShardEngine {
                 u64::from(key.server_port)
             );
         }
+        // §6 extension: when the resolver keeps several labels per pair,
+        // record the alternatives so downstream consumers can resolve
+        // ambiguity themselves.
+        if self.config.resolver.labels_per_server > 1 && tag.fqdn.is_some() {
+            for alt in self.resolver.lookup_all(key.client, key.server) {
+                // Distinct alternatives only; repeated resolutions of the
+                // primary name are not ambiguity.
+                if Some(&alt) != tag.fqdn.as_ref() && !tag.alt_labels.contains(&alt) {
+                    tag.alt_labels.push(alt);
+                }
+            }
+        }
+        if let Some(e) = enforcer.as_deref_mut() {
+            let _ = e.on_flow_start(key, tag.fqdn.as_ref());
+        }
+        self.pending_tags.insert(key, tag);
+    }
+
+    /// Tag a flow at its first packet, for both the packet path and the
+    /// flow-record path: the resolver lookup (Algorithm 1 lines 27–34), the
+    /// warm-up gate on hit accounting, and the delay accounting against the
+    /// latest response covering `(client, server)`. Alternative labels are
+    /// the caller's to add.
+    fn tag_flow_start(&mut self, seq: u64, ts: u64, client: IpAddr, server: IpAddr) -> PendingTag {
+        let in_warmup = self
+            .trace_start
+            .is_some_and(|t0| ts.saturating_sub(t0) < self.config.warmup_micros);
+        let fqdn = self.resolver.lookup(client, server);
         if !in_warmup {
             self.stats.tag_attempts += 1;
             tm_count!(Tm::TagAttempts);
-            if label.is_some() {
+            if fqdn.is_some() {
                 self.stats.tag_hits += 1;
                 tm_count!(Tm::TagHits);
             }
         }
-        // Delay accounting against the most recent covering response.
         let mut tag_delay = None;
-        let mut first_flow_delay = None;
-        if let Some(&idx) = self.response_index.get(&(key.client, key.server)) {
-            if let Some(rec) = self.responses.get_mut(idx) {
-                let delay = ts.saturating_sub(rec.ts);
-                if rec.first_flow_delay.is_none() {
-                    rec.first_flow_delay = Some(delay);
-                    first_flow_delay = Some(delay);
+        let covering = self.response_index.get(client, server);
+        if let Some(rec) = covering.and_then(|&idx| self.responses.get_mut(idx)) {
+            // Saturated one short of the sentinel, so a measured delay never
+            // reads as "no flow yet".
+            let delay = ts.saturating_sub(rec.ts).min(NO_FLOW - 1);
+            let first = rec.first_flow_delay == NO_FLOW;
+            if first {
+                rec.first_flow_delay = delay;
+            }
+            // Keyed by the *flow's* frame seq: the sequential sniffer
+            // appends this sample when the flow starts, not when the
+            // response arrived.
+            self.any_flow_delays.push((seq, delay));
+            if let Some(sink) = self.sink.as_deref_mut() {
+                if first {
+                    sink.on_first_flow_delay(ts, delay);
                 }
-                // Keyed by the *flow's* frame seq: the sequential sniffer
-                // appends this sample when the flow starts, not when the
-                // response arrived.
-                self.any_flow_delays.push((seq, delay));
-                tag_delay = Some(delay);
+                sink.on_any_flow_delay(ts, delay);
             }
+            tag_delay = Some(delay);
         }
-        if let Some(sink) = self.sink.as_deref_mut() {
-            if let Some(d) = first_flow_delay {
-                sink.on_first_flow_delay(ts, d);
-            }
-            if let Some(d) = tag_delay {
-                sink.on_any_flow_delay(ts, d);
-            }
+        PendingTag {
+            fqdn,
+            alt_labels: Vec::new(),
+            tag_delay,
+            in_warmup,
         }
-        let fqdn = label;
-        // §6 extension: when the resolver keeps several labels per pair,
-        // record the alternatives so downstream consumers can resolve
-        // ambiguity themselves.
-        let alt_labels = if self.config.resolver.labels_per_server > 1 && fqdn.is_some() {
-            let mut alts: Vec<DomainName> = Vec::new();
-            for alt in self.resolver.lookup_all(key.client, key.server) {
-                // Distinct alternatives only; repeated resolutions of the
-                // primary name are not ambiguity.
-                if Some(&alt) != fqdn.as_ref() && !alts.contains(&alt) {
-                    alts.push(alt);
-                }
-            }
-            alts
-        } else {
-            Vec::new()
-        };
-        if let Some(e) = enforcer.as_deref_mut() {
-            let _ = e.on_flow_start(key, fqdn.as_ref());
-        }
-        self.pending_tags.insert(
-            key,
-            PendingTag {
-                fqdn,
-                alt_labels,
-                tag_delay,
-                in_warmup,
-            },
-        );
     }
 
     // lint_root(ingest): FlowTable callback driven per flow end from ingest (dyn dispatch the call graph cannot see)
@@ -426,8 +431,6 @@ impl ShardEngine {
     pub(crate) fn rotate(&mut self, horizon: u64) -> Vec<(u64, StreamingAnalytics)> {
         self.responses.clear();
         self.response_index.clear();
-        self.dns_response_times.clear();
-        self.answers_per_response.clear();
         self.any_flow_delays.clear();
         self.tagged.clear();
         match self.sink.as_deref_mut() {
@@ -444,40 +447,7 @@ impl ShardEngine {
     /// (payload bytes don't exist in this regime).
     // lint_root(ingest): handler for attacker-controlled flow-record exports
     pub(crate) fn ingest_flow_export(&mut self, seq: u64, rec: &dnhunter_net::FlowExportRecord) {
-        let ts = rec.first_ts;
-        let in_warmup = self
-            .trace_start
-            .is_some_and(|t0| ts.saturating_sub(t0) < self.config.warmup_micros);
-        let label = self.resolver.lookup(rec.client, rec.server);
-        if !in_warmup {
-            self.stats.tag_attempts += 1;
-            tm_count!(Tm::TagAttempts);
-            if label.is_some() {
-                self.stats.tag_hits += 1;
-                tm_count!(Tm::TagHits);
-            }
-        }
-        let mut tag_delay = None;
-        let mut first_flow_delay = None;
-        if let Some(&idx) = self.response_index.get(&(rec.client, rec.server)) {
-            if let Some(resp) = self.responses.get_mut(idx) {
-                let delay = ts.saturating_sub(resp.ts);
-                if resp.first_flow_delay.is_none() {
-                    resp.first_flow_delay = Some(delay);
-                    first_flow_delay = Some(delay);
-                }
-                self.any_flow_delays.push((seq, delay));
-                tag_delay = Some(delay);
-            }
-        }
-        if let Some(sink) = self.sink.as_deref_mut() {
-            if let Some(d) = first_flow_delay {
-                sink.on_first_flow_delay(ts, d);
-            }
-            if let Some(d) = tag_delay {
-                sink.on_any_flow_delay(ts, d);
-            }
-        }
+        let tag = self.tag_flow_start(seq, rec.first_ts, rec.client, rec.server);
         let protocol = dnhunter_flow::AppProtocol::from_server_port(rec.server_port);
         tm_count!(match protocol {
             dnhunter_flow::AppProtocol::Http => Tm::DpiHttp,
@@ -499,10 +469,10 @@ impl ShardEngine {
         );
         let flow = TaggedFlow {
             key,
-            fqdn: label,
+            fqdn: tag.fqdn,
             second_level: None,
-            alt_labels: Vec::new(),
-            tag_delay_micros: tag_delay,
+            alt_labels: tag.alt_labels,
+            tag_delay_micros: tag.tag_delay,
             first_ts: rec.first_ts,
             last_ts: rec.last_ts,
             packets_c2s: rec.packets_c2s,
@@ -511,7 +481,7 @@ impl ShardEngine {
             bytes_s2c: rec.bytes_s2c,
             protocol,
             tls: None,
-            in_warmup,
+            in_warmup: tag.in_warmup,
         };
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.on_flow_finished(&flow);
@@ -537,8 +507,6 @@ impl ShardEngine {
             resolver_stats: *self.resolver.stats(),
             intern: self.resolver.intern_stats(),
             responses: self.responses,
-            dns_response_times: self.dns_response_times,
-            answers_per_response: self.answers_per_response,
             any_flow_delays: self.any_flow_delays,
             tagged: self.tagged,
             sink: self.sink,
@@ -592,22 +560,16 @@ pub(crate) fn assemble_report(
     let mut stats = dispatch_stats;
     let mut resolver_stats = ResolverStats::default();
     let mut responses: Vec<ResponseRecord> = Vec::new();
-    let mut dns_response_times: Vec<(u64, u64)> = Vec::new();
-    let mut answers_per_response: Vec<(u64, usize)> = Vec::new();
     let mut any_flow_delays: Vec<(u64, u64)> = Vec::new();
     let mut tagged: Vec<(EventKey, TaggedFlow)> = Vec::new();
     for out in outputs {
         add_sniffer_stats(&mut stats, &out.stats);
         add_resolver_stats(&mut resolver_stats, &out.resolver_stats);
         responses.extend(out.responses);
-        dns_response_times.extend(out.dns_response_times);
-        answers_per_response.extend(out.answers_per_response);
         any_flow_delays.extend(out.any_flow_delays);
         tagged.extend(out.tagged);
     }
     responses.sort_by_key(|r| r.seq);
-    dns_response_times.sort_by_key(|&(seq, _)| seq);
-    answers_per_response.sort_by_key(|&(seq, _)| seq);
     any_flow_delays.sort_by_key(|&(seq, _)| seq);
     tagged.sort_by_key(|(at, f)| {
         (
@@ -625,11 +587,20 @@ pub(crate) fn assemble_report(
         any_flow_delays: any_flow_delays.into_iter().map(|(_, d)| d).collect(),
         ..DelaySamples::default()
     };
-    for r in &responses {
+    // One pass over the response records, freed before the database is
+    // built: every response has a time, answered ones a count and a delay.
+    let mut dns_response_times = Vec::with_capacity(responses.len());
+    let mut answers_per_response = Vec::new();
+    for r in responses {
+        dns_response_times.push(r.ts);
+        if r.answers == 0 {
+            continue;
+        }
+        answers_per_response.push(r.answers);
         delays.answered_responses += 1;
         match r.first_flow_delay {
-            Some(d) => delays.first_flow_delays.push(d),
-            None => delays.useless_responses += 1,
+            NO_FLOW => delays.useless_responses += 1,
+            d => delays.first_flow_delays.push(d),
         }
     }
 
@@ -644,8 +615,8 @@ pub(crate) fn assemble_report(
         sniffer_stats: stats,
         resolver_stats,
         delays,
-        dns_response_times: dns_response_times.into_iter().map(|(_, t)| t).collect(),
-        answers_per_response: answers_per_response.into_iter().map(|(_, n)| n).collect(),
+        dns_response_times,
+        answers_per_response,
         trace_start,
         trace_end,
         warmup_micros,
@@ -679,6 +650,12 @@ mod tests {
             tag_attempts,
             tag_hits,
         }
+    }
+
+    #[test]
+    fn per_response_state_is_one_record_and_one_packed_bucket() {
+        assert_eq!(std::mem::size_of::<ResponseRecord>(), 32);
+        assert_eq!(PairMap::<usize>::V4_BUCKET, 16);
     }
 
     #[test]

@@ -55,7 +55,12 @@ pub fn replay(events: &[ResolverEvent], l: usize) -> SizingPoint {
                 fqdn,
                 servers,
             } => {
-                let _ = r.insert(*client, fqdn, servers);
+                // A buffer of the resolver's own, as the decoder hands one
+                // over per response: `events` holds every name for the
+                // whole replay, and `memory_estimate` leaves a buffer that
+                // someone else also holds to them.
+                let own = DomainName::from_labels(fqdn.labels()).unwrap_or_else(|_| fqdn.clone());
+                let _ = r.insert(*client, &own, servers);
             }
             ResolverEvent::FlowStart { client, server } => {
                 let _ = r.lookup(*client, *server);

@@ -86,12 +86,21 @@ impl NameInterner {
         self.prune_at = (self.names.len() * 2).max(MIN_PRUNE_AT);
     }
 
-    /// Heap bytes of the table itself plus every resident name buffer,
-    /// each counted once (the §6 memory question; see
-    /// [`crate::DnsResolver::memory_estimate`]).
-    pub fn heap_bytes(&self) -> usize {
+    /// Heap bytes of the table itself plus every resident name buffer the
+    /// resolver alone keeps alive, each counted once (the §6 memory
+    /// question; see [`crate::DnsResolver::memory_estimate`]).
+    /// `resolver_refs(name)` is how many holders the resolver has besides
+    /// the table; a buffer with more holders than that is also a caller's
+    /// input, a flow row's or a report's, and dropping the resolver would
+    /// not free it.
+    pub fn heap_bytes(&self, resolver_refs: impl Fn(&DomainName) -> usize) -> usize {
         let table = hash_table_bytes(self.names.capacity(), std::mem::size_of::<DomainName>());
-        table + self.names.iter().map(DomainName::heap_bytes).sum::<usize>()
+        let names = self
+            .names
+            .iter()
+            .filter(|name| name.holders() == 1 + resolver_refs(name))
+            .map(DomainName::heap_bytes);
+        table + names.sum::<usize>()
     }
 
     /// Allocation-avoidance counters (the §3.2 real-time argument,

@@ -6,9 +6,10 @@
 //!
 //! * FQDN entries live in a FIFO circular list (*Clist*) of size `L`
 //!   ([`clist`]), which bounds entry lifetime without garbage collection.
-//! * Lookup goes `(clientIP, serverIP) → FQDN` through one hash table
-//!   ([`resolver`]) whose value is the Clist generation of the pair's
-//!   newest binding; the paper uses two levels of ordered C++ `map`s and
+//! * Lookup goes `(clientIP, serverIP) → FQDN` through one hash map
+//!   ([`resolver`], [`maps::PairMap`]) whose value is the Clist generation
+//!   of the pair's newest binding; an all-IPv4 pair is keyed by one
+//!   packed `u64`. The paper uses two levels of ordered C++ `map`s and
 //!   notes hash tables as the cheaper alternative (footnote 2).
 //! * When a Clist slot is overwritten, its back-references are removed from
 //!   the index (Algorithm 1 lines 23–25).

@@ -1,7 +1,5 @@
 //! The DNS Resolver structure — paper Algorithm 1.
 
-use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 use std::net::IpAddr;
 
@@ -10,7 +8,7 @@ use dnhunter_telemetry::{tm_count, tm_gauge, Metric as Tm};
 
 use crate::clist::CircularList;
 use crate::intern::{InternStats, NameInterner};
-use crate::maps::{hash_table_bytes, FnvHashMap};
+use crate::maps::{FnvHashMap, FnvHashSet, PairMap};
 use crate::stats::ResolverStats;
 
 /// Configuration of a [`DnsResolver`] (the paper's §3.1 engine).
@@ -93,31 +91,9 @@ impl Servers {
     }
 }
 
-/// Key of the lookup index: a monitored client and one server address a
-/// response told it about. Two 17-byte `IpAddr`s, alignment 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Pair {
-    client: IpAddr,
-    server: IpAddr,
-}
-
-impl Hash for Pair {
-    /// The address octets and nothing else: 8 bytes through FNV for an
-    /// IPv4 pair, where the derived impl feeds it 40 (discriminants and
-    /// array length prefixes). Mixed-family byte streams may coincide;
-    /// that is a collision `Eq` settles, not an equality.
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for ip in [self.client, self.server] {
-            match ip {
-                IpAddr::V4(a) => state.write(&a.octets()),
-                IpAddr::V6(a) => state.write(&a.octets()),
-            }
-        }
-    }
-}
-
-/// A Clist generation stored unaligned, so that an index bucket is
-/// 34 + 8 = 42 bytes rather than the 48 a `u64` would pad it to.
+/// A Clist generation stored unaligned, so that a wide index bucket is
+/// 34 + 8 = 42 bytes rather than the 48 a `u64` would pad it to (a packed
+/// IPv4 bucket is 8 + 8 = 16 either way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Gen([u8; 8]);
 
@@ -134,8 +110,9 @@ impl Gen {
 /// The resolver: a bounded replica of every monitored client's DNS cache.
 ///
 /// The paper's Fig. 2 reaches a Clist entry through two levels of ordered
-/// maps; this is its footnote 2 taken one step further — one hash table
-/// keyed by the `(client, server)` pair whose value is the Clist
+/// maps; this is its footnote 2 taken one step further — one hash map
+/// keyed by the `(client, server)` pair ([`PairMap`]: 16-byte buckets for
+/// an all-IPv4 pair, 42 with an IPv6 side) whose value is the Clist
 /// generation of the pair's newest binding. The generation is the whole
 /// reference: [`CircularList::push`] advances slot and generation in
 /// lock-step, and because eviction is FIFO an older binding of a pair
@@ -146,13 +123,11 @@ pub struct DnsResolver {
     clist: CircularList<DnEntry>,
     /// `(client, server)` → generation of the pair's newest binding. Every
     /// key names a live Clist entry.
-    pairs: FnvHashMap<Pair, Gen>,
-    /// Keys of `pairs` per client; its length is [`Self::clients_tracked`].
-    clients: FnvHashMap<IpAddr, u32>,
+    pairs: PairMap<Gen>,
     /// §6 multi-label history: generations of a pair's bindings older than
     /// the one in `pairs`, oldest first, at most `labels_per_server - 1`.
     /// Never touched when `labels_per_server` is 1.
-    older: FnvHashMap<Pair, Vec<u64>>,
+    older: PairMap<Vec<u64>>,
     stats: ResolverStats,
     /// FQDN dedup table (§3.2 allocation diet): repeat resolutions of the
     /// same name share one buffer instead of retaining one per response.
@@ -169,9 +144,8 @@ impl DnsResolver {
         );
         DnsResolver {
             clist: CircularList::new(config.clist_size),
-            pairs: FnvHashMap::default(),
-            clients: FnvHashMap::default(),
-            older: FnvHashMap::default(),
+            pairs: PairMap::default(),
+            older: PairMap::default(),
             config,
             stats: ResolverStats::default(),
             interner: NameInterner::new(),
@@ -216,9 +190,11 @@ impl DnsResolver {
     }
 
     /// Number of distinct clients with a live binding (the outer level of
-    /// the paper's Fig. 2 lookup).
+    /// the paper's Fig. 2 lookup). Counted on demand over the pair index's
+    /// keys: nothing on the per-packet path needs it.
     pub fn clients_tracked(&self) -> usize {
-        self.clients.len()
+        let clients: FnvHashSet<IpAddr> = self.pairs.keys().map(|(client, _)| client).collect();
+        clients.len()
     }
 
     /// Number of distinct `(client, server)` pairs with a live binding —
@@ -235,17 +211,22 @@ impl DnsResolver {
     /// Heap footprint of the live structure, in bytes — the paper's §6
     /// asks how big `L` can be under real-time constraints; this answers
     /// "what does that cost in memory". Counted from the layout: the Clist
-    /// ring, boxed answer lists, each distinct name buffer once (via the
-    /// interner), and the buckets of the pair index, the per-client counts
-    /// and (multi-label mode only) the history table with its vectors.
+    /// ring, boxed answer lists, the intern table and each name buffer
+    /// nothing but the resolver holds (once, however many entries share
+    /// it), and the buckets of both halves of the pair index and
+    /// (multi-label mode only) of the history with its vectors. So it is
+    /// what dropping the resolver would free.
     pub fn memory_estimate(&self) -> usize {
-        let mut bytes = self.clist.heap_bytes() + self.interner.heap_bytes();
+        let mut bytes = self.clist.heap_bytes();
+        let mut entries_per_name: FnvHashMap<&DomainName, usize> = FnvHashMap::default();
         for e in self.clist.iter() {
             bytes += e.servers.heap_bytes();
+            *entries_per_name.entry(&e.fqdn).or_default() += 1;
         }
-        bytes += hash_table_bytes(self.pairs.capacity(), size_of::<(Pair, Gen)>());
-        bytes += hash_table_bytes(self.clients.capacity(), size_of::<(IpAddr, u32)>());
-        bytes += hash_table_bytes(self.older.capacity(), size_of::<(Pair, Vec<u64>)>());
+        bytes += self
+            .interner
+            .heap_bytes(|name| entries_per_name.get(name).copied().unwrap_or(0));
+        bytes += self.pairs.heap_bytes() + self.older.heap_bytes();
         for gens in self.older.values() {
             bytes += gens.capacity() * size_of::<u64>();
         }
@@ -289,14 +270,11 @@ impl DnsResolver {
         }
         // Link (client, serverIP) → new entry for every answer address
         // (lines 10–21).
-        let mut new_pairs = 0;
         for &server in servers {
             self.stats.bindings += 1;
             outcome.bindings += 1;
             tm_count!(Tm::ResolverBindings);
-            let pair = Pair { client, server };
-            let Some(prev) = self.pairs.insert(pair, Gen::new(generation)) else {
-                new_pairs += 1;
+            let Some(prev) = self.pairs.insert(client, server, Gen::new(generation)) else {
                 continue;
             };
             // Account the replacement against the label it displaces
@@ -311,11 +289,8 @@ impl DnsResolver {
                 }
             }
             if self.config.labels_per_server > 1 {
-                self.remember_older(pair, prev.get(), generation);
+                self.remember_older(client, server, prev.get(), generation);
             }
-        }
-        if new_pairs > 0 {
-            *self.clients.entry(client).or_default() += new_pairs;
         }
         outcome
     }
@@ -351,18 +326,21 @@ impl DnsResolver {
     /// [`DnsResolver::lookup`] (Algorithm 1 lines 27–34) without touching
     /// the statistics.
     pub fn peek(&self, client: IpAddr, server: IpAddr) -> Option<DomainName> {
-        let newest = self.pairs.get(&Pair { client, server })?;
+        let newest = self.pairs.get(client, server)?;
         self.clist.at(newest.get()).map(|e| e.fqdn.clone())
     }
 
     /// All still-live labels for the pair, newest first (§6 multi-label
     /// extension). Always at most `labels_per_server` entries.
     pub fn lookup_all(&self, client: IpAddr, server: IpAddr) -> Vec<DomainName> {
-        let pair = Pair { client, server };
-        let Some(newest) = self.pairs.get(&pair) else {
+        let Some(newest) = self.pairs.get(client, server) else {
             return Vec::new();
         };
-        let older = self.older.get(&pair).map(Vec::as_slice).unwrap_or_default();
+        let older = self
+            .older
+            .get(client, server)
+            .map(Vec::as_slice)
+            .unwrap_or_default();
         std::iter::once(newest.get())
             .chain(older.iter().rev().copied())
             .filter_map(|generation| self.clist.at(generation))
@@ -374,9 +352,9 @@ impl DnsResolver {
     /// binding when `newest` was pushed. Keep it behind the index entry,
     /// shedding what the Clist has recycled and then the oldest beyond
     /// the configured width.
-    fn remember_older(&mut self, pair: Pair, prev: u64, newest: u64) {
+    fn remember_older(&mut self, client: IpAddr, server: IpAddr, prev: u64, newest: u64) {
         let lap = self.clist.capacity() as u64;
-        let gens = self.older.entry(pair).or_default();
+        let gens = self.older.get_or_insert_default(client, server);
         gens.push(prev);
         gens.retain(|&g| g + lap > newest);
         let keep = self.config.labels_per_server - 1;
@@ -391,30 +369,12 @@ impl DnsResolver {
     /// newer entry and stays.
     fn remove_backrefs(&mut self, old: &DnEntry, generation: u64) {
         let stale = Gen::new(generation);
-        let mut removed = 0;
         for &server in old.servers.as_slice() {
-            let pair = Pair {
-                client: old.client,
-                server,
-            };
-            match self.pairs.entry(pair) {
-                Entry::Occupied(newest) if *newest.get() == stale => {
-                    newest.remove();
-                    removed += 1;
-                    if self.config.labels_per_server > 1 {
-                        self.older.remove(&pair);
-                    }
-                }
-                _ => {}
-            }
-        }
-        if removed == 0 {
-            return;
-        }
-        if let Entry::Occupied(mut count) = self.clients.entry(old.client) {
-            *count.get_mut() -= removed;
-            if *count.get() == 0 {
-                count.remove();
+            let removed = self
+                .pairs
+                .remove_if(old.client, server, |&newest| newest == stale);
+            if removed.is_some() && self.config.labels_per_server > 1 {
+                self.older.remove(old.client, server);
             }
         }
     }
@@ -603,33 +563,56 @@ mod tests {
     }
 
     #[test]
+    fn index_buckets_are_sixteen_and_forty_two_bytes() {
+        // A packed IPv4 pair and a generation; two 17-byte addresses and
+        // an unaligned generation for a pair with an IPv6 side.
+        assert_eq!(PairMap::<Gen>::V4_BUCKET, 16);
+        assert_eq!(PairMap::<Gen>::WIDE_BUCKET, 42);
+        assert_eq!(size_of::<Servers>(), size_of::<Vec<IpAddr>>());
+    }
+
+    /// A hashbrown table: a power-of-two bucket array, a control byte per
+    /// bucket and one trailing group of 16.
+    fn table(buckets: usize, bucket: usize) -> usize {
+        buckets * (bucket + 1) + 16
+    }
+
+    #[test]
     fn memory_estimate_adds_up_from_the_layout() {
         let mut r = resolver(8);
         let name = fqdn("www.example.com");
         let c = ip("10.0.0.1");
         r.insert(c, &name, &[ip("1.1.1.1")]);
-        r.insert(c, &name, &[ip("2.2.2.2"), ip("3.3.3.3"), ip("4.4.4.4")]);
+        r.insert(
+            c,
+            &name,
+            &[
+                ip("2.2.2.2"),
+                ip("3.3.3.3"),
+                ip("4.4.4.4"),
+                ip("2001:db8::4"),
+            ],
+        );
         let slot = size_of::<Option<(u64, DnEntry)>>();
-        assert_eq!(size_of::<Servers>(), size_of::<Vec<IpAddr>>());
-        // The index bucket: two addresses and an unaligned generation.
-        assert_eq!(size_of::<(Pair, Gen)>(), 42);
-        // A hashbrown table: a power-of-two bucket array, a control byte
-        // per bucket and one trailing group of 16.
-        let table = |buckets: usize, bucket: usize| buckets * (bucket + 1) + 16;
-        let want = 8 * slot // the ring, occupied or not
-            + 3 * size_of::<IpAddr>() // the one boxed answer list; the single answer is inline
-            + r.interner.heap_bytes() // one buffer for the one name, plus the table
-            + table(8, 42) // 4 pairs: past the 3 that 4 buckets hold
-            + table(4, size_of::<(IpAddr, u32)>()); // 1 client; single-label mode keeps no history
-        assert_eq!(r.memory_estimate(), want);
+        let layout = 8 * slot // the ring, occupied or not
+            + 4 * size_of::<IpAddr>() // the one boxed answer list; the single answer is inline
+            + table(4, size_of::<DomainName>()) // the intern table, holding one name
+            + table(8, 16) // 4 IPv4 pairs: past the 3 that 4 buckets hold
+            + table(4, 42); // 1 pair with an IPv6 side; single-label mode keeps no history
+                            // While the caller still holds the name's buffer it is the caller's.
+        assert_eq!(r.memory_estimate(), layout);
         // Refcounts, "www.example.com", three two-byte label lengths.
-        assert_eq!(name.heap_bytes(), 16 + 15 + 6);
-        assert!(r.interner.heap_bytes() >= name.heap_bytes() + size_of::<DomainName>());
-        // A second resolution of the same name to a known address adds
+        let name_bytes = name.heap_bytes();
+        assert_eq!(name_bytes, 16 + 15 + 6);
+        // Once the resolver alone holds it, it is counted, once for both
+        // entries.
+        drop(name);
+        assert_eq!(r.memory_estimate(), layout + name_bytes);
+        // A second resolution of the same name to known addresses adds
         // neither name bytes nor an index bucket.
-        let before = r.memory_estimate();
-        r.insert(ip("10.0.0.1"), &fqdn("www.example.com"), &[ip("1.1.1.1")]);
-        assert_eq!(r.memory_estimate(), before);
+        r.insert(c, &fqdn("www.example.com"), &[ip("1.1.1.1")]);
+        r.insert(c, &fqdn("www.example.com"), &[ip("2001:db8::4")]);
+        assert_eq!(r.memory_estimate(), layout + name_bytes);
     }
 
     #[test]
@@ -638,17 +621,22 @@ mod tests {
             clist_size: 8,
             labels_per_server: 3,
         });
-        let (c, s) = (ip("10.0.0.1"), ip("23.9.9.9"));
-        r.insert(c, &fqdn("a.com"), &[s]);
+        let (c, s4, s6) = (ip("10.0.0.1"), ip("23.9.9.9"), ip("2001:db8::9"));
+        r.insert(c, &fqdn("a.com"), &[s4, s6]);
         let single = r.memory_estimate();
-        // The first rebinding opens the pair's history: a table of one
-        // 58-byte bucket group and the vector behind it.
-        r.insert(c, &fqdn("a.com"), &[s]);
+        // The first rebinding opens each pair's history: one table group
+        // per family, and the vectors behind them (beside the new entry's
+        // boxed answer list).
+        r.insert(c, &fqdn("a.com"), &[s4, s6]);
         let history = r.older.values().map(Vec::capacity).sum::<usize>() * size_of::<u64>();
-        assert!(history >= size_of::<u64>());
+        assert!(history >= 2 * size_of::<u64>());
         assert_eq!(
             r.memory_estimate(),
-            single + 4 * (size_of::<(Pair, Vec<u64>)>() + 1) + 16 + history
+            single
+                + 2 * size_of::<IpAddr>()
+                + table(4, PairMap::<Vec<u64>>::V4_BUCKET)
+                + table(4, PairMap::<Vec<u64>>::WIDE_BUCKET)
+                + history
         );
     }
 

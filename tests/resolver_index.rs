@@ -9,9 +9,11 @@
 //! followed by a comparison of the whole observable state: occupancy,
 //! tracked clients, tracked pairs, and `peek`/`lookup_all` for every pair
 //! of the address universe. Small Clists make the ring wrap hundreds of
-//! times per case; the universe mixes IPv4 and IPv6 on both sides, repeats
-//! addresses inside one answer list, and lets one client re-resolve one
-//! server under many names, in single-label and multi-label (§6) mode.
+//! times per case; the universe mixes IPv4 and IPv6 on both sides — so the
+//! index's packed all-IPv4 table and its wide table fill in the same run —
+//! includes an IPv4-mapped IPv6 address on each side, repeats addresses
+//! inside one answer list, and lets one client re-resolve one server under
+//! many names, in single-label and multi-label (§6) mode.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -19,14 +21,18 @@ use dnhunter_dns::DomainName;
 use dnhunter_resolver::{CheckedResolver, ResolverConfig};
 use proptest::prelude::*;
 
-const CLIENTS: u8 = 5;
-const SERVERS: u8 = 8;
+const CLIENTS: u8 = 6;
+const SERVERS: u8 = 9;
 const NAMES: u8 = 12;
 const CLIST_SIZES: [usize; 4] = [1, 2, 7, 64];
 
-/// Even ids are IPv4, odd ids IPv6 — every family pairing occurs.
-fn addr(net: u8, id: u8) -> IpAddr {
-    if id.is_multiple_of(2) {
+/// Even ids are IPv4, odd ids IPv6 — every family pairing occurs — and the
+/// `mapped` id is the IPv4-mapped IPv6 form of id 2's address, which must
+/// stay a key apart from the IPv4 address it maps.
+fn addr(net: u8, id: u8, mapped: u8) -> IpAddr {
+    if id == mapped {
+        IpAddr::V6(Ipv4Addr::new(net, 0, 0, 2).to_ipv6_mapped())
+    } else if id.is_multiple_of(2) {
         IpAddr::V4(Ipv4Addr::new(net, 0, 0, id))
     } else {
         IpAddr::V6(Ipv6Addr::new(
@@ -43,11 +49,11 @@ fn addr(net: u8, id: u8) -> IpAddr {
 }
 
 fn client(id: u8) -> IpAddr {
-    addr(10, id)
+    addr(10, id, CLIENTS - 1)
 }
 
 fn server(id: u8) -> IpAddr {
-    addr(23, id)
+    addr(23, id, SERVERS - 1)
 }
 
 fn name(id: u8) -> DomainName {
