@@ -65,6 +65,15 @@ fn parse_duration_micros(s: &str) -> Option<u64> {
     n.checked_mul(per_unit)
 }
 
+/// Parse a whole number of seconds into microseconds; `None` when it is
+/// not a number or the product overflows `u64`.
+fn parse_secs_micros(s: &str) -> Option<u64> {
+    s.parse::<u64>().ok()?.checked_mul(1_000_000)
+}
+
+/// The largest seconds value [`parse_secs_micros`] accepts.
+const MAX_SECS: u64 = u64::MAX / 1_000_000;
+
 /// Which analytics sink `--stream-analytics` installs: the since-start
 /// accumulator, or (with `--window`) the sliding-window sink.
 #[derive(Clone)]
@@ -98,13 +107,13 @@ fn main() -> ExitCode {
     let mut tstat = false;
     let mut csv = false;
     let mut port: Option<u16> = None;
-    let mut warmup_secs: u64 = 300;
+    let mut warmup_micros: u64 = 300 * 1_000_000;
     let mut workers: usize = 1;
     let mut metrics_path: Option<String> = None;
-    let mut metrics_interval_secs: u64 = 60;
+    let mut metrics_interval_micros: u64 = 60 * 1_000_000;
     let mut metrics_full = false;
     let mut stream_path: Option<String> = None;
-    let mut stream_interval_secs: u64 = 300;
+    let mut stream_interval_micros: u64 = 300 * 1_000_000;
     let mut window_micros: Option<u64> = None;
     let mut slide_micros: Option<u64> = None;
     let mut trace_out: Option<String> = None;
@@ -143,10 +152,13 @@ fn main() -> ExitCode {
             }
             "--metrics-interval" => {
                 i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) if s >= 1 => metrics_interval_secs = s,
+                match args.get(i).and_then(|s| parse_secs_micros(s)) {
+                    Some(s) if s >= 1_000_000 => metrics_interval_micros = s,
                     _ => {
-                        eprintln!("--metrics-interval needs seconds >= 1\n{}", usage());
+                        eprintln!(
+                            "--metrics-interval needs seconds in 1..={MAX_SECS}\n{}",
+                            usage()
+                        );
                         return ExitCode::FAILURE;
                     }
                 }
@@ -163,10 +175,13 @@ fn main() -> ExitCode {
             }
             "--stream-interval" => {
                 i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) if s >= 1 => stream_interval_secs = s,
+                match args.get(i).and_then(|s| parse_secs_micros(s)) {
+                    Some(s) if s >= 1_000_000 => stream_interval_micros = s,
                     _ => {
-                        eprintln!("--stream-interval needs seconds >= 1\n{}", usage());
+                        eprintln!(
+                            "--stream-interval needs seconds in 1..={MAX_SECS}\n{}",
+                            usage()
+                        );
                         return ExitCode::FAILURE;
                     }
                 }
@@ -253,10 +268,10 @@ fn main() -> ExitCode {
             }
             "--warmup" => {
                 i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(w) => warmup_secs = w,
+                match args.get(i).and_then(|s| parse_secs_micros(s)) {
+                    Some(w) => warmup_micros = w,
                     None => {
-                        eprintln!("--warmup needs seconds\n{}", usage());
+                        eprintln!("--warmup needs seconds in 0..={MAX_SECS}\n{}", usage());
                         return ExitCode::FAILURE;
                     }
                 }
@@ -319,7 +334,7 @@ fn main() -> ExitCode {
     }
 
     let config = SnifferConfig {
-        warmup_micros: warmup_secs * 1_000_000,
+        warmup_micros,
         ..SnifferConfig::default()
     };
 
@@ -369,7 +384,7 @@ fn main() -> ExitCode {
     };
     // Snapshots are scheduled on packet timestamps, so a replayed trace
     // emits the same lines a live capture would have.
-    let mut emitter = telemetry::SnapshotEmitter::new(metrics_interval_secs * 1_000_000);
+    let mut emitter = telemetry::SnapshotEmitter::new(metrics_interval_micros);
 
     // Like telemetry, streaming sinks must be installed before the parallel
     // workers spawn: each shard owns a partial sink and the final fold
@@ -377,7 +392,7 @@ fn main() -> ExitCode {
     // swaps the since-start accumulator for the sliding-window sink.
     let stream_cfg = stream_path.as_ref().map(|_| {
         let stream = StreamingConfig {
-            snapshot_interval_micros: stream_interval_secs * 1_000_000,
+            snapshot_interval_micros: stream_interval_micros,
             ..StreamingConfig::default()
         };
         match window_micros {
@@ -644,8 +659,9 @@ fn main() -> ExitCode {
     println!("distinct FQDNs  : {}", report.database.distinct_fqdns());
     println!("distinct servers: {}", report.database.distinct_servers());
     println!(
-        "hit ratio       : {:.1}% (post {warmup_secs}s warm-up)",
-        report.hit_ratio() * 100.0
+        "hit ratio       : {:.1}% (post {}s warm-up)",
+        report.hit_ratio() * 100.0,
+        warmup_micros / 1_000_000
     );
     // Per-protocol hit ratios, the paper's Tab. 2 framing (P2P never
     // resolves names, so the overall number understates coverage).

@@ -63,7 +63,6 @@ pub enum DaemonSniffer {
 
 impl DaemonSniffer {
     /// Feed one pcap record to the underlying driver.
-    // lint_root(ingest): daemon record entry, one call per polled record
     pub fn process_record(&mut self, rec: &PcapRecord) {
         match self {
             DaemonSniffer::Seq(s) => s.process_record(rec),
@@ -74,7 +73,6 @@ impl DaemonSniffer {
     /// Rotate at packet-clock `clock`: returns the horizon actually used
     /// (clamped to the oldest live flow) and the retired bucket partials,
     /// per-shard lists concatenated in shard order.
-    // lint_root(determinism): one rotation point for both drivers
     pub fn rotate(&mut self, clock: u64) -> (u64, Vec<(u64, StreamingAnalytics)>) {
         match self {
             DaemonSniffer::Seq(s) => s.rotate(clock),
@@ -156,7 +154,6 @@ impl Rotation {
 
     /// Account one rotation the sniffer just ran at packet-clock `clock`,
     /// feeding what it retired below `horizon` to the emitter.
-    // lint_root(determinism): rotation instants are a function of the record stream
     fn fire(&mut self, clock: u64, (horizon, retired): (u64, Vec<(u64, StreamingAnalytics)>)) {
         self.last_rotate = Some(clock);
         self.rotations += 1;
@@ -170,7 +167,6 @@ impl Rotation {
 /// `Pending` sleeps briefly (bounded backpressure — the pipeline's rings
 /// already bound in-flight work); `on_record(ts)` runs after every record
 /// for driver-side polling (metric snapshots). Returns the record count.
-// lint_root(ingest): daemon event loop over a polled frame source
 pub fn run_frame_daemon(
     source: &mut dyn FrameSource,
     sniffer: &mut DaemonSniffer,
@@ -336,7 +332,6 @@ impl ReorderBuffer {
 /// the released-record clock — the same packet-clock contract as
 /// [`run_frame_daemon`]. Decode errors surface as `Err` (counted first),
 /// never as panics.
-// lint_root(ingest): flow-record daemon over an attacker-controlled export stream
 pub fn run_flowrec_daemon<R: Read>(
     reader: &mut FlowRecReader<R>,
     sniffer: &mut RealTimeSniffer,
@@ -493,7 +488,6 @@ impl RotationEmitter {
     /// Emit every position the batch sweep would have reached by now: all
     /// buckets `≤ e` final (`e < floor`, waived at `finish`) and inside
     /// the sweep's range (`e ≤ hi + steps − 1`).
-    // lint_root(determinism): emitted bytes must equal the batch window sweep's
     fn emit_ready(&mut self, at_finish: bool) {
         let n = self.cfg.steps();
         let slide = self.cfg.slide_micros;

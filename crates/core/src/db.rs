@@ -184,7 +184,6 @@ impl FlowDatabase {
     }
 
     /// Export all rows as JSON lines (one row per line).
-    // lint_root(determinism): export output must be byte-identical across worker counts
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         for f in &self.flows {

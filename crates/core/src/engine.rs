@@ -164,7 +164,6 @@ impl ShardEngine {
     /// packet's destination — the resolver the answer is headed to. Both
     /// drivers hand the raw payload bytes straight here; neither re-parses
     /// the frame.
-    // lint_root(ingest): per-shard handler for attacker-controlled DNS responses
     pub(crate) fn handle_dns_payload(&mut self, seq: u64, ts: u64, client: IpAddr, payload: &[u8]) {
         let mut msg = std::mem::take(&mut self.dns_scratch);
         match dnhunter_dns::codec::decode_into(&mut msg, payload) {
@@ -176,7 +175,6 @@ impl ShardEngine {
 
     /// Common path for UDP and TCP responses. Truncated (TC-bit) responses
     /// are counted but carry no bindings — the client retries over TCP.
-    // lint_root(ingest): per-shard handler for decoded (still untrusted) DNS messages
     pub(crate) fn handle_dns_message(
         &mut self,
         seq: u64,
@@ -232,7 +230,6 @@ impl ShardEngine {
     /// calls [`ShardEngine::tick`]. Both drivers pre-parse: the sequential
     /// sniffer from its flat parse, the pipeline dispatcher shipping
     /// `CompactSeg`s plus DPI head bytes across the ring.
-    // lint_root(ingest): per-shard handler for attacker-controlled TCP payload bytes
     pub(crate) fn process_seg<E: PolicyEnforcer>(
         &mut self,
         seq: u64,
@@ -253,7 +250,6 @@ impl ShardEngine {
 
     /// Run one eviction scan, exactly when the sequential interval gate
     /// would have (the driver replicates that gate and broadcasts the tick).
-    // lint_root(ingest): per-shard timer driven by the ingest clock domain
     pub(crate) fn tick(&mut self, seq: u64, now: u64) {
         for event in self.flows.evict_idle(now) {
             if let FlowEvent::FlowFinished(record) = event {
@@ -262,7 +258,6 @@ impl ShardEngine {
         }
     }
 
-    // lint_root(ingest): FlowTable callback driven per segment from ingest (dyn dispatch the call graph cannot see)
     fn on_flow_started<E: PolicyEnforcer>(
         &mut self,
         seq: u64,
@@ -357,7 +352,6 @@ impl ShardEngine {
         }
     }
 
-    // lint_root(ingest): FlowTable callback driven per flow end from ingest (dyn dispatch the call graph cannot see)
     fn on_flow_finished(&mut self, at: EventKey, record: dnhunter_flow::FlowRecord) {
         let tag = self.pending_tags.remove(&record.key).unwrap_or(PendingTag {
             fqdn: None,
@@ -427,7 +421,6 @@ impl ShardEngine {
     /// per-shard sample order would not be. The final report therefore
     /// covers the post-rotation residue; the retired history lives in the
     /// rotated window stream.
-    // lint_root(determinism): rotation fires at the same packet-clock instants at every worker count
     pub(crate) fn rotate(&mut self, horizon: u64) -> Vec<(u64, StreamingAnalytics)> {
         self.responses.clear();
         self.response_index.clear();
@@ -445,7 +438,6 @@ impl ShardEngine {
     /// accounting run exactly as [`ShardEngine::on_flow_started`] would at
     /// the flow's first-packet time; DPI falls back to the server port
     /// (payload bytes don't exist in this regime).
-    // lint_root(ingest): handler for attacker-controlled flow-record exports
     pub(crate) fn ingest_flow_export(&mut self, seq: u64, rec: &dnhunter_net::FlowExportRecord) {
         let tag = self.tag_flow_start(seq, rec.first_ts, rec.client, rec.server);
         let protocol = dnhunter_flow::AppProtocol::from_server_port(rec.server_port);
@@ -548,7 +540,6 @@ fn add_resolver_stats(into: &mut ResolverStats, from: &ResolverStats) {
 /// table's deterministic `(first_ts, 5-tuple)` order. With one shard the
 /// sort is the identity, so the sequential report *is* the merged report
 /// of a single shard.
-// lint_root(determinism): the deterministic merge that assembles the final report
 pub(crate) fn assemble_report(
     outputs: Vec<ShardOutput>,
     dispatch_stats: SnifferStats,

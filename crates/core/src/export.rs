@@ -15,7 +15,6 @@ pub const TSTAT_COLUMNS: [&str; 12] = [
 
 /// Write the database as a Tstat-style space-separated log. A `#`-prefixed
 /// header row names the columns; untagged flows print `-` for the FQDN.
-// lint_root(determinism): log output must be byte-identical across worker counts
 pub fn write_tstat_log<W: Write>(db: &FlowDatabase, mut w: W) -> io::Result<()> {
     writeln!(w, "#{}", TSTAT_COLUMNS.join(" "))?;
     for f in db.flows() {
@@ -43,7 +42,6 @@ pub fn write_tstat_log<W: Write>(db: &FlowDatabase, mut w: W) -> io::Result<()> 
 }
 
 /// Write the database as CSV with the same columns (quoted FQDN).
-// lint_root(determinism): CSV output must be byte-identical across worker counts
 pub fn write_csv<W: Write>(db: &FlowDatabase, mut w: W) -> io::Result<()> {
     writeln!(w, "{}", TSTAT_COLUMNS.join(","))?;
     for f in db.flows() {

@@ -267,7 +267,6 @@ impl Dispatcher {
     /// demultiplexing order as the sequential sniffer;
     /// DNS frames route by the *client* (the responses' destination) so
     /// bindings land on the shard that will tag that client's flows.
-    // lint_root(ingest): routes every captured frame, parsed or faulted
     fn route_frame(
         &mut self,
         seq: u64,
@@ -499,8 +498,8 @@ impl Dispatcher {
         tm_observe!(Tm::BatchItems, batch.items.len() as u64);
         let queued = link.depth.fetch_add(1, Ordering::Relaxed) + 1;
         tm_observe!(Tm::RingOccupancy, queued);
-        // allow_lint(L7): wall-clock here feeds only the `send_wait_nanos`
-        // telemetry split; no emitted byte depends on it
+        // Wall-clock here feeds only the `send_wait_nanos` telemetry split;
+        // no emitted byte depends on it.
         let t0 = Instant::now();
         // A send only fails when the worker died; `finish` re-raises its
         // panic at the join — nothing to do here.
@@ -569,6 +568,7 @@ impl ParallelSniffer {
         Self::build(config, workers, Some(make_sink))
     }
 
+    // allow_lint(L8): sized from configuration; `workers` is clamped to MAX_PIPELINE_THREADS on the first line
     fn build(
         config: SnifferConfig,
         workers: usize,
@@ -638,7 +638,6 @@ impl ParallelSniffer {
     /// answers on its capacity-1 rotation channel — cheap at rotation cadence,
     /// and it pins retirement to the same packet-clock instant at every
     /// worker count.
-    // lint_root(determinism): rotation barrier fires identically at every worker count
     pub fn rotate(&mut self, clock: u64) -> (u64, Vec<Vec<(u64, StreamingAnalytics)>>) {
         let oldest = self.dispatcher.routes.values().map(|r| r.first_ts).min();
         let horizon = oldest.map_or(clock, |t| t.min(clock));
@@ -663,7 +662,6 @@ impl ParallelSniffer {
     }
 
     /// Process one pcap record.
-    // lint_root(ingest): dispatcher entry, one call per pcap record
     pub fn process_record(&mut self, rec: &PcapRecord) {
         self.process_frame(rec.timestamp_micros(), &rec.frame);
     }
@@ -671,7 +669,6 @@ impl ParallelSniffer {
     /// Dispatch one raw Ethernet frame: flat-parse ([`parse_flat`], no
     /// payload copy), classify exactly as the sequential sniffer does, and
     /// enqueue it for the owning shard.
-    // lint_root(ingest): dispatcher entry, one call per captured frame
     pub fn process_frame(&mut self, ts: u64, frame: &[u8]) {
         let t0 = Instant::now();
         // Blocking sends inside this frame's window are counted by
@@ -814,7 +811,6 @@ fn fold_intern(outputs: &[ShardOutput]) -> InternStats {
 /// sequential sniffer runs — one batch per `recv`, until the dispatcher
 /// drops its sender and the queue is drained. Returns the shard's output
 /// plus its busy time (µs, excluding `recv` blocking).
-// lint_root(ingest): per-worker ingest: decodes DNS and drives the shard engine
 fn worker_loop(
     mut engine: ShardEngine,
     shard: usize,

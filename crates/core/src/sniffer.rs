@@ -177,14 +177,12 @@ impl RealTimeSniffer {
     }
 
     /// Process one raw Ethernet frame with its capture timestamp (µs).
-    // lint_root(ingest): sequential ingest entry, one call per captured frame
     pub fn process_frame(&mut self, ts: u64, frame: &[u8]) {
         self.process_frame_with_policy(ts, frame, None::<&mut crate::policy::RuleEnforcer>);
     }
 
     /// Like [`RealTimeSniffer::process_frame`], invoking `enforcer` at every
     /// flow start (with the label, when the resolver had one).
-    // lint_root(ingest): sequential ingest entry, one call per captured frame
     pub fn process_frame_with_policy<E: PolicyEnforcer>(
         &mut self,
         ts: u64,
@@ -267,7 +265,6 @@ impl RealTimeSniffer {
     /// emitted early — [`crate::ParallelSniffer::rotate`] computes the same
     /// horizon from its routing-table mirror, which is what makes rotated
     /// output identical at every worker count.
-    // lint_root(determinism): sequential half of the rotation contract
     pub fn rotate(&mut self, clock: u64) -> (u64, Vec<(u64, StreamingAnalytics)>) {
         let horizon = self
             .engine
@@ -281,7 +278,6 @@ impl RealTimeSniffer {
     /// mirrored DNS payloads instead of raw frames. DNS records feed
     /// Algorithm 1 exactly as sniffed responses do; flow records are
     /// tagged and emitted directly (there is nothing to reconstruct).
-    // lint_root(ingest): flow-export ingest entry, attacker-controlled records
     pub fn ingest_export(&mut self, rec: &dnhunter_net::ExportRecord) {
         let seq = self.seq;
         self.seq += 1;

@@ -142,8 +142,8 @@ impl Default for StreamingConfig {
 /// A retraction failed because the subtracted partial was not contained
 /// in the receiver. `field` names the first [`StreamState`] field whose
 /// checked subtraction underflowed, so every sink field is accounted for
-/// in diagnostics (and the xtask L11 lint keeps the unmerge coverage
-/// complete). The receiver may be left partially retracted; callers
+/// in diagnostics (and `unmerge`'s exhaustive destructuring keeps the
+/// coverage complete). The receiver may be left partially retracted; callers
 /// rebuild from the surviving buckets (see `window.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetractError {
@@ -227,13 +227,13 @@ type BirthBins = BTreeMap<u64, u64>;
 /// The mergeable aggregate state. Separated from [`StreamingAnalytics`] so
 /// equality (used by the determinism tests) covers exactly the data, not
 /// the suffix/org lookup tables. Every field is either subtractive state
-/// covered by `unmerge` or an explicitly waived run anchor — the xtask
-/// L11 lint enforces that no field is silently missing an inverse.
-// retract_state(unmerge)
+/// covered by `unmerge` or a run anchor it waives by name: `unmerge` and
+/// `data_eq` destructure the struct exhaustively, so a field added without
+/// an inverse is a compile error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct StreamState {
-    trace_start: Option<u64>, // not_retracted: monotone run anchor (min over shards); windowed views override it
-    last_ts: Option<u64>, // not_retracted: monotone run anchor (max over shards); write-only, nothing rendered reads it
+    trace_start: Option<u64>,
+    last_ts: Option<u64>,
     flows: u64,
     labeled_flows: u64,
     answered_responses: u64,
@@ -497,51 +497,74 @@ impl StreamingAnalytics {
     /// surviving buckets instead.
     pub fn unmerge(&mut self, other: &StreamingAnalytics) -> Result<(), RetractError> {
         let err = |field: &'static str| RetractError { field };
+        // Exhaustive on purpose (no `..`): a new field fails to compile
+        // here until it is retracted or waived with a reason.
+        let StreamState {
+            // Monotone run anchor (min over shards); windowed views override it.
+            trace_start: _,
+            // Monotone run anchor (max over shards); write-only, nothing rendered reads it.
+            last_ts: _,
+            flows,
+            labeled_flows,
+            answered_responses,
+            first_flow_count,
+            fqdn_servers,
+            sld_servers,
+            org_content,
+            tag_counts,
+            port_flows,
+            fqdn_birth,
+            sld_birth,
+            server_birth,
+            bins,
+            first_flow_hist,
+            any_flow_hist,
+            dropped_entities,
+        } = &other.state;
         let s = &mut self.state;
-        let o = &other.state;
-        s.flows.retract(&o.flows).map_err(|()| err("flows"))?;
+        s.flows.retract(flows).map_err(|()| err("flows"))?;
         s.labeled_flows
-            .retract(&o.labeled_flows)
+            .retract(labeled_flows)
             .map_err(|()| err("labeled_flows"))?;
         s.answered_responses
-            .retract(&o.answered_responses)
+            .retract(answered_responses)
             .map_err(|()| err("answered_responses"))?;
         s.first_flow_count
-            .retract(&o.first_flow_count)
+            .retract(first_flow_count)
             .map_err(|()| err("first_flow_count"))?;
         s.fqdn_servers
-            .retract(&o.fqdn_servers)
+            .retract(fqdn_servers)
             .map_err(|()| err("fqdn_servers"))?;
         s.sld_servers
-            .retract(&o.sld_servers)
+            .retract(sld_servers)
             .map_err(|()| err("sld_servers"))?;
         s.org_content
-            .retract(&o.org_content)
+            .retract(org_content)
             .map_err(|()| err("org_content"))?;
         s.tag_counts
-            .retract(&o.tag_counts)
+            .retract(tag_counts)
             .map_err(|()| err("tag_counts"))?;
         s.port_flows
-            .retract(&o.port_flows)
+            .retract(port_flows)
             .map_err(|()| err("port_flows"))?;
         s.fqdn_birth
-            .retract(&o.fqdn_birth)
+            .retract(fqdn_birth)
             .map_err(|()| err("fqdn_birth"))?;
         s.sld_birth
-            .retract(&o.sld_birth)
+            .retract(sld_birth)
             .map_err(|()| err("sld_birth"))?;
         s.server_birth
-            .retract(&o.server_birth)
+            .retract(server_birth)
             .map_err(|()| err("server_birth"))?;
-        s.bins.retract(&o.bins).map_err(|()| err("bins"))?;
+        s.bins.retract(bins).map_err(|()| err("bins"))?;
         s.first_flow_hist
-            .sub_merge(&o.first_flow_hist)
+            .sub_merge(first_flow_hist)
             .map_err(|_| err("first_flow_hist"))?;
         s.any_flow_hist
-            .sub_merge(&o.any_flow_hist)
+            .sub_merge(any_flow_hist)
             .map_err(|_| err("any_flow_hist"))?;
         s.dropped_entities
-            .retract(&o.dropped_entities)
+            .retract(dropped_entities)
             .map_err(|()| err("dropped_entities"))?;
         Ok(())
     }
@@ -550,23 +573,46 @@ impl StreamingAnalytics {
     /// (`trace_start`, `last_ts`) that retraction deliberately leaves
     /// alone. This is the equality [`unmerge`](Self::unmerge) restores.
     pub fn data_eq(&self, other: &StreamingAnalytics) -> bool {
-        let (s, o) = (&self.state, &other.state);
-        s.flows == o.flows
-            && s.labeled_flows == o.labeled_flows
-            && s.answered_responses == o.answered_responses
-            && s.first_flow_count == o.first_flow_count
-            && s.fqdn_servers == o.fqdn_servers
-            && s.sld_servers == o.sld_servers
-            && s.org_content == o.org_content
-            && s.tag_counts == o.tag_counts
-            && s.port_flows == o.port_flows
-            && s.fqdn_birth == o.fqdn_birth
-            && s.sld_birth == o.sld_birth
-            && s.server_birth == o.server_birth
-            && s.bins == o.bins
-            && s.first_flow_hist == o.first_flow_hist
-            && s.any_flow_hist == o.any_flow_hist
-            && s.dropped_entities == o.dropped_entities
+        // Exhaustive like `unmerge`'s, so the two stay in step.
+        let StreamState {
+            // Monotone run anchor (min over shards); windowed views override it.
+            trace_start: _,
+            // Monotone run anchor (max over shards); write-only, nothing rendered reads it.
+            last_ts: _,
+            flows,
+            labeled_flows,
+            answered_responses,
+            first_flow_count,
+            fqdn_servers,
+            sld_servers,
+            org_content,
+            tag_counts,
+            port_flows,
+            fqdn_birth,
+            sld_birth,
+            server_birth,
+            bins,
+            first_flow_hist,
+            any_flow_hist,
+            dropped_entities,
+        } = &other.state;
+        let s = &self.state;
+        s.flows == *flows
+            && s.labeled_flows == *labeled_flows
+            && s.answered_responses == *answered_responses
+            && s.first_flow_count == *first_flow_count
+            && s.fqdn_servers == *fqdn_servers
+            && s.sld_servers == *sld_servers
+            && s.org_content == *org_content
+            && s.tag_counts == *tag_counts
+            && s.port_flows == *port_flows
+            && s.fqdn_birth == *fqdn_birth
+            && s.sld_birth == *sld_birth
+            && s.server_birth == *server_birth
+            && s.bins == *bins
+            && s.first_flow_hist == *first_flow_hist
+            && s.any_flow_hist == *any_flow_hist
+            && s.dropped_entities == *dropped_entities
     }
 
     /// A window's-eye view of this aggregate: same data, anchored at
@@ -753,7 +799,6 @@ impl StreamingAnalytics {
     /// snapshot per packet-clock bin, and a final summary object. Derived
     /// entirely from merged state, so the bytes are identical for
     /// sequential and any-worker-count parallel runs.
-    // lint_root(determinism): streaming output must be byte-identical across worker counts
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"stream\":\"dn-hunter\",\"interval_micros\":");

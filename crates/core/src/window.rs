@@ -251,7 +251,6 @@ impl WindowedAnalytics {
     /// non-empty bucket to the last window containing the last one, so
     /// leading and trailing windows may be partially filled — exactly as a
     /// slice of the trace over those spans would be.
-    // lint_root(determinism): window sweep output must be byte-identical across worker counts
     pub fn for_each_window(&self, mut f: impl FnMut(WindowSpan, &StreamingAnalytics)) {
         let slide = self.cfg.slide_micros;
         self.sweep(|span, acc| f(span, &acc.rebased_view(span.start, span.start / slide)));
@@ -307,7 +306,6 @@ impl WindowedAnalytics {
     /// window position carrying `window_start`/`window_end`/`seq` and the
     /// same summary object the plain stream renderer emits. Derived
     /// entirely from merged state — byte-identical at any worker count.
-    // lint_root(determinism): windowed output must be byte-identical across worker counts
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"stream\":\"dn-hunter-windowed\",\"window_micros\":");

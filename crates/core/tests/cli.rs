@@ -1,8 +1,9 @@
 //! The `dn-hunter` binary driven as a subprocess: every pcap replay goes
 //! through the one daemon loop, so a plain file run must still print
 //! exactly what the library's exporters render for the sequential sniffer
-//! — at any `--workers` — and the deleted `--dispatchers` flag must be
-//! refused like any other unknown argument.
+//! — at any `--workers` — the deleted `--dispatchers` flag must be
+//! refused like any other unknown argument, and a seconds flag too large
+//! for microseconds must be a usage error.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -31,6 +32,29 @@ fn dispatchers_flag_is_rejected_as_unknown() {
         stderr.contains("unknown argument '--dispatchers'"),
         "unexpected stderr: {stderr}"
     );
+}
+
+/// Seconds flags are scaled to microseconds; a value whose product
+/// overflows `u64` is a usage error, not a wrapped (release) or panicking
+/// (debug) duration. `u64::MAX / 1_000_000` is the largest accepted.
+#[test]
+fn seconds_flags_reject_values_that_overflow_microseconds() {
+    let missing = temp_path("missing.pcap");
+    let missing = missing.to_str().expect("utf-8 temp path");
+    for flag in ["--warmup", "--metrics-interval", "--stream-interval"] {
+        let out = dn_hunter(&[missing, flag, "18446744073710"]);
+        assert_eq!(out.status.code(), Some(1), "{flag}: expected a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} needs seconds")),
+            "{flag}: unexpected stderr: {stderr}"
+        );
+    }
+    // The largest representable value parses; the run then fails on the
+    // missing input, not on the flag.
+    let out = dn_hunter(&[missing, "--warmup", "18446744073709"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot open"));
 }
 
 #[test]

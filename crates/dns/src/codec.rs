@@ -50,7 +50,6 @@ pub fn decode(buf: &[u8]) -> Result<DnsMessage> {
 /// `dnh_dns_messages_decoded_total`, failures into
 /// `dnh_dns_decode_errors_total` (both stable — every driver decodes each
 /// DNS payload the same number of times).
-// lint_root(ingest): DNS wire-format decode of untrusted payloads
 pub fn decode_into(msg: &mut DnsMessage, buf: &[u8]) -> Result<()> {
     let decoded = decode_sections(msg, buf);
     if decoded.is_ok() {
@@ -91,6 +90,7 @@ fn decode_sections(msg: &mut DnsMessage, buf: &[u8]) -> Result<()> {
 
 /// Encode a message for a TCP transport: two-byte big-endian length prefix
 /// followed by the wire message (RFC 1035 §4.2.2).
+// allow_lint(L8): encoder; `msg` is a message the program holds and the buffer is its encoding plus the 2-byte prefix
 pub fn encode_tcp(msg: &DnsMessage) -> Result<Vec<u8>> {
     let body = encode(msg)?;
     if body.len() > usize::from(u16::MAX) {
@@ -109,7 +109,6 @@ pub fn encode_tcp(msg: &DnsMessage) -> Result<Vec<u8>> {
 /// start of a TCP payload. Trailing partial data (a message split across segments) is
 /// ignored; malformed messages stop the scan.
 // allow_lint(L1): pos+1 is readable by the `pos + 2 <= buf.len()` loop guard; start..end is readable because `end > buf.len()` breaks first
-// lint_root(ingest): TCP-framed DNS decode of untrusted payloads
 pub fn decode_tcp_stream(buf: &[u8]) -> Vec<DnsMessage> {
     let mut out = Vec::new();
     let mut pos = 0;

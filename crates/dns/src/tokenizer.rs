@@ -12,6 +12,7 @@ use crate::suffix::SuffixSet;
 /// Normalise one raw token per the paper's Algorithm 4: lowercase, digit
 /// runs collapsed to a single `N`. Returns `None` when nothing but
 /// separators/digits-only-noise remains.
+// allow_lint(L8): the output is never longer than `raw`, a string the caller already holds; no length is read off the wire
 pub fn normalize_token(raw: &str) -> Option<String> {
     if raw.is_empty() {
         return None;

@@ -62,7 +62,6 @@ impl AppProtocol {
 /// server port. Payload evidence always beats port numbers; ports only
 /// break ties for protocols whose first payload is server-sent banners we
 /// may have missed.
-// lint_root(ingest): DPI classification over attacker-controlled payload prefixes
 pub fn classify(c2s: &[u8], s2c: &[u8], server_port: u16) -> AppProtocol {
     // P2P first: a tracker announce is also valid HTTP, and the paper
     // counts it as P2P.

@@ -151,6 +151,7 @@ fn parse_certificate_cn(msg: &[u8]) -> Option<String> {
 // Builders (used by the simulator)
 // ---------------------------------------------------------------------------
 
+// allow_lint(L8): simulator builder; `body` is bytes the program built, not a length read off the wire
 fn record(ctype: u8, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(5 + body.len());
     out.push(ctype);
@@ -160,6 +161,7 @@ fn record(ctype: u8, body: &[u8]) -> Vec<u8> {
     out
 }
 
+// allow_lint(L8): simulator builder; `body` is bytes the program built, not a length read off the wire
 fn handshake(hs_type: u8, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + body.len());
     out.push(hs_type);
@@ -250,6 +252,7 @@ pub fn build_server_flight(cert_cn: Option<&str>, random_seed: u64) -> Vec<u8> {
 }
 
 /// Build an opaque application-data record (encrypted traffic stand-in).
+// allow_lint(L8): simulator builder; `len` comes from the traffic model and is capped at 16 000 bytes
 pub fn build_application_data(len: usize, seed: u64) -> Vec<u8> {
     let mut body = vec![0u8; len.min(16_000)];
     let mut s = seed | 1;

@@ -27,6 +27,7 @@ fn push_len(out: &mut Vec<u8>, len: usize) {
 }
 
 /// Encode one TLV.
+// allow_lint(L8): certificate builder; `body` is DER the program encoded, not a length read off the wire
 fn tlv(tag: u8, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(body.len() + 4);
     out.push(tag);

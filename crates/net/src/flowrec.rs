@@ -433,6 +433,7 @@ pub fn decode_stream(bytes: &[u8]) -> Result<Vec<ExportRecord>, FlowRecError> {
 }
 
 /// Encode a full stream (header + records) into one buffer.
+// allow_lint(L8): encoder; sized from records the program already holds, not from a count read off the wire
 pub fn encode_stream(records: &[ExportRecord]) -> Vec<u8> {
     let mut out = Vec::with_capacity(6 + records.len() * 64);
     out.extend_from_slice(&FLOWREC_MAGIC);

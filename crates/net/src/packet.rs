@@ -126,7 +126,6 @@ impl<'a> PacketView<'a> {
     /// `dnh_net_checksum_errors_total`, and
     /// `dnh_net_frames_malformed_total` (all stable — a rejected frame is
     /// counted exactly once by every driver).
-    // lint_root(ingest): first touch of attacker-controlled wire bytes (zero-copy header walk)
     pub fn parse(frame: &'a [u8]) -> Result<PacketView<'a>> {
         match Self::parse_inner(frame) {
             Ok(view) => {
@@ -244,7 +243,6 @@ impl Packet {
     ///
     /// Equivalent to [`PacketView::parse`] followed by one payload copy —
     /// the two stages accept and reject identical frame sets.
-    // lint_root(ingest): owned-packet parse entry over raw captured frames
     pub fn parse(frame: &[u8]) -> Result<Packet> {
         PacketView::parse(frame).map(|v| v.to_packet())
     }
@@ -259,6 +257,7 @@ impl Packet {
 }
 
 /// Build a complete Ethernet+IPv4+UDP frame carrying `payload`.
+// allow_lint(L8): frame builder; sizes come from the payload the caller already holds, not from a length read off the wire
 pub fn build_udp_v4(
     src_mac: MacAddr,
     dst_mac: MacAddr,
@@ -283,6 +282,7 @@ pub fn build_udp_v4(
 }
 
 /// Build a complete Ethernet+IPv4+TCP frame carrying `payload`.
+// allow_lint(L8): frame builder; sizes come from the payload the caller already holds, not from a length read off the wire
 #[allow(clippy::too_many_arguments)]
 pub fn build_tcp_v4(
     src_mac: MacAddr,
@@ -313,6 +313,7 @@ pub fn build_tcp_v4(
 
 /// Build a complete Ethernet+IPv6+UDP frame carrying `payload`. The simulator
 /// uses this to exercise the v6 code path of the sniffer.
+// allow_lint(L8): frame builder; sizes come from the payload the caller already holds, not from a length read off the wire
 // allow_lint(L1): seg holds 8 header bytes before the checksum is patched at 6..8
 pub fn build_udp_v6(
     src_mac: MacAddr,
@@ -350,6 +351,7 @@ pub fn build_udp_v6(
 }
 
 /// Build a complete Ethernet+IPv6+TCP frame carrying `payload`.
+// allow_lint(L8): frame builder; sizes come from the payload the caller already holds, not from a length read off the wire
 #[allow(clippy::too_many_arguments)]
 pub fn build_tcp_v6(
     src_mac: MacAddr,
@@ -380,6 +382,7 @@ pub fn build_tcp_v6(
 
 /// Insert an 802.1Q tag (vlan id) into an untagged Ethernet frame —
 /// useful for testing trunk-port captures.
+// allow_lint(L8): copies a frame the caller already holds plus the 4-byte tag; no length is read off the wire
 pub fn insert_vlan_tag(frame: &[u8], vlan_id: u16) -> Vec<u8> {
     // Runt frames (shorter than the two MAC addresses) can't carry a tag;
     // return them unchanged rather than panic (lint L1).

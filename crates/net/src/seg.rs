@@ -90,7 +90,6 @@ pub enum FlatParse<'a> {
 /// [`PacketView::parse`]; only the representation differs. The fast path
 /// handles untagged Ethernet II + IPv4 + TCP/UDP; VLAN-tagged, IPv6 and
 /// exotic frames take the generic fallback.
-// lint_root(ingest): first touch of attacker-controlled wire bytes (flat header walk)
 pub fn parse_flat(frame: &[u8]) -> Result<FlatParse<'_>, FrameFault> {
     let parsed = flat_fast(frame).unwrap_or_else(|| flat_generic(frame));
     match parsed {

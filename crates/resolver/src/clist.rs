@@ -28,10 +28,9 @@ pub struct CircularList<T> {
 
 impl<T> CircularList<T> {
     /// A list with capacity `size` (must be non-zero) — the paper's §4.2 `L`.
+    // allow_lint(L8): `size` is the operator-configured cache capacity (the paper's §4.2 `L`), not a wire-derived length
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "Clist size must be positive");
-        // `size` is the operator-configured cache capacity (the paper's
-        // §4.2 `L`), validated above — not a wire-derived length.
         let mut slots = Vec::with_capacity(size);
         slots.resize_with(size, || None);
         CircularList {

@@ -19,7 +19,6 @@ fn included(m: Metric, include_runtime: bool) -> bool {
 /// Render a snapshot in the Prometheus text exposition format
 /// (`# HELP` / `# TYPE` comments, cumulative `_bucket{le=...}` cells,
 /// `_sum`/`_count` for histograms).
-// lint_root(determinism): exposition must be byte-identical across worker counts
 pub fn prometheus(snap: &Snapshot, include_runtime: bool) -> String {
     let mut out = String::with_capacity(4096);
     for m in Metric::ALL {
@@ -70,7 +69,6 @@ pub fn prometheus(snap: &Snapshot, include_runtime: bool) -> String {
 /// file can detect dropped or reordered lines. `ts_micros` is the
 /// packet-clock timestamp that triggered the snapshot (trace time, not
 /// wall time — see [`crate::SnapshotEmitter`]).
-// lint_root(determinism): exposition must be byte-identical across worker counts
 pub fn jsonl(snap: &Snapshot, seq: u64, ts_micros: u64, include_runtime: bool) -> String {
     let mut out = String::with_capacity(2048);
     let _ = write!(

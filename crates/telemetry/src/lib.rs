@@ -98,7 +98,8 @@ macro_rules! tm_span {
 
 /// Record a Stable-class flight-recorder event with an explicit packet
 /// timestamp: `tm_trace!(TraceEvent::X, seq, ts, a, b)`. No-op when no
-/// recorder is bound; lint L10 checks every site against the catalog.
+/// recorder is bound; an event not in the `trace_events!` catalog does
+/// not compile, since the catalog generates [`TraceEvent`].
 #[macro_export]
 macro_rules! tm_trace {
     ($e:expr, $seq:expr, $ts:expr, $a:expr, $b:expr) => {

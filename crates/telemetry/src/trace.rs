@@ -24,10 +24,10 @@
 //!   Chrome-trace profile view and are never part of deterministic
 //!   output.
 //!
-//! Lint L10 (`cargo xtask lint`) keeps this catalog honest: every
-//! `tm_trace!`/`tm_trace_wall!` site must name a cataloged event, every
-//! cataloged event must have at least one site, and record lines must be
-//! free of allocation, locking, and formatting.
+//! The catalog generates [`TraceEvent`], so a `tm_trace!`/`tm_trace_wall!`
+//! site naming an uncataloged event does not compile. Record arguments
+//! must stay free of allocation, locking, and formatting; no lint checks
+//! that (DESIGN.md §8).
 
 /// Determinism class of a trace event (mirrors [`crate::Class`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

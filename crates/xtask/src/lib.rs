@@ -1,17 +1,14 @@
-//! The xtask static-analysis library: lexical model ([`scan`]), item model
-//! ([`model`]), call graph + reachability ([`graph`]), the token lints
-//! L1–L6 ([`lints`]), the reachability lints L7–L10 ([`reach`]), and the
-//! whole-workspace driver ([`runner`]).
+//! The xtask static-analysis library: lexical model ([`scan`]), function
+//! spans ([`model`]), the per-file lints L1, L2, L4, L5, L6 and L8
+//! ([`lints`]), and the whole-workspace driver ([`runner`]).
 //!
 //! Split out of the `xtask` binary so the `lint_selftest` integration test
 //! can run every lint against the fixture snippets under
 //! `tests/fixtures/`.
 
 pub mod ci_check;
-pub mod graph;
 pub mod lints;
 pub mod model;
-pub mod reach;
 pub mod runner;
 pub mod scan;
 

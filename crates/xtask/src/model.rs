@@ -1,250 +1,44 @@
-//! A lightweight Rust *item model* on top of [`crate::scan::SourceFile`].
+//! Function spans on top of [`crate::scan::SourceFile`].
 //!
-//! The reachability lints (L7–L9) need more than per-line token scans: they
-//! need to know which function a line belongs to, what that function calls,
-//! and which functions are annotated as analysis roots. This module lifts
-//! the lexical model into a list of [`FnItem`]s per file — function spans
-//! with their enclosing `impl` type, parameter names, extracted call
-//! tokens, and `lint_root(...)` annotations — without attempting type
-//! checking or full name resolution. See DESIGN.md §8 for exactly what the
-//! approximation over- and under-states.
+//! L8's taint tracking is intraprocedural: it needs to know where each
+//! function's body starts and ends, what its parameters are called (they
+//! seed the taint), and whether it is test code. This module lifts the
+//! lexical model into a list of [`FnItem`]s per file — no types, no name
+//! resolution, no call graph.
 
-use crate::scan::SourceFile;
+use crate::scan::{Line, SourceFile};
 
-/// Which root set a function belongs to (from a `// lint_root(x): reason`
-/// marker comment or a built-in naming rule).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RootClass {
-    /// Merge/fold/render/export code whose output must be byte-identical
-    /// sequential vs parallel (L7).
-    Determinism,
-    /// Code that first touches attacker-controlled wire bytes (L8, L9).
-    Ingest,
-}
-
-impl RootClass {
-    pub fn parse(s: &str) -> Option<RootClass> {
-        match s {
-            "determinism" => Some(RootClass::Determinism),
-            "ingest" => Some(RootClass::Ingest),
-            _ => None,
-        }
-    }
-}
-
-/// How a call site spells its callee.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CallKind {
-    /// `foo(...)` — a free function in scope.
-    Free,
-    /// `recv.foo(...)` — a method on an unknown receiver type.
-    Method,
-    /// `Qual::foo(...)` — the last path segment before the name
-    /// (a type, module, or crate alias).
-    Qualified(String),
-}
-
-/// One extracted call token inside a function body.
-#[derive(Debug, Clone)]
-pub struct Call {
-    pub name: String,
-    pub kind: CallKind,
-}
-
-/// One `fn` item: its span, context, parameters, and call tokens.
+/// One `fn` item: its span, parameters, and test flag.
 #[derive(Debug)]
 pub struct FnItem {
-    /// Index of the owning file in the workspace file list.
-    pub file: usize,
-    /// Crate directory name (`net`, `dns`, ...).
-    pub krate: String,
     pub name: String,
-    /// Base type name of the enclosing `impl` block, if any.
-    pub impl_type: Option<String>,
-    /// Zero-based line of the `fn` keyword.
-    pub sig_line: usize,
-    /// Zero-based inclusive body span (covers the signature too).
+    /// Zero-based inclusive span from the `fn` line to the closing brace.
     pub start: usize,
     pub end: usize,
     /// Parameter identifier names (excluding `self`).
     pub params: Vec<String>,
-    pub calls: Vec<Call>,
-    /// Root classes from `lint_root` markers or naming rules.
-    pub roots: Vec<RootClass>,
     /// True when the item sits in `#[cfg(test)]` / `#[test]` code.
     pub test: bool,
 }
 
-/// A file lifted into the item model.
-pub struct ModelFile {
-    pub source: SourceFile,
-    pub krate: String,
-    /// Indices into the workspace's `fns` that live in this file.
-    pub fns: Vec<usize>,
-    /// Workspace crates this file `use`s (by crate dir name), for edge
-    /// resolution across crates.
-    pub imports: Vec<String>,
-}
-
-/// Functions whose *name alone* makes them determinism roots: the fold /
-/// merge / render discipline of DESIGN.md §11 names them consistently.
-fn name_is_determinism_root(name: &str) -> bool {
-    name == "fold" || name == "merge" || name == "merge_from" || name.starts_with("render")
-}
-
-/// Map a `dnhunter-*` package name (as spelled in `use` paths with
-/// underscores) to the crate directory name.
-pub fn crate_dir_of_use(seg: &str) -> Option<&str> {
-    seg.strip_prefix("dnhunter_")
-        .map(|rest| if rest.is_empty() { "core" } else { rest })
-        .or(if seg == "dnhunter" {
-            Some("core")
-        } else {
-            None
-        })
-}
-
-/// Extract every `fn` item of `file` into `fns`, returning the model file.
-pub fn lift(file: SourceFile, krate: &str, file_idx: usize, fns: &mut Vec<FnItem>) -> ModelFile {
+/// Every `fn` item of `file`, in source order. Nested fns are listed too;
+/// their lines also fall inside the outer item's span.
+pub fn fn_items(file: &SourceFile) -> Vec<FnItem> {
     let lines = &file.lines;
-    // Pass 1: impl-block context per line (type name + line + depth where
-    // the block opened).
-    let mut impl_stack: Vec<(String, usize, usize)> = Vec::new();
-    let mut impl_ctx: Vec<Option<String>> = Vec::with_capacity(lines.len());
-    // Pending root annotations: `// lint_root(x): reason` standalone
-    // comments apply to the next fn item.
-    let mut pending_roots: Vec<RootClass> = Vec::new();
-    let mut imports: Vec<String> = Vec::new();
-    let mut local_fns: Vec<usize> = Vec::new();
-
-    let mut i = 0usize;
-    while i < lines.len() {
-        let line = &lines[i];
-        let code = line.code.as_str();
-        let trimmed = code.trim();
-        // An impl block is over once a later line starts back at (or above)
-        // the depth the `impl` line opened at.
-        while impl_stack
-            .last()
-            .is_some_and(|&(_, at, d)| i > at && line.depth <= d)
-        {
-            impl_stack.pop();
-        }
-        impl_ctx.push(impl_stack.last().map(|(t, _, _)| t.clone()));
-
-        // lint_root markers ride on comments, like allow_lint.
-        if let Some(root) = parse_root_marker(&line.comment) {
-            pending_roots.push(root);
-        }
-
-        if let Some(ty) = impl_type_of(trimmed) {
-            impl_stack.push((ty, i, line.depth));
-        }
-        if trimmed.starts_with("use ") || trimmed.starts_with("pub use ") {
-            let path = trimmed
-                .trim_start_matches("pub ")
-                .trim_start_matches("use ")
-                .trim_end_matches(';');
-            if let Some(first) = path.split("::").next() {
-                if let Some(dir) = crate_dir_of_use(first.trim()) {
-                    if !imports.iter().any(|d| d == dir) {
-                        imports.push(dir.to_string());
-                    }
-                }
-            }
-        }
-
-        if let Some(name) = fn_name_of(trimmed) {
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if let Some(name) = fn_name_of(line.code.trim()) {
             let (sig_end, params) = parse_signature(lines, i);
-            let end = body_end(lines, i, sig_end);
-            let mut roots: Vec<RootClass> = std::mem::take(&mut pending_roots);
-            if !line.test
-                && name_is_determinism_root(&name)
-                && !roots.contains(&RootClass::Determinism)
-            {
-                roots.push(RootClass::Determinism);
-            }
-            let mut calls = Vec::new();
-            for l in lines.iter().take(end + 1).skip(i) {
-                extract_calls(&l.code, &mut calls);
-            }
-            local_fns.push(fns.len());
-            fns.push(FnItem {
-                file: file_idx,
-                krate: krate.to_string(),
+            out.push(FnItem {
                 name,
-                impl_type: impl_ctx[i].clone(),
-                sig_line: i,
                 start: i,
-                end,
+                end: body_end(lines, i, sig_end),
                 params,
-                calls,
-                roots,
                 test: line.test,
             });
-            // Nested fns are rare; treating the outer span as one item is
-            // an acceptable over-approximation, but we still want nested
-            // items indexed, so don't skip the body.
         }
-        i += 1;
     }
-
-    ModelFile {
-        source: file,
-        krate: krate.to_string(),
-        fns: local_fns,
-        imports,
-    }
-}
-
-/// `// lint_root(class): reason` marker in a comment.
-fn parse_root_marker(comment: &str) -> Option<RootClass> {
-    let pos = comment.find("lint_root(")?;
-    let rest = &comment[pos + "lint_root(".len()..];
-    let close = rest.find(')')?;
-    RootClass::parse(rest[..close].trim())
-}
-
-/// `impl Foo {`, `impl<T> Foo<T> {`, `impl Trait for Foo {` → `Foo`.
-fn impl_type_of(trimmed: &str) -> Option<String> {
-    let rest = trimmed.strip_prefix("impl")?;
-    let rest = rest.trim_start_matches(|c| c != ' ' && c != '<').trim();
-    let rest = if let Some(r) = rest.strip_prefix('<') {
-        // Skip the generic parameter list.
-        let mut depth = 1i32;
-        let mut idx = 0;
-        for (k, c) in r.char_indices() {
-            match c {
-                '<' => depth += 1,
-                '>' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        idx = k + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        r[idx..].trim()
-    } else {
-        rest
-    };
-    // `Trait for Type` → take the type side.
-    let ty = match rest.find(" for ") {
-        Some(p) => &rest[p + 5..],
-        None => rest,
-    };
-    let base: String = ty
-        .trim()
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    if base.is_empty() {
-        None
-    } else {
-        Some(base)
-    }
+    out
 }
 
 /// `fn name` on this line (handles `pub`, `pub(crate)`, `const`, `async`,
@@ -287,7 +81,7 @@ fn fn_name_of(trimmed: &str) -> Option<String> {
 
 /// Join signature lines from `start` until the parameter list closes and a
 /// `{` or `;` is found; return (last signature line, param names).
-fn parse_signature(lines: &[crate::scan::Line], start: usize) -> (usize, Vec<String>) {
+fn parse_signature(lines: &[Line], start: usize) -> (usize, Vec<String>) {
     let mut sig = String::new();
     let mut end = start;
     for (k, l) in lines.iter().enumerate().skip(start) {
@@ -392,8 +186,7 @@ fn param_names(sig: &str) -> Vec<String> {
 /// Last line of the fn body: from the signature's `{`, walk until brace
 /// depth returns to the opening level. Braceless (`;`) items end at the
 /// signature.
-fn body_end(lines: &[crate::scan::Line], start: usize, sig_end: usize) -> usize {
-    // Find the opening brace from the signature onward.
+fn body_end(lines: &[Line], start: usize, sig_end: usize) -> usize {
     let mut depth = 0i32;
     let mut opened = false;
     for (k, l) in lines.iter().enumerate().skip(start) {
@@ -415,166 +208,40 @@ fn body_end(lines: &[crate::scan::Line], start: usize, sig_end: usize) -> usize 
     lines.len().saturating_sub(1)
 }
 
-/// Identifier tail ending at byte `end` of `s` (exclusive).
-fn ident_ending_at(s: &str, end: usize) -> Option<&str> {
-    let bytes = s.as_bytes();
-    let mut w = end;
-    while w > 0 {
-        let c = bytes[w - 1] as char;
-        if c.is_alphanumeric() || c == '_' {
-            w -= 1;
-        } else {
-            break;
-        }
-    }
-    if w == end {
-        None
-    } else {
-        Some(&s[w..end])
-    }
-}
-
-/// Rust keywords that look like call names when followed by `(`.
-const NON_CALL_KEYWORDS: &[&str] = &[
-    "if", "while", "for", "match", "return", "in", "as", "let", "fn", "move", "loop", "else",
-    "break", "continue", "where", "impl", "dyn", "ref", "mut", "use", "pub", "unsafe", "async",
-];
-
-/// Extract call tokens from one blanked code line into `out`.
-///
-/// Recognized shapes: `name(`, `.name(`, `Qual::name(`. Macro invocations
-/// (`name!(...)`) are *not* calls — the only macros the lints interpret are
-/// the `tm_*!` family, which L9 handles separately.
-pub fn extract_calls(code: &str, out: &mut Vec<Call>) {
-    let bytes = code.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'(' {
-            continue;
-        }
-        let Some(name) = ident_ending_at(code, i) else {
-            continue;
-        };
-        if name.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-            continue;
-        }
-        if NON_CALL_KEYWORDS.contains(&name) {
-            continue;
-        }
-        let before = i - name.len();
-        // Macro call? `name!(` has the bang *after* the name — but the
-        // bang precedes `(` only as `name!(`, so check the char at i-len-1
-        // being '!' is impossible; instead check name directly followed by
-        // '!' — can't happen since '(' follows. Check preceding char:
-        let prev = if before == 0 {
-            None
-        } else {
-            Some(bytes[before - 1] as char)
-        };
-        match prev {
-            Some('!') => continue, // macro body or `!cond (`—not a call
-            Some('.') => out.push(Call {
-                name: name.to_string(),
-                kind: CallKind::Method,
-            }),
-            Some(':') if before >= 2 && bytes[before - 2] == b':' => {
-                let qual = ident_ending_at(code, before - 2).unwrap_or("").to_string();
-                out.push(Call {
-                    name: name.to_string(),
-                    kind: CallKind::Qualified(qual),
-                });
-            }
-            _ => out.push(Call {
-                name: name.to_string(),
-                kind: CallKind::Free,
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn model(src: &str) -> (Vec<FnItem>, ModelFile) {
-        let sf = SourceFile::parse(PathBuf::from("mem.rs"), src);
-        let mut fns = Vec::new();
-        let mf = lift(sf, "mem", 0, &mut fns);
-        (fns, mf)
+    fn items(src: &str) -> Vec<FnItem> {
+        fn_items(&SourceFile::parse(PathBuf::from("mem.rs"), src))
     }
 
     #[test]
-    fn fn_spans_and_impl_context() {
+    fn fn_spans_and_params() {
         let src = "struct S;\nimpl S {\n    pub fn a(&self, x: u8) -> u8 {\n        helper(x)\n    }\n}\nfn helper(v: u8) -> u8 {\n    v\n}\n";
-        let (fns, _) = model(src);
+        let fns = items(src);
         assert_eq!(fns.len(), 2);
         assert_eq!(fns[0].name, "a");
-        assert_eq!(fns[0].impl_type.as_deref(), Some("S"));
         assert_eq!(fns[0].params, vec!["x"]);
-        assert_eq!(fns[0].start, 2);
-        assert_eq!(fns[0].end, 4);
+        assert_eq!((fns[0].start, fns[0].end), (2, 4));
         assert_eq!(fns[1].name, "helper");
-        assert_eq!(fns[1].impl_type, None);
         assert_eq!(fns[1].params, vec!["v"]);
-    }
-
-    #[test]
-    fn call_extraction_distinguishes_kinds() {
-        let mut calls = Vec::new();
-        extract_calls(
-            "let y = helper(x) + obj.method(z) + Type::assoc(w);",
-            &mut calls,
-        );
-        let kinds: Vec<(&str, &CallKind)> =
-            calls.iter().map(|c| (c.name.as_str(), &c.kind)).collect();
-        assert_eq!(kinds.len(), 3, "{kinds:?}");
-        assert_eq!(calls[0].name, "helper");
-        assert_eq!(calls[0].kind, CallKind::Free);
-        assert_eq!(calls[1].name, "method");
-        assert_eq!(calls[1].kind, CallKind::Method);
-        assert_eq!(calls[2].name, "assoc");
-        assert_eq!(calls[2].kind, CallKind::Qualified("Type".into()));
-    }
-
-    #[test]
-    fn keywords_and_macros_are_not_calls() {
-        let mut calls = Vec::new();
-        extract_calls(
-            "if cond(x) { format!(\"{}\", y) } else { while bar() {} }",
-            &mut calls,
-        );
-        let names: Vec<&str> = calls.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["cond", "bar"], "{names:?}");
-    }
-
-    #[test]
-    fn root_markers_and_name_rules() {
-        let src = "// lint_root(ingest): parses wire bytes\nfn parse_frame(buf: &[u8]) {}\n\nfn fold(parts: Vec<u8>) {}\n\nfn ordinary() {}\n";
-        let (fns, _) = model(src);
-        assert_eq!(fns[0].roots, vec![RootClass::Ingest]);
-        assert_eq!(fns[1].roots, vec![RootClass::Determinism]);
-        assert!(fns[2].roots.is_empty());
     }
 
     #[test]
     fn multiline_signature_params() {
         let src = "fn f(\n    alpha: u32,\n    beta: &[u8],\n) -> u32 {\n    alpha\n}\n";
-        let (fns, _) = model(src);
+        let fns = items(src);
         assert_eq!(fns[0].params, vec!["alpha", "beta"]);
         assert_eq!(fns[0].end, 5);
     }
 
     #[test]
-    fn imports_resolve_to_crate_dirs() {
-        let src = "use dnhunter_dns::codec;\nuse dnhunter_telemetry::Metric as Tm;\nuse std::collections::BTreeMap;\n";
-        let (_, mf) = model(src);
-        assert_eq!(mf.imports, vec!["dns", "telemetry"]);
-    }
-
-    #[test]
-    fn trait_impl_type_is_the_type_side() {
-        let src = "impl FlowSink for StreamingAnalytics {\n    fn on_flow(&mut self) {}\n}\n";
-        let (fns, _) = model(src);
-        assert_eq!(fns[0].impl_type.as_deref(), Some("StreamingAnalytics"));
+    fn fn_types_are_not_items_and_tests_are_flagged() {
+        let src = "fn f(cb: Box<dyn Fn(u8)>) {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        let fns = items(src);
+        let names: Vec<(&str, bool)> = fns.iter().map(|f| (f.name.as_str(), f.test)).collect();
+        assert_eq!(names, vec![("f", false), ("t", true)]);
     }
 }

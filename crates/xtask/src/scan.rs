@@ -10,10 +10,6 @@
 /// One analysed source line.
 #[derive(Debug)]
 pub struct Line {
-    /// The raw line exactly as read, string contents included. Lints that
-    /// must look inside literals (e.g. `{:p}` format specifiers) use this;
-    /// everything else scans `code`.
-    pub raw: String,
     /// The line with comment bodies and string/char literal contents
     /// replaced by spaces. Quote characters are kept so tokens don't merge.
     pub code: String,
@@ -77,41 +73,25 @@ impl SourceFile {
         }
     }
 
-    /// Per-line allow mask for `lint`: `true` where a marker suppresses it.
+    /// Per-line coverage of one marker: `true` where it suppresses its lint.
     ///
     /// Marker scope rules:
     /// * a marker sharing its line with code covers that line;
     /// * a standalone marker covers the next non-comment, non-attribute
     ///   line; if that line opens an item (`fn` / `impl` / `mod` / ...),
     ///   the whole braced item body is covered.
-    pub fn allow_mask(&self, lint: &str) -> Vec<bool> {
-        let mut mask = vec![false; self.lines.len()];
-        for m in &self.markers {
-            if m.lint == lint {
-                self.apply_marker(m, &mut mask);
-            }
-        }
-        mask
-    }
-
-    /// Coverage of one marker alone, for stale-marker detection (M2).
     pub fn marker_mask(&self, m: &Marker) -> Vec<bool> {
         let mut mask = vec![false; self.lines.len()];
-        self.apply_marker(m, &mut mask);
-        mask
-    }
-
-    fn apply_marker(&self, m: &Marker, mask: &mut [bool]) {
         if !m.standalone {
             mask[m.line] = true;
-            return;
+            return mask;
         }
         // Find the first following line that is real code.
         let Some(target) = (m.line + 1..self.lines.len()).find(|&i| {
             let t = self.lines[i].code.trim();
             !t.is_empty() && !t.starts_with("#[")
         }) else {
-            return;
+            return mask;
         };
         mask[target] = true;
         if opens_item(self.lines[target].code.trim()) {
@@ -136,6 +116,7 @@ impl SourceFile {
                 *slot = true;
             }
         }
+        mask
     }
 }
 
@@ -291,7 +272,6 @@ fn lex_line(raw: &str, mut state: State) -> (Line, State) {
     // A line comment never crosses lines.
     (
         Line {
-            raw: raw.to_string(),
             code,
             comment,
             doc,
@@ -462,14 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_lines_are_preserved_verbatim() {
-        let src = "let s = \"{:p}\";\n";
-        let f = parse(src);
-        assert!(!f.lines[0].code.contains("{:p}"));
-        assert!(f.lines[0].raw.contains("{:p}"));
-    }
-
-    #[test]
     fn cfg_test_spans_are_marked() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn live2() {}\n";
         let f = parse(src);
@@ -483,7 +455,7 @@ mod tests {
         let src =
             "// allow_lint(L1): fixture\nfn f() {\n    a[0];\n    b[1];\n}\nfn g() { c[2]; }\n";
         let f = parse(src);
-        let mask = f.allow_mask("L1");
+        let mask = f.marker_mask(&f.markers[0]);
         assert!(mask[1] && mask[2] && mask[3]);
         assert!(!mask[5]);
     }
@@ -492,7 +464,7 @@ mod tests {
     fn inline_marker_covers_its_line_only() {
         let src = "let x = v[0]; // allow_lint(L1): bounds-checked above\nlet y = v[1];\n";
         let f = parse(src);
-        let mask = f.allow_mask("L1");
+        let mask = f.marker_mask(&f.markers[0]);
         assert!(mask[0]);
         assert!(!mask[1]);
     }

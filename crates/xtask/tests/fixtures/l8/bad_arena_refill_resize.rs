@@ -1,6 +1,5 @@
 //! Fixture: a recycled arena regrown to whatever size the wire claims.
 
-// lint_root(ingest): refills a recycled arena with wire payload bytes
 pub fn refill_arena(payload: &[u8]) -> Vec<u8> {
     let need = payload.len();
     let mut arena: Vec<u8> = Vec::new();

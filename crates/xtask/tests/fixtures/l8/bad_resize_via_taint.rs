@@ -1,6 +1,5 @@
 //! Fixture: payload copy sized by a header field, through a taint chain.
 
-// lint_root(ingest): parses raw frames
 pub fn copy_payload(hdr_len: u16, body: &[u8]) -> Vec<u8> {
     let want = hdr_len as usize + 4;
     let mut out: Vec<u8> = Vec::new();

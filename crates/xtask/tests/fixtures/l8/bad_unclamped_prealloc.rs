@@ -1,6 +1,5 @@
 //! Fixture: section preallocation sized straight from a wire count.
 
-// lint_root(ingest): decodes attacker-controlled counts
 pub fn decode_sections(buf: &[u8], qdcount: u16) -> Vec<Question> {
     let n = qdcount as usize;
     let out = Vec::with_capacity(n);

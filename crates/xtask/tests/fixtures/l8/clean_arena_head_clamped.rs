@@ -2,7 +2,6 @@
 
 const DPI_SNAP: usize = 1024;
 
-// lint_root(ingest): copies a payload prefix into the shared arena
 pub fn push_head(payload: &[u8]) -> Vec<u8> {
     let take = payload.len();
     let mut head: Vec<u8> = Vec::new();

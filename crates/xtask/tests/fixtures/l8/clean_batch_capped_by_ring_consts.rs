@@ -3,7 +3,6 @@
 const BATCH_ITEMS: usize = 128;
 const BATCH_BYTES: usize = 128 * 1024;
 
-// lint_root(ingest): batches parsed segments for the worker rings
 pub fn seal_batch(seg_count: usize, bytes_len: usize) -> (Vec<u64>, Vec<u8>) {
     let items: Vec<u64> = Vec::with_capacity(seg_count.min(BATCH_ITEMS));
     let mut bytes: Vec<u8> = Vec::new();

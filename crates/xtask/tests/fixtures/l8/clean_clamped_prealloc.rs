@@ -2,7 +2,6 @@
 
 const MAX_SECTION_PREALLOC: usize = 256;
 
-// lint_root(ingest): decodes attacker-controlled counts
 pub fn decode_sections(buf: &[u8], qdcount: u16) -> Vec<Question> {
     let out = Vec::with_capacity((qdcount as usize).min(MAX_SECTION_PREALLOC));
     out
