@@ -19,10 +19,10 @@
 //! live flow's first timestamp (a flow contributes to the bucket of its
 //! `first_ts` only when it *finishes*, which can be arbitrarily later), so
 //! no bucket a live flow can still touch is ever retired. Both drivers
-//! compute the same horizon — the sequential sniffer from its flow table,
-//! the parallel one from its routing-table mirror — which, together with
-//! the rotation barrier firing at the same packet-clock instants, makes
-//! daemon output byte-identical at every worker count.
+//! read that horizon off the same flow table, in their shared front end
+//! (the parallel one runs it on its dispatcher), which, together with the
+//! rotation barrier firing at the same packet-clock instants, makes daemon
+//! output byte-identical at every worker count.
 //!
 //! [`run_flowrec_daemon`] is the NetFlow/IPFIX-style regime: a versioned
 //! export stream ([`dnhunter_net::flowrec`]) carrying mirrored DNS

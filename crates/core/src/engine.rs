@@ -2,7 +2,11 @@
 //!
 //! Everything the DN-Hunter real-time sniffer (paper Fig. 1) tracks *per
 //! client shard* lives here: the shard's DNS resolver (Algorithm 1), its
-//! flow table, pending tags, and delay samples. The single-threaded
+//! pending tags, delay samples, the DPI verdict of each finished flow, and
+//! its sink. The flow table is not: it runs once, in the drivers' shared
+//! front end (`sniffer::FrontEnd`), whose flow-start and flow-finish events
+//! arrive through [`ShardEngine::on_flow_started`] and
+//! [`ShardEngine::on_flow_finished`]. The single-threaded
 //! [`crate::RealTimeSniffer`] drives exactly one engine; the parallel
 //! [`crate::ParallelSniffer`] drives N of them, one per worker thread,
 //! sharing this code path so the two produce identical per-event behaviour
@@ -18,7 +22,7 @@ use std::net::IpAddr;
 
 use dnhunter_dns::suffix::SuffixSet;
 use dnhunter_dns::DomainName;
-use dnhunter_flow::{CompactSeg, FlowEvent, FlowKey, FlowTable};
+use dnhunter_flow::FlowKey;
 use dnhunter_resolver::maps::{FnvHashMap, PairMap};
 use dnhunter_resolver::{DnsResolver, InternStats, ResolverConfig, ResolverStats};
 use dnhunter_telemetry::{
@@ -32,18 +36,18 @@ use crate::stream::{FlowSink, StreamingAnalytics};
 
 /// Total order on sniffer events across shards: `(seq, phase)`.
 ///
-/// `seq` is the global frame sequence number assigned by whoever feeds the
-/// engine (the sequential driver or the pipeline dispatcher). `phase`
-/// separates the two event sources a single data frame can trigger, in
-/// their sequential order: `0` for events of the frame itself (flow start,
-/// port-reuse finish), `1` for the eviction scan that the same frame's
-/// timestamp may gate open. Ties beyond the key are broken by the flow
-/// table's deterministic `(first_ts, 5-tuple)` eviction order.
+/// `seq` is the global frame sequence number the front end stamps (in the
+/// sequential driver or the pipeline dispatcher). `phase` separates the
+/// two event sources a single data frame can trigger, in their sequential
+/// order: `0` for events of the frame itself (flow start, port-reuse
+/// finish), `1` for the eviction scan that the same frame's timestamp may
+/// gate open. Ties beyond the key are broken by the flow table's
+/// deterministic `(first_ts, 5-tuple)` eviction order.
 pub(crate) type EventKey = (u64, u8);
 
 /// Phase of events produced directly by a frame.
 pub(crate) const PHASE_FRAME: u8 = 0;
-/// Phase of events produced by an eviction scan (tick) or the final flush.
+/// Phase of events produced by an eviction scan or the final flush.
 pub(crate) const PHASE_SCAN: u8 = 1;
 
 /// [`ResponseRecord::first_flow_delay`] of a response no flow has used yet.
@@ -84,12 +88,11 @@ pub(crate) struct ShardOutput {
     pub(crate) sink: Option<Box<dyn FlowSink>>,
 }
 
-/// Per-shard sniffer state: one §3.1 resolver + one flow table + the
-/// tagging and delay accounting of the paper's Fig. 1 fast path.
+/// Per-shard sniffer state: one §3.1 resolver + the tagging and delay
+/// accounting of the paper's Fig. 1 fast path.
 pub(crate) struct ShardEngine {
     pub(crate) config: SnifferConfig,
     resolver: DnsResolver,
-    flows: FlowTable,
     pub(crate) stats: SnifferStats,
     pending_tags: FnvHashMap<FlowKey, PendingTag>,
     /// (client, server) → index into `responses` of the latest response
@@ -123,7 +126,6 @@ impl ShardEngine {
     pub(crate) fn new(config: SnifferConfig, resolver_config: ResolverConfig) -> Self {
         ShardEngine {
             resolver: DnsResolver::with_config(resolver_config),
-            flows: FlowTable::new(config.flow_table.clone()),
             stats: SnifferStats::default(),
             pending_tags: FnvHashMap::default(),
             response_index: PairMap::default(),
@@ -160,11 +162,25 @@ impl ShardEngine {
         }
     }
 
-    /// Decode and apply one UDP DNS response payload. `client` is the
-    /// packet's destination — the resolver the answer is headed to. Both
-    /// drivers hand the raw payload bytes straight here; neither re-parses
-    /// the frame.
-    pub(crate) fn handle_dns_payload(&mut self, seq: u64, ts: u64, client: IpAddr, payload: &[u8]) {
+    /// Decode and apply one DNS response payload. `client` is the packet's
+    /// destination — the resolver the answer is headed to. `over_tcp`
+    /// payloads hold RFC 1035 §4.2.2 length-prefixed messages. Both drivers
+    /// hand the raw payload bytes straight here; neither re-parses the
+    /// frame.
+    pub(crate) fn handle_dns_payload(
+        &mut self,
+        seq: u64,
+        ts: u64,
+        client: IpAddr,
+        payload: &[u8],
+        over_tcp: bool,
+    ) {
+        if over_tcp {
+            for msg in dnhunter_dns::codec::decode_tcp_stream(payload) {
+                self.handle_dns_message(seq, ts, client, &msg);
+            }
+            return;
+        }
         let mut msg = std::mem::take(&mut self.dns_scratch);
         match dnhunter_dns::codec::decode_into(&mut msg, payload) {
             Ok(()) => self.handle_dns_message(seq, ts, client, &msg),
@@ -175,7 +191,7 @@ impl ShardEngine {
 
     /// Common path for UDP and TCP responses. Truncated (TC-bit) responses
     /// are counted but carry no bindings — the client retries over TCP.
-    pub(crate) fn handle_dns_message(
+    fn handle_dns_message(
         &mut self,
         seq: u64,
         ts: u64,
@@ -225,45 +241,14 @@ impl ShardEngine {
         self.addr_scratch = servers;
     }
 
-    /// Feed one data segment (anything that is not DNS) through the flow
-    /// table, without an eviction scan — the driver owns the scan clock and
-    /// calls [`ShardEngine::tick`]. Both drivers pre-parse: the sequential
-    /// sniffer from its flat parse, the pipeline dispatcher shipping
-    /// `CompactSeg`s plus DPI head bytes across the ring.
-    pub(crate) fn process_seg<E: PolicyEnforcer>(
-        &mut self,
-        seq: u64,
-        ts: u64,
-        seg: &CompactSeg,
-        head: &[u8],
-        enforcer: &mut Option<&mut E>,
-    ) {
-        for event in self.flows.process_seg(ts, seg, head) {
-            match event {
-                FlowEvent::FlowStarted(key) => self.on_flow_started(seq, ts, key, enforcer),
-                FlowEvent::FlowFinished(record) => {
-                    self.on_flow_finished((seq, PHASE_FRAME), *record)
-                }
-            }
-        }
-    }
-
-    /// Run one eviction scan, exactly when the sequential interval gate
-    /// would have (the driver replicates that gate and broadcasts the tick).
-    pub(crate) fn tick(&mut self, seq: u64, now: u64) {
-        for event in self.flows.evict_idle(now) {
-            if let FlowEvent::FlowFinished(record) = event {
-                self.on_flow_finished((seq, PHASE_SCAN), *record);
-            }
-        }
-    }
-
-    fn on_flow_started<E: PolicyEnforcer>(
+    /// A flow started at frame `seq`: tag it (Algorithm 1 lookup, warm-up
+    /// gate, delay accounting) and let `enforcer` act on the label.
+    pub(crate) fn on_flow_started<E: PolicyEnforcer>(
         &mut self,
         seq: u64,
         ts: u64,
         key: FlowKey,
-        enforcer: &mut Option<&mut E>,
+        enforcer: Option<&mut E>,
     ) {
         let mut tag = self.tag_flow_start(seq, ts, key.client, key.server);
         if telemetry::trace_enabled() {
@@ -298,7 +283,7 @@ impl ShardEngine {
                 }
             }
         }
-        if let Some(e) = enforcer.as_deref_mut() {
+        if let Some(e) = enforcer {
             let _ = e.on_flow_start(key, tag.fqdn.as_ref());
         }
         self.pending_tags.insert(key, tag);
@@ -352,7 +337,9 @@ impl ShardEngine {
         }
     }
 
-    fn on_flow_finished(&mut self, at: EventKey, record: dnhunter_flow::FlowRecord) {
+    /// A flow finished at merge position `at`: classify it (DPI verdict),
+    /// join it with its start-time tag, and emit it.
+    pub(crate) fn on_flow_finished(&mut self, at: EventKey, record: &dnhunter_flow::FlowRecord) {
         let tag = self.pending_tags.remove(&record.key).unwrap_or(PendingTag {
             fqdn: None,
             alt_labels: Vec::new(),
@@ -481,19 +468,9 @@ impl ShardEngine {
         self.tagged.push(((seq, PHASE_FRAME), flow));
     }
 
-    /// First-packet timestamp of the oldest still-live flow (rotation
-    /// horizon clamp; see [`dnhunter_flow::FlowTable::oldest_live_first_ts`]).
-    pub(crate) fn oldest_live_first_ts(&self) -> Option<u64> {
-        self.flows.oldest_live_first_ts()
-    }
-
-    /// End of trace: flush live flows and hand over everything accumulated.
-    pub(crate) fn finish_shard(mut self) -> ShardOutput {
-        for event in self.flows.flush() {
-            if let FlowEvent::FlowFinished(record) = event {
-                self.on_flow_finished((u64::MAX, PHASE_SCAN), *record);
-            }
-        }
+    /// End of trace: hand over everything accumulated. The driver flushes
+    /// the flow table into this engine first.
+    pub(crate) fn finish_shard(self) -> ShardOutput {
         ShardOutput {
             stats: self.stats,
             resolver_stats: *self.resolver.stats(),

@@ -3,40 +3,38 @@
 //! The paper sizes DN-Hunter for a single monitor thread (§3.2 shows one
 //! core keeps up with a 1M-packets/s PoP) and names one scaling escape
 //! hatch in §3.1.1: partition the monitored *clients* across independent
-//! resolvers. [`ParallelSniffer`] applies that idea to the whole fast
-//! path: the caller's thread is the one dispatcher, flat-parsing each
-//! frame ([`parse_flat`]) and fanning work out over bounded channels to
-//! `N` shard workers.
+//! resolvers. [`ParallelSniffer`] applies that idea behind one dispatcher,
+//! the caller's thread, which runs the sequential sniffer's own front end
+//! (`sniffer::FrontEnd`: flat parse, DNS demultiplexing, the one flow
+//! table and its eviction gate) and fans the engine events it produces —
+//! DNS response payloads, flow starts, finished flow records — out over
+//! bounded channels to `N` shard workers. The workers run the rest of
+//! Fig. 1: DNS decode, the resolver (Algorithm 1), tagging at flow start,
+//! delay accounting, the DPI verdict of each finished flow, and the sink.
 //!
-//! Work travels as batches: up to `BATCH_ITEMS` pre-parsed items plus one
-//! shared byte arena holding only what the worker still needs — a DNS
-//! response's transport payload, or the payload prefix the flow record's
-//! DPI head still wants (usually nothing once a flow's first ~[`DPI_SNAP`]
-//! bytes per direction have shipped) — so the channels move tens of bytes
-//! per packet instead of whole frames, and workers never re-parse. Every
+//! Work travels as batches: up to `BATCH_ITEMS` items plus one shared byte
+//! arena holding the DNS payloads, so steady-state ingest copies no frame
+//! and allocates nothing beyond what the flow table already does. Every
 //! edge is a `std::sync::mpsc::sync_channel`: sealed batches travel
 //! dispatcher→worker one per send over a bounded FIFO (a slow shard
-//! backpressures ingest instead of buffering the trace), drained arenas
+//! backpressures ingest instead of buffering the trace), drained batches
 //! come back worker→dispatcher best-effort for reuse, and either
-//! endpoint's drop closes the link. Shard routing keys client IPs through
-//! one FNV hash ([`shard_of`]) — the *shard-affinity invariant*: a
-//! client's DNS bindings (Algorithm 1 state), the flows those bindings
-//! tag, and the §5.1 delay samples for both always live on the same
-//! worker, so workers share nothing and take no locks on the per-packet
-//! path.
+//! endpoint's drop closes the link. Every event routes by its client IP
+//! through one FNV hash ([`shard_of`]) — a DNS response by its destination,
+//! a flow by its key's client — the *shard-affinity invariant*: a client's
+//! DNS bindings (Algorithm 1 state), the flows those bindings tag, and the
+//! §5.1 delay samples for both always live on the same worker, so workers
+//! share nothing and take no locks on the per-packet path.
 //!
-//! Determinism is by construction, not by luck (see `DESIGN.md` §7): every
-//! frame carries a global sequence number (its arrival index), the
-//! dispatcher replicates the flow table's eviction-scan gate and
-//! broadcasts explicit tick events, each worker sees its items in
-//! sequence order over its one channel, and the final merge re-orders every
-//! output stream under the `(seq, phase)` key — so the [`SnifferReport`]
+//! Determinism is by construction (see `DESIGN.md` §7): both drivers run
+//! the same front end on the same frame order, so the one flow table emits
+//! the same events under the same `(seq, phase)` stamps; each worker sees
+//! its items in sequence order over its one channel; and the final merge
+//! re-orders every output stream under that key — so the [`SnifferReport`]
 //! is byte-identical to [`crate::RealTimeSniffer`]'s for any worker count
 //! (as long as no shard overflows its Clist partition; the default
 //! `L = 2^20` makes evictions a non-issue at trace scale).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -44,20 +42,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use dnhunter_dns::codec;
-use dnhunter_flow::{CanonFlowKey, CompactSeg, TcpTracker, DPI_SNAP};
-use dnhunter_net::seg::{parse_flat, FlatParse, FlatSeg, FrameFault};
-use dnhunter_net::{IpProtocol, PcapRecord};
-use dnhunter_resolver::maps::FnvHashMap;
+use dnhunter_flow::{FlowKey, FlowRecord};
+use dnhunter_net::PcapRecord;
 use dnhunter_resolver::{shard_of, InternStats, ResolverConfig};
 use dnhunter_telemetry::{
-    self as telemetry, tm_count, tm_observe, tm_trace, tm_trace_wall, LaneKind, Metric as Tm,
+    self as telemetry, tm_count, tm_observe, tm_trace_wall, LaneKind, Metric as Tm,
     TraceEvent as Te, TraceSet,
 };
 
-use crate::engine::{assemble_report, ShardEngine, ShardOutput};
+use crate::engine::{assemble_report, EventKey, ShardEngine, ShardOutput};
 use crate::policy::RuleEnforcer;
-use crate::sniffer::{compact_seg, SnifferConfig, SnifferReport, SnifferStats};
+use crate::sniffer::{EngineEvents, FrontEnd, SnifferConfig, SnifferReport, SnifferStats};
 use crate::stream::{FlowSink, StreamingAnalytics};
 
 /// What a worker hands back over its rotation channel: the retired
@@ -65,12 +60,12 @@ use crate::stream::{FlowSink, StreamingAnalytics};
 /// order.
 type RotateReply = Vec<(u64, StreamingAnalytics)>;
 
-/// Frames per batch before the dispatcher seals a batch. Batching
-/// amortises the channel handoff over many frames (§3.2's per-packet
-/// budget is far below one syscall/lock per packet).
+/// Items per batch before the dispatcher seals a batch. Batching amortises
+/// the channel handoff over many events (§3.2's per-packet budget is far
+/// below one syscall/lock per packet).
 const BATCH_ITEMS: usize = 128;
 /// Arena bytes per batch before an early seal (keeps batches cache-sized
-/// even under jumbo frames).
+/// even under jumbo DNS payloads).
 const BATCH_BYTES: usize = 128 * 1024;
 /// In-flight batches per dispatcher→worker channel: enough to keep a worker
 /// busy while the dispatcher fills the next batch, small enough that a slow
@@ -88,27 +83,20 @@ const RECYCLE_BATCHES: usize = CHANNEL_BATCHES + 2;
 const MAX_PIPELINE_THREADS: usize = 64;
 
 /// What a batch item tells the worker to do.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 enum ItemKind {
     /// Anchor the warm-up window at the trace's first frame timestamp.
     Start,
-    /// A UDP datagram from the DNS port: the item's byte range is the
-    /// transport payload; decode it and feed Algorithm 1 for `client`
-    /// (the response's destination — the endpoint that asked).
-    DnsUdp { client: IpAddr },
-    /// A TCP segment from the DNS port: the byte range is the payload,
-    /// framed per RFC 1035 §4.2.2 (2-byte length prefixes).
-    DnsTcp { client: IpAddr },
-    /// A user data segment, pre-parsed by the dispatcher: flow
-    /// reconstruction + tagging (Fig. 1 fast path). The item's byte range
-    /// holds only the payload prefix the flow record's DPI head still
-    /// wants — usually nothing once a flow's first ~[`DPI_SNAP`] bytes per
-    /// direction have shipped — so the channel moves tens of bytes per
-    /// segment instead of whole frames, and the worker never re-parses.
-    Seg(CompactSeg),
-    /// Run one eviction scan — the dispatcher's replica of the sequential
-    /// interval gate fired at this frame.
-    Tick,
+    /// A DNS response for `client` (the endpoint that asked): the item's
+    /// byte range is the transport payload; decode it and feed
+    /// Algorithm 1. `over_tcp` payloads are RFC 1035 §4.2.2 framed.
+    Dns { client: IpAddr, over_tcp: bool },
+    /// The flow table created this flow: tag it.
+    FlowStart(FlowKey),
+    /// The flow table emitted this finished flow at `(item.seq, phase)`:
+    /// classify it and emit it. Unboxed on the dispatcher and, once the
+    /// batch comes back, freed there too (see [`Batch`]).
+    FlowEnd { record: FlowRecord, phase: u8 },
     /// Retire every windowed-analytics bucket strictly below `horizon` and
     /// answer with the retired partials on this worker's rotation channel —
     /// the broadcast half of [`ParallelSniffer::rotate`]'s barrier.
@@ -116,8 +104,8 @@ enum ItemKind {
 }
 
 /// One event in a batch; `off..off+len` indexes the batch's byte arena
-/// (empty for `Start`/`Tick`).
-#[derive(Debug, Clone, Copy)]
+/// (empty for everything but `Dns`).
+#[derive(Debug)]
 struct Item {
     kind: ItemKind,
     seq: u64,
@@ -128,49 +116,16 @@ struct Item {
 
 /// A batch of items plus the arena holding their payload bytes. Recycled
 /// between worker and dispatcher so steady-state ingest allocates nothing.
+/// The worker hands a drained batch back uncleared and the dispatcher
+/// clears it before refilling it: the finished records it still holds,
+/// DPI head buffers included, are freed on the thread that allocated them,
+/// whose allocator caches then serve the next flows warm. Boxed records
+/// freed on the worker measured about a fifth fewer events/s through the
+/// dispatcher (`dnh-bench` `web-day-par`, 2-vCPU host).
 #[derive(Default)]
 struct Batch {
     items: Vec<Item>,
     bytes: Vec<u8>,
-}
-
-/// The dispatcher's mirror of one live flow: which shard owns it, which
-/// endpoint initiated it, and exactly the state the worker's flow table
-/// consults when deciding evictions (`last_ts`, TCP terminal state) — kept
-/// in lock-step so the routing table prunes entries at the same tick the
-/// worker emits the flow, and a later packet on the same 5-tuple re-orients
-/// identically on both sides.
-#[derive(Debug, Clone, Copy)]
-struct Route {
-    shard: usize,
-    client: IpAddr,
-    client_port: u16,
-    /// When this flow record started — the dispatcher's replica of
-    /// `FlowRecord::first_ts`, reset on SYN port-reuse renewal exactly as
-    /// the worker's table resets it. The rotation horizon clamps to the
-    /// minimum of these so no window a live flow can still touch is
-    /// retired early.
-    first_ts: u64,
-    last_ts: u64,
-    tcp: TcpTracker,
-    /// Bytes of each direction's DPI head already shipped — the
-    /// dispatcher's replica of `FlowRecord::head_{c2s,s2c}.len()`, so it
-    /// can truncate segment payloads to exactly the prefix the worker's
-    /// record will still consume (capped at [`DPI_SNAP`]).
-    head_c2s: u16,
-    head_s2c: u16,
-}
-
-/// First instant at which `route` can satisfy the prune predicate in
-/// [`Dispatcher::prune_routes`] if it sees no further traffic — the mirror
-/// of `FlowTable`'s expiry deadline.
-fn route_deadline(route: &Route, idle: u64, linger: u64) -> u64 {
-    let ttl = if route.tcp.state().is_terminal() {
-        linger.min(idle)
-    } else {
-        idle
-    };
-    route.last_ts.saturating_add(ttl)
 }
 
 /// Dispatcher-side handle for one shard worker.
@@ -204,269 +159,67 @@ struct WorkerPort {
 pub struct PipelineTimings {
     /// Worker count the pipeline ran with.
     pub workers: usize,
-    /// Dispatcher CPU time (parse + route + batch building), µs —
-    /// blocking channel sends excluded.
+    /// Dispatcher CPU time (parse + flow table + batch building, and the
+    /// final flow-table flush), µs — blocking channel sends excluded.
     pub dispatch_busy_micros: u64,
     /// Dispatcher time spent inside (possibly blocking) channel sends, µs.
     pub send_wait_micros: u64,
-    /// Per-worker CPU time (engine work + DNS decode + final flush), µs.
+    /// Per-worker CPU time (DNS decode + resolver + tagging + DPI verdicts
+    /// + sink), µs.
     pub worker_busy_micros: Vec<u64>,
     /// FQDN interning effectiveness summed over all shard resolvers.
     pub intern: InternStats,
 }
 
-/// The dispatcher: links to every shard worker, the order-sensitive
-/// routing state (flow-routing table, eviction clock, warm-up anchor —
-/// all observing frames in exactly arrival order), and the counters the
-/// merge needs. One per [`ParallelSniffer`], on the caller's thread.
+/// The dispatcher's [`EngineEvents`]: links to every shard worker, each
+/// event appended to its client's shard batch, and the counters the front
+/// end bumps (the merge adds the workers' to them). One per
+/// [`ParallelSniffer`], on the caller's thread.
 struct Dispatcher {
-    dns_port: u16,
-    eviction_interval: u64,
-    idle_timeout: u64,
-    terminal_linger: u64,
     links: Vec<WorkerLink>,
-    routes: FnvHashMap<CanonFlowKey, Route>,
-    last_eviction: u64,
-    /// Lazy min-heap of prune candidates `(deadline, key)` — the
-    /// dispatcher-side mirror of the flow table's expiry heap, so each
-    /// prune pass touches only routes whose deadline has passed instead of
-    /// retaining over the whole table. Entries are lower bounds (pushed on
-    /// insert, port-reuse renewal, and terminal transition; re-pushed at
-    /// the current deadline when the exact predicate says "not yet"), so
-    /// a route is always re-examined no later than it can expire — prunes
-    /// stay in lock-step with the workers' evictions.
-    prune_heap: BinaryHeap<Reverse<(u64, CanonFlowKey)>>,
-    /// Dispatcher-side counters (frames, parse faults, DNS queries);
-    /// worker engines count the rest, and the merge sums both.
     stats: SnifferStats,
-    trace_start: Option<u64>,
-    trace_end: Option<u64>,
     send_wait_nanos: u64,
 }
 
+impl EngineEvents for Dispatcher {
+    fn stats(&mut self) -> &mut SnifferStats {
+        &mut self.stats
+    }
+
+    fn trace_start(&mut self, seq: u64, ts: u64) {
+        // Every shard anchors its warm-up window at the global trace
+        // start, not its own first frame.
+        for shard in 0..self.links.len() {
+            self.push_item(shard, ItemKind::Start, seq, ts, &[]);
+        }
+    }
+
+    fn dns(&mut self, seq: u64, ts: u64, client: IpAddr, payload: &[u8], over_tcp: bool) {
+        let kind = ItemKind::Dns { client, over_tcp };
+        self.push_item(shard_of(client, self.links.len()), kind, seq, ts, payload);
+    }
+
+    fn flow_started(&mut self, seq: u64, ts: u64, key: FlowKey) {
+        let shard = shard_of(key.client, self.links.len());
+        self.push_item(shard, ItemKind::FlowStart(key), seq, ts, &[]);
+    }
+
+    fn flow_finished(&mut self, (seq, phase): EventKey, record: Box<FlowRecord>) {
+        let shard = shard_of(record.key.client, self.links.len());
+        let (ts, record) = (record.last_ts, *record);
+        self.push_item(shard, ItemKind::FlowEnd { record, phase }, seq, ts, &[]);
+    }
+}
+
 impl Dispatcher {
-    fn new(config: &SnifferConfig, links: Vec<WorkerLink>) -> Self {
-        Dispatcher {
-            dns_port: config.dns_port,
-            eviction_interval: config.flow_table.eviction_interval_micros,
-            idle_timeout: config.flow_table.idle_timeout_micros,
-            terminal_linger: config.flow_table.terminal_linger_micros,
-            links,
-            routes: FnvHashMap::default(),
-            last_eviction: 0,
-            prune_heap: BinaryHeap::new(),
-            stats: SnifferStats::default(),
-            trace_start: None,
-            trace_end: None,
-            send_wait_nanos: 0,
-        }
-    }
-
-    /// Classify one flat-parsed frame and enqueue whatever its shard
-    /// worker needs — the dispatcher's whole per-frame job. Same
-    /// demultiplexing order as the sequential sniffer;
-    /// DNS frames route by the *client* (the responses' destination) so
-    /// bindings land on the shard that will tag that client's flows.
-    fn route_frame(
-        &mut self,
-        seq: u64,
-        ts: u64,
-        wire_len: u32,
-        parse: &Result<FlatParse<'_>, FrameFault>,
-    ) {
-        self.stats.frames += 1;
-        tm_count!(Tm::IngestFrames);
-        if self.trace_start.is_none() {
-            self.trace_start = Some(ts);
-            // Every shard anchors its warm-up window at the global trace
-            // start, not its own first frame.
-            for shard in 0..self.links.len() {
-                self.push_item(shard, ItemKind::Start, seq, ts, &[]);
-            }
-        }
-        self.trace_end = Some(self.trace_end.map_or(ts, |t| t.max(ts)));
-        let seg = match parse {
-            Ok(FlatParse::Seg(seg)) => seg,
-            // Not reconstructed; never advances the eviction-scan clock.
-            Ok(FlatParse::Opaque) => return,
-            Err(fault) => {
-                self.stats.note_parse_fault(*fault);
-                if telemetry::trace_enabled() {
-                    tm_trace!(Te::FrameParse, seq, ts, *fault as u64, u64::from(wire_len));
-                }
-                return;
-            }
-        };
-        let dns_port = self.dns_port;
-        match seg.proto {
-            IpProtocol::Udp => {
-                if seg.src_port == dns_port {
-                    let shard = shard_of(seg.dst, self.links.len());
-                    let kind = ItemKind::DnsUdp { client: seg.dst };
-                    self.push_item(shard, kind, seq, ts, seg.payload);
-                    return;
-                }
-                if seg.dst_port == dns_port {
-                    self.stats.dns_queries += 1;
-                    tm_count!(Tm::IngestDnsQueries);
-                    return;
-                }
-            }
-            // `parse_flat` only yields TCP or UDP segments; TCP DNS is
-            // used after truncated UDP responses (RFC 1035 §4.2.2).
-            _ => {
-                if seg.src_port == dns_port {
-                    let shard = shard_of(seg.dst, self.links.len());
-                    let kind = ItemKind::DnsTcp { client: seg.dst };
-                    self.push_item(shard, kind, seq, ts, seg.payload);
-                    return;
-                }
-                if seg.dst_port == dns_port {
-                    if !seg.payload.is_empty() {
-                        self.stats.dns_queries += 1;
-                        tm_count!(Tm::IngestDnsQueries);
-                    }
-                    return;
-                }
-            }
-        }
-        self.dispatch_data(seq, ts, seg);
-    }
-
-    /// Route one user data segment to its flow's shard, mirroring the flow
-    /// table's orientation rules, then run the eviction gate.
-    fn dispatch_data(&mut self, seq: u64, ts: u64, seg: &FlatSeg<'_>) {
-        let payload_len = seg.payload.len();
-        let key = CanonFlowKey::of(seg.src, seg.src_port, seg.dst, seg.dst_port, seg.proto);
-        let idle = self.idle_timeout;
-        let linger = self.terminal_linger;
-        let (shard, head_take, push_deadline) = match self.routes.get_mut(&key) {
-            Some(route) => {
-                // An existing entry fixes the orientation; the new-flow
-                // case below sets sender=initiator.
-                let from_client = seg.src == route.client && seg.src_port == route.client_port;
-                let mut renewed = false;
-                let mut was_terminal = route.tcp.state().is_terminal();
-                if let Some(flags) = seg.tcp_flags {
-                    // Mirror of the flow table's port-reuse rule: a fresh SYN
-                    // on a terminated flow finishes the old record and starts
-                    // a new one under the *same* oriented key, so the route
-                    // keeps its orientation and shard but resets TCP state,
-                    // DPI head fill, and ages from this packet.
-                    if flags.syn() && !flags.ack() && was_terminal {
-                        route.tcp = TcpTracker::new();
-                        route.first_ts = ts;
-                        route.last_ts = ts;
-                        route.head_c2s = 0;
-                        route.head_s2c = 0;
-                        renewed = true;
-                        was_terminal = false;
-                    }
-                    route.tcp.observe(from_client, flags, payload_len);
-                }
-                route.last_ts = route.last_ts.max(ts);
-                // Replica of `FlowRecord::observe_seg`'s head fill: ship
-                // exactly the prefix the worker's record will append.
-                let fill = if from_client {
-                    &mut route.head_c2s
-                } else {
-                    &mut route.head_s2c
-                };
-                let take = (DPI_SNAP - *fill as usize).min(payload_len);
-                *fill += take as u16;
-                // Renewal and terminal transition are the only events that
-                // can move this route's prune deadline down (the flow
-                // table's heap applies the same rule).
-                let push = (renewed || (!was_terminal && route.tcp.state().is_terminal()))
-                    .then(|| route_deadline(route, idle, linger));
-                (route.shard, take, push)
-            }
-            None => {
-                let shard = shard_of(seg.src, self.links.len());
-                let mut tcp = TcpTracker::new();
-                if let Some(flags) = seg.tcp_flags {
-                    tcp.observe(true, flags, payload_len);
-                }
-                let take = DPI_SNAP.min(payload_len);
-                let route = Route {
-                    shard,
-                    client: seg.src,
-                    client_port: seg.src_port,
-                    first_ts: ts,
-                    last_ts: ts,
-                    tcp,
-                    head_c2s: take as u16,
-                    head_s2c: 0,
-                };
-                let deadline = route_deadline(&route, idle, linger);
-                self.routes.insert(key, route);
-                (shard, take, Some(deadline))
-            }
-        };
-        // Same lazy-heap bookkeeping the workers' flow tables keep: insert,
-        // SYN-renewal, and terminal transition are the events that can move
-        // a route's prune deadline down, so each pushes a fresh candidate.
-        if let Some(deadline) = push_deadline {
-            self.prune_heap.push(Reverse((deadline, key)));
-        }
-        let (cseg, payload) = compact_seg(seg);
-        let head = payload.get(..head_take).unwrap_or(payload);
-        self.push_item(shard, ItemKind::Seg(cseg), seq, ts, head);
-        // The sequential flow table's scan gate, replicated bit-for-bit:
-        // only a reconstructed data frame advances the clock, and the scan
-        // runs *after* that frame — so the tick follows the data item in
-        // its shard's queue, and every shard scans at the same trace times
-        // the single-threaded table would.
-        if ts.saturating_sub(self.last_eviction) >= self.eviction_interval {
-            self.last_eviction = ts;
-            self.prune_routes(ts);
-            for shard in 0..self.links.len() {
-                self.push_item(shard, ItemKind::Tick, seq, ts, &[]);
-            }
-        }
-    }
-
-    /// Drop routing entries for every flow the workers' scan at `now` will
-    /// evict — the same predicate `FlowTable::evict` applies, over the same
-    /// `last_ts`/terminal state (kept in lock-step by `dispatch_data`), at
-    /// the same tick times. A later packet on such a 5-tuple then starts a
-    /// fresh flow with sender-as-initiator on both sides.
-    fn prune_routes(&mut self, now: u64) {
-        let idle = self.idle_timeout;
-        let linger = self.terminal_linger;
-        while let Some(&Reverse((deadline, key))) = self.prune_heap.peek() {
-            if deadline > now {
-                break; // every remaining candidate is provably still alive
-            }
-            self.prune_heap.pop();
-            let Some(r) = self.routes.get(&key) else {
-                continue; // stale: route already pruned via an earlier entry
-            };
-            let silent = now.saturating_sub(r.last_ts);
-            if silent >= idle || (r.tcp.state().is_terminal() && silent >= linger) {
-                self.routes.remove(&key);
-            } else {
-                // Activity extended the deadline past this (lower-bound)
-                // entry; re-arm at the route's current deadline.
-                self.prune_heap
-                    .push(Reverse((route_deadline(r, idle, linger), key)));
-            }
-        }
-    }
-
-    /// Append one item (and its arena bytes — a DNS payload, or a data
-    /// segment's DPI head prefix) to a shard's pending batch, sealing the
-    /// batch when it fills.
+    /// Append one item (and its arena bytes, a DNS payload) to a shard's
+    /// pending batch, sealing the batch when it fills.
     fn push_item(&mut self, shard: usize, kind: ItemKind, seq: u64, ts: u64, bytes: &[u8]) {
         let Some(link) = self.links.get_mut(shard) else {
             return;
         };
-        match kind {
-            ItemKind::Tick => tm_count!(Tm::PipelineTicks),
-            ItemKind::DnsUdp { .. } | ItemKind::DnsTcp { .. } | ItemKind::Seg(_) => {
-                tm_count!(Tm::PipelineItemsRouted)
-            }
-            ItemKind::Start | ItemKind::Rotate { .. } => {}
+        if !matches!(kind, ItemKind::Start | ItemKind::Rotate { .. }) {
+            tm_count!(Tm::PipelineItemsRouted);
         }
         let off = link.pending.bytes.len() as u32;
         link.pending.bytes.extend_from_slice(bytes);
@@ -492,7 +245,9 @@ impl Dispatcher {
         if link.pending.items.is_empty() {
             return;
         }
-        let next = link.recycle_rx.try_recv().unwrap_or_default();
+        let mut next = link.recycle_rx.try_recv().unwrap_or_default();
+        next.items.clear();
+        next.bytes.clear();
         let batch = std::mem::replace(&mut link.pending, next);
         tm_count!(Tm::PipelineBatchesSent);
         tm_observe!(Tm::BatchItems, batch.items.len() as u64);
@@ -531,6 +286,7 @@ impl Dispatcher {
 /// would reserialize the workers.
 pub struct ParallelSniffer {
     config: SnifferConfig,
+    front: FrontEnd,
     dispatcher: Dispatcher,
     handles: Vec<JoinHandle<(ShardOutput, u64)>>,
     /// Receive half of each worker's capacity-1 rotation channel, shard
@@ -615,10 +371,14 @@ impl ParallelSniffer {
                 worker_loop(engine, shard, port, registry, trace)
             }));
         }
-        let dispatcher = Dispatcher::new(&config, links);
         ParallelSniffer {
+            front: FrontEnd::new(&config),
             config,
-            dispatcher,
+            dispatcher: Dispatcher {
+                links,
+                stats: SnifferStats::default(),
+                send_wait_nanos: 0,
+            },
             handles,
             rotation_rxs,
             seq: 0,
@@ -630,17 +390,15 @@ impl ParallelSniffer {
     /// Retire windowed-analytics buckets below the rotation horizon on
     /// every shard, returning the retired `(bucket, partial)` lists in
     /// shard order. The horizon is `clock` clamped down to the oldest live
-    /// flow's start (the routing table's `first_ts` minimum — the mirror
-    /// of the sequential sniffer's `FlowTable::oldest_live_first_ts`), so
-    /// no window a live flow can still contribute to is emitted early.
-    /// Runs as a barrier: a `Rotate` item is broadcast to every shard,
-    /// pending batches flush, and the call blocks until each worker
-    /// answers on its capacity-1 rotation channel — cheap at rotation cadence,
-    /// and it pins retirement to the same packet-clock instant at every
-    /// worker count.
+    /// flow's start — the same flow table and the same clamp as
+    /// [`crate::RealTimeSniffer::rotate`] — so no window a live flow can
+    /// still contribute to is emitted early. Runs as a barrier: a `Rotate`
+    /// item is broadcast to every shard, pending batches flush, and the
+    /// call blocks until each worker answers on its capacity-1 rotation
+    /// channel — cheap at rotation cadence, and it pins retirement to the
+    /// same packet-clock instant at every worker count.
     pub fn rotate(&mut self, clock: u64) -> (u64, Vec<Vec<(u64, StreamingAnalytics)>>) {
-        let oldest = self.dispatcher.routes.values().map(|r| r.first_ts).min();
-        let horizon = oldest.map_or(clock, |t| t.min(clock));
+        let horizon = self.front.horizon(clock);
         let seq = self.seq;
         for shard in 0..self.dispatcher.links.len() {
             self.dispatcher
@@ -666,28 +424,31 @@ impl ParallelSniffer {
         self.process_frame(rec.timestamp_micros(), &rec.frame);
     }
 
-    /// Dispatch one raw Ethernet frame: flat-parse ([`parse_flat`], no
-    /// payload copy), classify exactly as the sequential sniffer does, and
-    /// enqueue it for the owning shard.
+    /// Dispatch one raw Ethernet frame: run it through the front end exactly
+    /// as the sequential sniffer does, and enqueue the engine events it
+    /// produces for their shards.
     pub fn process_frame(&mut self, ts: u64, frame: &[u8]) {
-        let t0 = Instant::now();
-        // Blocking sends inside this frame's window are counted by
-        // `seal_pending` into `send_wait_nanos`; subtract them so busy time
-        // is dispatcher CPU only.
-        let send_before = self.dispatcher.send_wait_nanos;
         let seq = self.seq;
         self.seq += 1;
-        let parse = parse_flat(frame);
-        self.dispatcher
-            .route_frame(seq, ts, frame.len() as u32, &parse);
+        self.timed(|front, dispatcher| front.frame(seq, ts, frame, dispatcher));
+    }
+
+    /// Run dispatcher work, adding its CPU time to the busy total. Blocking
+    /// sends inside the window are counted by `seal_pending` into
+    /// `send_wait_nanos` and subtracted here.
+    fn timed(&mut self, work: impl FnOnce(&mut FrontEnd, &mut Dispatcher)) {
+        let t0 = Instant::now();
+        let send_before = self.dispatcher.send_wait_nanos;
+        work(&mut self.front, &mut self.dispatcher);
         self.busy_nanos += (t0.elapsed().as_nanos() as u64)
             .saturating_sub(self.dispatcher.send_wait_nanos - send_before);
     }
 
-    /// End of trace: flush every pending batch, close the channels, join
-    /// the workers and merge their outputs into the one report. A worker
-    /// that panicked has its panic re-raised here (and from every other
-    /// `finish*`), never papered over with a partial report.
+    /// End of trace: flush the flow table, send every pending batch, close
+    /// the channels, join the workers and merge their outputs into the one
+    /// report. A worker that panicked has its panic re-raised here (and
+    /// from every other `finish*`), never papered over with a partial
+    /// report.
     pub fn finish(self) -> SnifferReport {
         self.finish_full().0
     }
@@ -708,9 +469,12 @@ impl ParallelSniffer {
     }
 
     fn finish_full(mut self) -> (SnifferReport, PipelineTimings, Vec<Box<dyn FlowSink>>) {
-        self.dispatcher.flush_all();
+        self.timed(|front, dispatcher| {
+            front.flush(dispatcher);
+            dispatcher.flush_all();
+        });
         // Dropping the links drops the senders, which closes each channel;
-        // workers drain what is queued, flush their engines and return.
+        // workers drain what is queued and return.
         let links = std::mem::take(&mut self.dispatcher.links);
         let workers = links.len();
         drop(links);
@@ -748,8 +512,8 @@ impl ParallelSniffer {
         let report = assemble_report(
             outputs,
             std::mem::take(&mut self.dispatcher.stats),
-            self.dispatcher.trace_start,
-            self.dispatcher.trace_end,
+            self.front.trace_start,
+            self.front.trace_end,
             self.config.warmup_micros,
         );
         (
@@ -805,12 +569,12 @@ fn fold_intern(outputs: &[ShardOutput]) -> InternStats {
     intern
 }
 
-/// One shard worker: drive this shard's [`ShardEngine`]. Items arrive
-/// pre-parsed — a [`CompactSeg`] plus DPI head bytes straight into the
-/// flow table, or a DNS payload decoded here, the exact decode path the
-/// sequential sniffer runs — one batch per `recv`, until the dispatcher
-/// drops its sender and the queue is drained. Returns the shard's output
-/// plus its busy time (µs, excluding `recv` blocking).
+/// One shard worker: drive this shard's [`ShardEngine`] with the events
+/// the dispatcher's front end produced — a DNS payload decoded here (the
+/// exact decode path the sequential sniffer runs), a flow start to tag, a
+/// finished flow record to classify and emit — one batch per `recv`, until
+/// the dispatcher drops its sender and the queue is drained. Returns the
+/// shard's output plus its busy time (µs, excluding `recv` blocking).
 fn worker_loop(
     mut engine: ShardEngine,
     shard: usize,
@@ -819,8 +583,8 @@ fn worker_loop(
     trace: Option<Arc<TraceSet>>,
 ) -> (ShardOutput, u64) {
     // Bind this shard's registry for the thread's whole lifetime, so every
-    // engine/resolver/flow-table update below lands in per-shard cells that
-    // the merge later folds into the dispatcher's registry.
+    // engine/resolver update below lands in per-shard cells that the merge
+    // later folds into the dispatcher's registry.
     let _telemetry_guard = registry.map(telemetry::bind);
     // And its flight-recorder lane: resolver/flow/sink provenance events
     // fired by the engine below record into this worker's ring.
@@ -831,12 +595,13 @@ fn worker_loop(
     let mut last_seq = 0u64;
     // `Err` only once the dispatcher dropped its sender *and* the queue is
     // drained: nothing sent before the close is lost.
-    while let Ok(mut batch) = port.rx.recv() {
+    while let Ok(batch) = port.rx.recv() {
         port.depth.fetch_sub(1, Ordering::Relaxed);
         if telemetry::trace_enabled() {
             tm_trace_wall!(Te::RingRecvBatch, 0, shard as u64, 1);
         }
         let t0 = Instant::now();
+        let items = batch.items.len() as u64;
         for item in &batch.items {
             debug_assert!(
                 item.seq >= last_seq,
@@ -845,30 +610,19 @@ fn worker_loop(
                 last_seq
             );
             last_seq = item.seq;
-            let start = item.off as usize;
-            let end = start + item.len as usize;
             match item.kind {
                 ItemKind::Start => engine.note_trace_start(item.ts),
-                ItemKind::Tick => engine.tick(item.seq, item.ts),
-                ItemKind::Seg(seg) => {
-                    let head = batch.bytes.get(start..end).unwrap_or(&[]);
-                    engine.process_seg(
-                        item.seq,
-                        item.ts,
-                        &seg,
-                        head,
-                        &mut None::<&mut RuleEnforcer>,
-                    );
-                }
-                ItemKind::DnsUdp { client } => {
+                ItemKind::Dns { client, over_tcp } => {
+                    let start = item.off as usize;
+                    let end = start + item.len as usize;
                     let payload = batch.bytes.get(start..end).unwrap_or(&[]);
-                    engine.handle_dns_payload(item.seq, item.ts, client, payload);
+                    engine.handle_dns_payload(item.seq, item.ts, client, payload, over_tcp);
                 }
-                ItemKind::DnsTcp { client } => {
-                    let payload = batch.bytes.get(start..end).unwrap_or(&[]);
-                    for msg in codec::decode_tcp_stream(payload) {
-                        engine.handle_dns_message(item.seq, item.ts, client, &msg);
-                    }
+                ItemKind::FlowStart(key) => {
+                    engine.on_flow_started(item.seq, item.ts, key, None::<&mut RuleEnforcer>)
+                }
+                ItemKind::FlowEnd { ref record, phase } => {
+                    engine.on_flow_finished((item.seq, phase), record)
                 }
                 ItemKind::Rotate { horizon } => {
                     let retired = engine.rotate(horizon);
@@ -883,12 +637,10 @@ fn worker_loop(
         let drain_nanos = t0.elapsed().as_nanos() as u64;
         busy_nanos += drain_nanos;
         if telemetry::trace_enabled() {
-            tm_trace_wall!(Te::WorkerDrain, 0, batch.items.len() as u64, drain_nanos);
+            tm_trace_wall!(Te::WorkerDrain, 0, items, drain_nanos);
         }
-        batch.items.clear();
-        batch.bytes.clear();
-        // Best effort, never blocking: an arena that doesn't fit the
-        // recycle channel is simply dropped and the dispatcher allocates a
+        // Best effort, never blocking: a batch that doesn't fit the recycle
+        // channel is simply dropped here and the dispatcher allocates a
         // fresh one.
         let _ = port.recycle.try_send(batch);
     }

@@ -1,16 +1,17 @@
 //! The real-time sniffer: DNS response sniffer + flow sniffer + flow tagger
 //! (paper Fig. 1 and §3.1).
 
-use dnhunter_dns::codec;
-use dnhunter_flow::{CompactSeg, FlowTableConfig};
-use dnhunter_net::seg::{parse_flat, FlatParse, FlatSeg, FrameFault};
+use std::net::IpAddr;
+
+use dnhunter_flow::{CompactSeg, FlowEvent, FlowKey, FlowRecord, FlowTable, FlowTableConfig};
+use dnhunter_net::seg::{parse_flat, FlatParse, FrameFault};
 use dnhunter_net::{IpProtocol, PcapRecord};
 use dnhunter_resolver::{DnsResolver, ResolverConfig, ResolverStats};
 use dnhunter_telemetry::{self as telemetry, tm_count, tm_trace, Metric as Tm, TraceEvent as Te};
 use serde::{Deserialize, Serialize};
 
 use crate::db::FlowDatabase;
-use crate::engine::{assemble_report, ShardEngine};
+use crate::engine::{assemble_report, EventKey, ShardEngine, PHASE_FRAME, PHASE_SCAN};
 use crate::policy::PolicyEnforcer;
 use crate::stream::{FlowSink, StreamingAnalytics};
 
@@ -128,18 +129,16 @@ pub struct SnifferReport {
 /// other UDP/TCP flow, tags each flow at its first packet, and accumulates
 /// the labeled-flow database.
 ///
-/// This is the single-threaded driver over one
-/// [`crate::engine::ShardEngine`] — the same engine the parallel
-/// [`crate::ParallelSniffer`] runs per worker, which is what makes the
-/// parallel merge byte-identical to this sniffer's output.
+/// This is the single-threaded driver: one `FrontEnd` feeding one
+/// [`crate::engine::ShardEngine`]. The parallel [`crate::ParallelSniffer`]
+/// runs the same front end on its dispatcher and the same engine per
+/// worker, which is what makes its merge byte-identical to this sniffer's
+/// output.
 pub struct RealTimeSniffer {
+    front: FrontEnd,
     engine: ShardEngine,
     /// Global frame sequence number (orders events in the merge).
     seq: u64,
-    /// Eviction-scan clock, replicating the flow table's interval gate.
-    last_eviction: u64,
-    trace_start: Option<u64>,
-    trace_end: Option<u64>,
 }
 
 impl RealTimeSniffer {
@@ -147,11 +146,9 @@ impl RealTimeSniffer {
     pub fn new(config: SnifferConfig) -> Self {
         let resolver_config = config.resolver;
         RealTimeSniffer {
+            front: FrontEnd::new(&config),
             engine: ShardEngine::new(config, resolver_config),
             seq: 0,
-            last_eviction: 0,
-            trace_start: None,
-            trace_end: None,
         }
     }
 
@@ -187,89 +184,25 @@ impl RealTimeSniffer {
         &mut self,
         ts: u64,
         frame: &[u8],
-        mut enforcer: Option<&mut E>,
+        enforcer: Option<&mut E>,
     ) {
         let seq = self.seq;
         self.seq += 1;
-        self.engine.stats.frames += 1;
-        tm_count!(Tm::IngestFrames);
-        self.trace_start.get_or_insert(ts);
-        self.engine.note_trace_start(ts);
-        self.trace_end = Some(self.trace_end.map_or(ts, |t| t.max(ts)));
-        let seg = match parse_flat(frame) {
-            Ok(FlatParse::Seg(seg)) => seg,
-            // Not reconstructed; never advances the eviction-scan clock
-            // (matching `FlowTable::process`, which returned before its
-            // internal scan gate for opaque transports).
-            Ok(FlatParse::Opaque) => return,
-            Err(fault) => {
-                self.engine.stats.note_parse_fault(fault);
-                if telemetry::trace_enabled() {
-                    tm_trace!(Te::FrameParse, seq, ts, fault as u64, frame.len() as u64);
-                }
-                return;
-            }
+        let mut direct = Direct {
+            engine: &mut self.engine,
+            enforcer,
         };
-        // DNS demultiplexing: traffic to/from the DNS port is the
-        // measurement channel, not user traffic. TCP is used after
-        // truncated UDP responses (RFC 1035 §4.2.2 framing).
-        let dns_port = self.engine.config.dns_port;
-        match seg.proto {
-            IpProtocol::Udp => {
-                if seg.src_port == dns_port {
-                    self.engine
-                        .handle_dns_payload(seq, ts, seg.dst, seg.payload);
-                    return;
-                }
-                if seg.dst_port == dns_port {
-                    self.engine.stats.dns_queries += 1;
-                    tm_count!(Tm::IngestDnsQueries);
-                    return;
-                }
-            }
-            // `parse_flat` only yields TCP or UDP segments.
-            _ => {
-                if seg.src_port == dns_port {
-                    for msg in codec::decode_tcp_stream(seg.payload) {
-                        self.engine.handle_dns_message(seq, ts, seg.dst, &msg);
-                    }
-                    return;
-                }
-                if seg.dst_port == dns_port {
-                    if !seg.payload.is_empty() {
-                        self.engine.stats.dns_queries += 1;
-                        tm_count!(Tm::IngestDnsQueries);
-                    }
-                    return;
-                }
-            }
-        }
-        // Everything else is a data segment: flow reconstruction + tagging,
-        // then the same periodic eviction scan `FlowTable::process` ran
-        // internally — driven here so the pipeline dispatcher can replicate
-        // the identical gate when it broadcasts ticks to shard workers.
-        let (cseg, head) = compact_seg(&seg);
-        self.engine.process_seg(seq, ts, &cseg, head, &mut enforcer);
-        if ts.saturating_sub(self.last_eviction)
-            >= self.engine.config.flow_table.eviction_interval_micros
-        {
-            self.last_eviction = ts;
-            self.engine.tick(seq, ts);
-        }
+        self.front.frame(seq, ts, frame, &mut direct);
     }
 
     /// Retire windowed-analytics buckets below the rotation horizon,
     /// returning the retired `(bucket, partial)` pairs in bucket order.
     /// The horizon is `clock` clamped down to the oldest live flow's first
-    /// timestamp, so no window a live flow can still contribute to is ever
-    /// emitted early — [`crate::ParallelSniffer::rotate`] computes the same
-    /// horizon from its routing-table mirror, which is what makes rotated
-    /// output identical at every worker count.
+    /// timestamp (`FrontEnd::horizon`, the same call
+    /// [`crate::ParallelSniffer::rotate`] makes), so no window a live flow
+    /// can still contribute to is ever emitted early.
     pub fn rotate(&mut self, clock: u64) -> (u64, Vec<(u64, StreamingAnalytics)>) {
-        let horizon = self
-            .engine
-            .oldest_live_first_ts()
-            .map_or(clock, |t| t.min(clock));
+        let horizon = self.front.horizon(clock);
         (horizon, self.engine.rotate(horizon))
     }
 
@@ -282,13 +215,13 @@ impl RealTimeSniffer {
         let seq = self.seq;
         self.seq += 1;
         let ts = rec.event_ts();
-        self.trace_start.get_or_insert(ts);
-        self.engine.note_trace_start(ts);
-        self.trace_end = Some(self.trace_end.map_or(ts, |t| t.max(ts)));
+        if self.front.note_ts(ts) {
+            self.engine.note_trace_start(ts);
+        }
         match rec {
             dnhunter_net::ExportRecord::Dns(d) => {
                 self.engine
-                    .handle_dns_payload(seq, d.ts_micros, d.client, &d.message);
+                    .handle_dns_payload(seq, d.ts_micros, d.client, &d.message, false);
             }
             dnhunter_net::ExportRecord::Flow(f) => {
                 self.engine.ingest_flow_export(seq, f);
@@ -305,27 +238,148 @@ impl RealTimeSniffer {
     /// with [`RealTimeSniffer::set_sink`] (empty vec when none was). The
     /// one-element vec mirrors [`crate::ParallelSniffer::finish_with_sinks`]
     /// so drivers fold both shapes through the same code path.
-    pub fn finish_with_sinks(self) -> (SnifferReport, Vec<Box<dyn FlowSink>>) {
+    pub fn finish_with_sinks(mut self) -> (SnifferReport, Vec<Box<dyn FlowSink>>) {
+        self.front.flush(&mut Direct {
+            engine: &mut self.engine,
+            enforcer: None::<&mut crate::policy::RuleEnforcer>,
+        });
         let warmup = self.engine.config.warmup_micros;
         let mut out = self.engine.finish_shard();
         let sinks: Vec<Box<dyn FlowSink>> = out.sink.take().into_iter().collect();
         let report = assemble_report(
             vec![out],
             SnifferStats::default(),
-            self.trace_start,
-            self.trace_end,
+            self.front.trace_start,
+            self.front.trace_end,
             warmup,
         );
         (report, sinks)
     }
 }
 
-/// Project a flat-parsed segment onto the flow table's
-/// ([`CompactSeg`], head bytes) shape — shared by the sequential driver
-/// and the pipeline dispatcher.
-pub(crate) fn compact_seg<'a>(seg: &FlatSeg<'a>) -> (CompactSeg, &'a [u8]) {
-    (
-        CompactSeg {
+/// Where the [`FrontEnd`]'s engine events go — the one thing the two
+/// drivers do differently with a frame.
+pub(crate) trait EngineEvents {
+    /// The counters the front end bumps: frames, parse faults, queries.
+    fn stats(&mut self) -> &mut SnifferStats;
+    /// The trace's first record arrived, at `ts`.
+    fn trace_start(&mut self, seq: u64, ts: u64);
+    /// A DNS response payload headed to `client` (the endpoint that
+    /// asked); `over_tcp` means RFC 1035 §4.2.2 length-prefixed framing.
+    fn dns(&mut self, seq: u64, ts: u64, client: IpAddr, payload: &[u8], over_tcp: bool);
+    /// The flow table created a flow: the tagger's moment (Fig. 1).
+    fn flow_started(&mut self, seq: u64, ts: u64, key: FlowKey);
+    /// The flow table emitted a finished flow at merge position `at`.
+    fn flow_finished(&mut self, at: EventKey, record: Box<FlowRecord>);
+}
+
+/// The sequential driver's [`EngineEvents`]: every event goes straight
+/// into the one engine, flow starts past the policy enforcer.
+struct Direct<'a, E> {
+    engine: &'a mut ShardEngine,
+    enforcer: Option<&'a mut E>,
+}
+
+impl<E: PolicyEnforcer> EngineEvents for Direct<'_, E> {
+    fn stats(&mut self) -> &mut SnifferStats {
+        &mut self.engine.stats
+    }
+
+    fn trace_start(&mut self, _seq: u64, ts: u64) {
+        self.engine.note_trace_start(ts);
+    }
+
+    fn dns(&mut self, seq: u64, ts: u64, client: IpAddr, payload: &[u8], over_tcp: bool) {
+        self.engine
+            .handle_dns_payload(seq, ts, client, payload, over_tcp);
+    }
+
+    fn flow_started(&mut self, seq: u64, ts: u64, key: FlowKey) {
+        self.engine
+            .on_flow_started(seq, ts, key, self.enforcer.as_deref_mut());
+    }
+
+    fn flow_finished(&mut self, at: EventKey, record: Box<FlowRecord>) {
+        self.engine.on_flow_finished(at, &record);
+    }
+}
+
+/// Frame classification, written once for both drivers: the frame
+/// counters, the trace bounds, the flat parse, the DNS demultiplexer, the
+/// one [`FlowTable`] with its eviction-scan gate, and the end-of-trace
+/// flush. [`RealTimeSniffer`] runs it into its engine, the
+/// [`crate::ParallelSniffer`] dispatcher into its shard batches; on the
+/// same frames both see the same events under the same `(seq, phase)`
+/// stamps.
+pub(crate) struct FrontEnd {
+    dns_port: u16,
+    eviction_interval: u64,
+    /// Eviction-scan clock: trace time of the last scan.
+    last_eviction: u64,
+    flows: FlowTable,
+    pub(crate) trace_start: Option<u64>,
+    pub(crate) trace_end: Option<u64>,
+}
+
+impl FrontEnd {
+    pub(crate) fn new(config: &SnifferConfig) -> Self {
+        FrontEnd {
+            dns_port: config.dns_port,
+            eviction_interval: config.flow_table.eviction_interval_micros,
+            last_eviction: 0,
+            flows: FlowTable::new(config.flow_table.clone()),
+            trace_start: None,
+            trace_end: None,
+        }
+    }
+
+    /// Widen the trace bounds to `ts`; `true` for the trace's first record.
+    pub(crate) fn note_ts(&mut self, ts: u64) -> bool {
+        self.trace_end = Some(self.trace_end.map_or(ts, |t| t.max(ts)));
+        let first = self.trace_start.is_none();
+        self.trace_start.get_or_insert(ts);
+        first
+    }
+
+    /// Classify one raw frame, `seq`-th of the trace, and hand whatever it
+    /// produces to `out`.
+    pub(crate) fn frame(&mut self, seq: u64, ts: u64, frame: &[u8], out: &mut impl EngineEvents) {
+        out.stats().frames += 1;
+        tm_count!(Tm::IngestFrames);
+        if self.note_ts(ts) {
+            out.trace_start(seq, ts);
+        }
+        let seg = match parse_flat(frame) {
+            Ok(FlatParse::Seg(seg)) => seg,
+            // Not reconstructed; never advances the eviction-scan clock.
+            Ok(FlatParse::Opaque) => return,
+            Err(fault) => {
+                out.stats().note_parse_fault(fault);
+                if telemetry::trace_enabled() {
+                    tm_trace!(Te::FrameParse, seq, ts, fault as u64, frame.len() as u64);
+                }
+                return;
+            }
+        };
+        // DNS demultiplexing: traffic to/from the DNS port is the
+        // measurement channel, not user traffic. `parse_flat` yields only
+        // TCP or UDP; TCP carries DNS after truncated UDP responses.
+        let over_tcp = seg.proto != IpProtocol::Udp;
+        if seg.src_port == self.dns_port {
+            out.dns(seq, ts, seg.dst, seg.payload, over_tcp);
+            return;
+        }
+        if seg.dst_port == self.dns_port {
+            // A payload-free TCP segment is handshake, not a query.
+            if !over_tcp || !seg.payload.is_empty() {
+                out.stats().dns_queries += 1;
+                tm_count!(Tm::IngestDnsQueries);
+            }
+            return;
+        }
+        // Everything else is a data segment: flow reconstruction, then the
+        // periodic eviction scan this frame's timestamp may gate open.
+        let cseg = CompactSeg {
             src: seg.src,
             src_port: seg.src_port,
             dst: seg.dst,
@@ -335,9 +389,41 @@ pub(crate) fn compact_seg<'a>(seg: &FlatSeg<'a>) -> (CompactSeg, &'a [u8]) {
             tcp_seq: seg.tcp_seq,
             wire_bytes: seg.wire_bytes,
             payload_len: seg.payload.len(),
-        },
-        seg.payload,
-    )
+        };
+        for event in self.flows.process_seg(ts, &cseg, seg.payload) {
+            match event {
+                FlowEvent::FlowStarted(key) => out.flow_started(seq, ts, key),
+                FlowEvent::FlowFinished(record) => out.flow_finished((seq, PHASE_FRAME), record),
+            }
+        }
+        if ts.saturating_sub(self.last_eviction) >= self.eviction_interval {
+            self.last_eviction = ts;
+            finished(self.flows.evict_idle(ts), (seq, PHASE_SCAN), out);
+        }
+    }
+
+    /// The rotation horizon at packet-clock `clock`: clamped down to the
+    /// oldest live flow's first packet, which will still emit into the
+    /// bucket of its `first_ts` when it finishes.
+    pub(crate) fn horizon(&self, clock: u64) -> u64 {
+        self.flows
+            .oldest_live_first_ts()
+            .map_or(clock, |t| t.min(clock))
+    }
+
+    /// End of trace: emit every live flow, after every frame's events.
+    pub(crate) fn flush(&mut self, out: &mut impl EngineEvents) {
+        finished(self.flows.flush(), (u64::MAX, PHASE_SCAN), out);
+    }
+}
+
+/// Hand a scan's or flush's finished flows to `out`, all stamped `at`.
+fn finished(events: Vec<FlowEvent>, at: EventKey, out: &mut impl EngineEvents) {
+    for event in events {
+        if let FlowEvent::FlowFinished(record) = event {
+            out.flow_finished(at, record);
+        }
+    }
 }
 
 impl SnifferReport {
@@ -355,7 +441,7 @@ impl SnifferReport {
 mod tests {
     use super::*;
     use crate::policy::{PolicyAction, PolicyRule, RuleEnforcer};
-    use dnhunter_dns::{DnsMessage, QClass, QType, RData, ResourceRecord};
+    use dnhunter_dns::{codec, DnsMessage, QClass, QType, RData, ResourceRecord};
     use dnhunter_net::{build_tcp_v4, build_udp_v4, MacAddr, TcpFlags};
     use std::net::Ipv4Addr;
 

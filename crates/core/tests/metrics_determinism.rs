@@ -178,12 +178,13 @@ fn cli_metrics_lines_agree_between_file_and_stdin_at_two_workers() {
     );
     // Mid-run lines carry the workers' counters too, whichever way the
     // bytes arrived: the rings bound how far a worker can lag the
-    // dispatcher, so by the last interval line flows have been opened.
+    // dispatcher, so by the last interval line responses have been
+    // sniffed. Only workers count them; the dispatcher never does.
     for lines in [&from_file, &from_stdin] {
         let last_mid_run = &lines[lines.len() - 2];
         assert!(counter(last_mid_run, "dnh_ingest_frames_total") > 0);
         assert!(
-            counter(last_mid_run, "dnh_flow_started_total") > 0,
+            counter(last_mid_run, "dnh_dns_responses_total") > 0,
             "worker-side counters frozen in mid-run line: {last_mid_run}"
         );
     }

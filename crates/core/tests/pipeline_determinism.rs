@@ -1,20 +1,27 @@
 //! The parallel pipeline's headline guarantee: for any worker count the
 //! merged [`SnifferReport`] is **byte-identical** to the sequential
-//! sniffer's. Determinism is by construction — global sequence numbers,
-//! dispatcher-broadcast eviction ticks, `(seq, phase)`-ordered merge —
-//! and these tests pin it against a full seeded simnet workload (DNS,
-//! TCP/TLS, UDP, port reuse, idle evictions, the §5.1 delay accounting,
-//! all of it).
+//! sniffer's. Determinism is by construction — the dispatcher runs the
+//! sequential sniffer's own front end and flow table, stamps every event
+//! with its frame's global sequence number, and the merge sorts on
+//! `(seq, phase)` — and these tests pin it on two inputs: a full seeded
+//! simnet workload (DNS, TCP/TLS, UDP, port reuse, idle evictions, the
+//! §5.1 delay accounting, all of it) and a hand-built frame sequence for
+//! the corner cases of flow orientation and rotation.
 
 use std::any::Any;
+use std::net::{IpAddr, Ipv4Addr};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use dnhunter::{
-    FlowSink, ParallelSniffer, RealTimeSniffer, SnifferConfig, SnifferReport, TaggedFlow,
+    FlowSink, ParallelSniffer, PipelineTimings, RealTimeSniffer, SnifferConfig, SnifferReport,
+    TaggedFlow,
 };
-use dnhunter_net::PcapRecord;
+use dnhunter_dns::{codec, DnsMessage, QClass, QType, RData, ResourceRecord};
+use dnhunter_flow::FlowTableConfig;
+use dnhunter_net::{build_tcp_v4, build_udp_v4, MacAddr, PcapRecord, TcpFlags};
+use dnhunter_resolver::shard_of;
 use dnhunter_simnet::{profiles, TraceGenerator};
 use dnhunter_telemetry::{self as telemetry, Metric};
 
@@ -39,6 +46,54 @@ fn digest(report: &SnifferReport) -> String {
     out
 }
 
+/// Feed `frames` to the sequential sniffer and to the pipeline at 1, 2
+/// and 8 workers, rotating at packet clock `clock` before frame `index`
+/// for each `(index, clock)` of `rotations`. Asserts byte-identical reports
+/// and equal rotation horizons; returns the sequential report, its
+/// horizons, and each pipeline run's timings.
+fn assert_pipeline_matches_sequential(
+    config: &SnifferConfig,
+    frames: &[(u64, &[u8])],
+    rotations: &[(usize, u64)],
+) -> (SnifferReport, Vec<u64>, Vec<PipelineTimings>) {
+    let rotations_before = |i: usize| rotations.iter().filter(move |(at, _)| *at == i);
+    let mut sequential = RealTimeSniffer::new(config.clone());
+    let mut horizons = Vec::new();
+    for (i, &(ts, frame)) in frames.iter().enumerate() {
+        for &(_, clock) in rotations_before(i) {
+            horizons.push(sequential.rotate(clock).0);
+        }
+        sequential.process_frame(ts, frame);
+    }
+    let reference = sequential.finish();
+    let reference_digest = digest(&reference);
+
+    let mut timings = Vec::new();
+    for workers in [1usize, 2, 8] {
+        let mut parallel = ParallelSniffer::new(config.clone(), workers);
+        let mut parallel_horizons = Vec::new();
+        for (i, &(ts, frame)) in frames.iter().enumerate() {
+            for &(_, clock) in rotations_before(i) {
+                parallel_horizons.push(parallel.rotate(clock).0);
+            }
+            parallel.process_frame(ts, frame);
+        }
+        assert_eq!(
+            parallel_horizons, horizons,
+            "{workers}-worker rotation horizons diverged from the sequential ones"
+        );
+        let (report, run) = parallel.finish_with_timings();
+        assert_eq!(run.workers, workers);
+        assert_eq!(
+            digest(&report),
+            reference_digest,
+            "{workers}-worker report diverged from the sequential report"
+        );
+        timings.push(run);
+    }
+    (reference, horizons, timings)
+}
+
 #[test]
 fn parallel_report_is_byte_identical_to_sequential() {
     let profile = profiles::eu1_adsl1().scaled(0.2);
@@ -48,15 +103,13 @@ fn parallel_report_is_byte_identical_to_sequential() {
         "trace too small ({} frames) to exercise the pipeline",
         trace.records.len()
     );
-
-    let config = SnifferConfig::default();
-
-    let mut sequential = RealTimeSniffer::new(config.clone());
-    for rec in &trace.records {
-        sequential.process_record(rec);
-    }
-    let reference = sequential.finish();
-    let reference_digest = digest(&reference);
+    let frames: Vec<(u64, &[u8])> = trace
+        .records
+        .iter()
+        .map(|rec| (rec.timestamp_micros(), rec.frame.as_slice()))
+        .collect();
+    let (reference, _, timings) =
+        assert_pipeline_matches_sequential(&SnifferConfig::default(), &frames, &[]);
 
     // The workload must actually exercise tagging and flow accounting for
     // the byte-identity claim to mean anything.
@@ -66,27 +119,135 @@ fn parallel_report_is_byte_identical_to_sequential() {
         "too few responses"
     );
     assert!(reference.sniffer_stats.tag_hits > 0, "no tags assigned");
-
-    for workers in [1usize, 2, 8] {
-        let mut parallel = ParallelSniffer::new(config.clone(), workers);
-        for rec in &trace.records {
-            parallel.process_record(rec);
-        }
-        let (report, timings) = parallel.finish_with_timings();
-        assert_eq!(timings.workers, workers);
-        assert_eq!(
-            digest(&report),
-            reference_digest,
-            "{workers}-worker report diverged from the sequential report"
-        );
+    for run in timings {
         // The allocation diet must be visible: interning reuses far more
         // FQDN Arcs than it allocates on a workload with repeated lookups.
         assert!(
-            timings.intern.reused > timings.intern.allocated,
+            run.intern.reused > run.intern.allocated,
             "interner should mostly reuse ({:?})",
-            timings.intern
+            run.intern
         );
     }
+}
+
+const DNS_SERVER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 53);
+
+fn dns_response(at: u64, client: Ipv4Addr, name: &str, server: Ipv4Addr) -> (u64, Vec<u8>) {
+    let q = DnsMessage::query(1, name.parse().unwrap(), QType::A);
+    let answer = ResourceRecord {
+        name: name.parse().unwrap(),
+        class: QClass::In,
+        ttl: 300,
+        rdata: RData::A(server),
+    };
+    let payload = codec::encode(&DnsMessage::answer_to(&q, vec![answer])).unwrap();
+    let mac = MacAddr::from_id;
+    let frame = build_udp_v4(mac(1), mac(2), DNS_SERVER, client, 53, 40000, &payload).unwrap();
+    (at, frame)
+}
+
+fn tcp(
+    at: u64,
+    (src, sport): (Ipv4Addr, u16),
+    (dst, dport): (Ipv4Addr, u16),
+    flags: TcpFlags,
+    payload: &[u8],
+) -> (u64, Vec<u8>) {
+    let mac = MacAddr::from_id;
+    let frame = build_tcp_v4(mac(1), mac(2), src, dst, sport, dport, 1, 1, flags, payload);
+    (at, frame.unwrap())
+}
+
+/// The cases the dispatcher once kept a per-flow mirror of the flow table
+/// for, now run by the one flow table: a closed flow evicted after its
+/// linger whose 5-tuple reopens server-first (re-oriented onto the other
+/// endpoint's shard), a SYN reusing the ports of a terminated flow, and a
+/// flow still live across a rotation that clamps the horizon.
+#[test]
+fn reoriented_reused_and_rotated_flows_match_sequential() {
+    let server = Ipv4Addr::new(93, 184, 216, 34);
+    // A client whose shard differs from the server's at 2 and 8 workers,
+    // so re-orientation really moves the reopened flow.
+    let client = (1..=254)
+        .map(|i| Ipv4Addr::new(10, 0, 0, i))
+        .find(|c| {
+            [2, 8]
+                .iter()
+                .all(|&n| shard_of(IpAddr::V4(*c), n) != shard_of(IpAddr::V4(server), n))
+        })
+        .expect("some client shards apart from the server");
+    let (a, b) = ((client, 50000), (server, 443));
+    let (live_c, live_s) = ((client, 50100), (Ipv4Addr::new(198, 51, 100, 7), 443));
+    let (reuse_c, reuse_s) = (
+        (Ipv4Addr::new(10, 0, 1, 9), 51000),
+        (Ipv4Addr::new(203, 0, 113, 80), 80),
+    );
+    let (syn, ack, fin) = (TcpFlags::SYN, TcpFlags::ACK, TcpFlags::FIN | TcpFlags::ACK);
+    let data = TcpFlags::PSH | TcpFlags::ACK;
+    let ms = |t: u64| t * 1_000;
+    let owned = vec![
+        dns_response(ms(1_000), client, "www.example.com", server),
+        // The flow that stays live across the rotation below.
+        tcp(ms(1_050), live_c, live_s, syn, &[]),
+        // A full close: terminal at 1.5 s, evicted by the 2.05 s scan.
+        tcp(ms(1_100), a, b, syn, &[]),
+        tcp(ms(1_200), b, a, syn | ack, &[]),
+        tcp(ms(1_300), a, b, data, b"\x16\x03\x01\x00\x05hello"),
+        tcp(ms(1_400), b, a, data, b"\x16\x03\x03\x00\x02ok"),
+        tcp(ms(1_450), a, b, fin, &[]),
+        tcp(ms(1_500), b, a, fin, &[]),
+        // Closed at 2.25 s, then a fresh SYN on the same ports inside the
+        // linger: the old record finishes and a new one starts.
+        tcp(ms(2_000), reuse_c, reuse_s, syn, &[]),
+        tcp(ms(2_050), reuse_s, reuse_c, syn | ack, &[]),
+        tcp(ms(2_100), reuse_c, reuse_s, ack, &[]),
+        tcp(ms(2_200), reuse_c, reuse_s, fin, &[]),
+        tcp(ms(2_250), reuse_s, reuse_c, fin, &[]),
+        tcp(ms(2_300), reuse_c, reuse_s, syn, &[]),
+        tcp(ms(2_350), reuse_s, reuse_c, syn | ack, &[]),
+        // The evicted 5-tuple reopens with the server speaking first.
+        tcp(ms(3_000), b, a, data, b"late"),
+        tcp(ms(3_100), a, b, ack, &[]),
+        dns_response(ms(3_500), reuse_c.0, "cdn.example.net", reuse_s.0),
+        tcp(ms(3_600), (reuse_c.0, 51001), reuse_s, syn, &[]),
+        tcp(ms(13_600), live_c, live_s, data, b"keepalive"),
+    ];
+    let frames: Vec<(u64, &[u8])> = owned.iter().map(|(t, f)| (*t, f.as_slice())).collect();
+    let config = SnifferConfig {
+        flow_table: FlowTableConfig {
+            idle_timeout_micros: ms(20_000),
+            eviction_interval_micros: ms(1_000),
+            terminal_linger_micros: ms(500),
+        },
+        warmup_micros: 0,
+        ..SnifferConfig::default()
+    };
+    let registry = Arc::new(telemetry::Registry::new());
+    let _guard = telemetry::bind(Arc::clone(&registry));
+    // Rotate before the first eviction scan: rotation drains the finished
+    // flows, and both orientations must reach the final database.
+    let rotations = [(9, ms(2_000))];
+    let (reference, horizons, _) = assert_pipeline_matches_sequential(&config, &frames, &rotations);
+
+    // Each case really ran: the reuse finished a record on a live 5-tuple,
+    // the live flow held the horizon back, and both orientations of the
+    // evicted 5-tuple reached the database.
+    assert!(registry.snapshot().get(Metric::FlowSynReuse) >= 1);
+    assert_eq!(horizons, [ms(1_050)]);
+    let oriented = |(c, cp): (Ipv4Addr, u16), (s, sp): (Ipv4Addr, u16)| {
+        reference.database.flows().iter().any(|f| {
+            (
+                f.key.client,
+                f.key.client_port,
+                f.key.server,
+                f.key.server_port,
+            ) == (IpAddr::V4(c), cp, IpAddr::V4(s), sp)
+        })
+    };
+    assert!(
+        oriented(a, b) && oriented(b, a),
+        "5-tuple was not re-oriented"
+    );
 }
 
 #[test]

@@ -28,8 +28,7 @@ pub mod tls;
 pub mod tuple;
 
 pub use dpi::AppProtocol;
-pub use record::DPI_SNAP;
 pub use record::{FlowDirection, FlowRecord};
 pub use table::{CompactSeg, FlowEvent, FlowTable, FlowTableConfig};
-pub use tcp_state::{TcpConnState, TcpTracker};
+pub use tcp_state::TcpConnState;
 pub use tuple::{server_trace_key, CanonFlowKey, FlowKey};

@@ -86,12 +86,11 @@ impl FlowRecord {
     /// [`FlowRecord::observe`] when only a payload *prefix* is at hand.
     ///
     /// `head` must hold at least the first
-    /// `min(DPI_SNAP - head_so_far, payload_len)` payload bytes — everything
-    /// past that is never read, which is what lets the parallel ingest
-    /// dispatcher ship truncated segments instead of whole frames (it
-    /// mirrors each direction's head fill, so it knows exactly how many
-    /// bytes the record still wants). With `head` = the full payload this is
-    /// identical to [`FlowRecord::observe`].
+    /// `min(DPI_SNAP - head_so_far, payload_len)` payload bytes; everything
+    /// past that is never read, and `payload_len` alone drives the TCP
+    /// state. The sniffer drivers pass the full payload borrowed from the
+    /// frame, which makes this identical to [`FlowRecord::observe`] without
+    /// copying the payload out first.
     pub fn observe_seg(
         &mut self,
         direction: FlowDirection,

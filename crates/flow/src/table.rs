@@ -37,9 +37,9 @@ impl Default for FlowTableConfig {
 }
 
 /// A pre-parsed transport segment: everything [`FlowTable::process_seg`]
-/// needs from a packet, minus the payload bytes themselves. The parallel
-/// ingest dispatcher ships these (plus the few head bytes DPI still wants)
-/// instead of raw frames, so shard workers never re-parse a data frame.
+/// needs from a packet, minus the payload bytes themselves. Both sniffer
+/// drivers project their allocation-free flat parse onto this shape and
+/// hand the payload alongside, so the table never sees an owned packet.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactSeg {
     pub src: IpAddr,
@@ -53,7 +53,8 @@ pub struct CompactSeg {
     pub tcp_seq: u32,
     /// Full frame length on the wire.
     pub wire_bytes: usize,
-    /// Full transport payload length (the shipped head may be shorter).
+    /// Full transport payload length (the `head` handed alongside may be
+    /// shorter; see [`FlowRecord::observe_seg`]).
     pub payload_len: usize,
 }
 
@@ -133,33 +134,11 @@ impl FlowTable {
     /// Feed one parsed packet; returns the events it produced.
     /// `ts` is the capture timestamp in microseconds.
     pub fn process(&mut self, ts: u64, pkt: &Packet, wire_bytes: usize) -> Vec<FlowEvent> {
-        let mut events = self.process_no_scan(ts, pkt, wire_bytes);
-        if matches!(pkt.transport, TransportHeader::Opaque(_)) {
-            return events; // not reconstructed; never advances the scan clock
-        }
-        // Immediate eviction on terminal state is deferred by a linger so
-        // late retransmissions don't recreate the flow; the periodic scan
-        // below handles both idle and terminal flows.
-        if ts.saturating_sub(self.last_eviction) >= self.config.eviction_interval_micros {
-            self.last_eviction = ts;
-            events.extend(self.evict(ts));
-        }
-        events
-    }
-
-    /// [`FlowTable::process`] without the periodic eviction scan.
-    ///
-    /// The parallel ingest pipeline drives scans externally: its dispatcher
-    /// replicates the interval gate above and broadcasts eviction ticks to
-    /// every shard worker, so all workers scan at the *same* trace times the
-    /// sequential sniffer would — the key to a deterministic merge. Workers
-    /// therefore feed packets through this method and call
-    /// [`FlowTable::evict_idle`] only on ticks.
-    pub fn process_no_scan(&mut self, ts: u64, pkt: &Packet, wire_bytes: usize) -> Vec<FlowEvent> {
         let (src_port, dst_port, tcp_flags, tcp_seq) = match &pkt.transport {
             TransportHeader::Tcp(h) => (h.src_port, h.dst_port, Some(h.flags), h.seq),
             TransportHeader::Udp(h) => (h.src_port, h.dst_port, None, 0),
-            TransportHeader::Opaque(_) => return Vec::new(), // not reconstructed
+            // Not reconstructed; never advances the scan clock.
+            TransportHeader::Opaque(_) => return Vec::new(),
         };
         let seg = CompactSeg {
             src: pkt.src_ip(),
@@ -172,12 +151,22 @@ impl FlowTable {
             wire_bytes,
             payload_len: pkt.payload.len(),
         };
-        self.process_seg(ts, &seg, &pkt.payload)
+        let mut events = self.process_seg(ts, &seg, &pkt.payload);
+        // Immediate eviction on terminal state is deferred by a linger so
+        // late retransmissions don't recreate the flow; the periodic scan
+        // below handles both idle and terminal flows.
+        if ts.saturating_sub(self.last_eviction) >= self.config.eviction_interval_micros {
+            self.last_eviction = ts;
+            events.extend(self.evict(ts));
+        }
+        events
     }
 
-    /// [`FlowTable::process_no_scan`] for a pre-parsed segment. `head` needs
-    /// only the payload prefix [`FlowRecord::observe_seg`] documents; with
-    /// the full payload the two methods are identical.
+    /// [`FlowTable::process`] for a pre-parsed segment, without the
+    /// periodic eviction scan: the sniffer drivers gate
+    /// [`FlowTable::evict_idle`] themselves, so the events of the frame and
+    /// those of the scan it opens can carry different merge phases. `head`
+    /// needs only the payload prefix [`FlowRecord::observe_seg`] documents.
     pub fn process_seg(&mut self, ts: u64, seg: &CompactSeg, head: &[u8]) -> Vec<FlowEvent> {
         use std::collections::hash_map::Entry;
         let mut events = Vec::new();
@@ -279,10 +268,9 @@ impl FlowTable {
     }
 
     /// Run one eviction scan as of `now`, emitting idle and
-    /// terminated-past-linger flows in deterministic order. Public for the
-    /// pipeline's dispatcher-driven tick scheme (see
-    /// [`FlowTable::process_no_scan`]); [`FlowTable::process`] calls the
-    /// same scan internally on its own interval gate.
+    /// terminated-past-linger flows in deterministic order. Public for
+    /// callers of [`FlowTable::process_seg`], which own the scan gate;
+    /// [`FlowTable::process`] calls the same scan on its own interval gate.
     pub fn evict_idle(&mut self, now: u64) -> Vec<FlowEvent> {
         self.evict(now)
     }

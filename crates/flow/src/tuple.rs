@@ -86,11 +86,10 @@ impl FlowKey {
 
 /// The direction-free form of the 5-tuple: endpoints ordered by
 /// `(address, port)` instead of by who spoke first. Both directions of a
-/// conversation canonicalise to the same key, so the flow table (and the
-/// pipeline's routing table) resolve any segment with a *single* hash
-/// probe — the oriented [`FlowKey`] needed up to two (`forward`, then
-/// `reversed`) on the per-packet path the paper's real-time constraint
-/// (§3.2) cares about. Orientation still exists: it lives in the value
+/// conversation canonicalise to the same key, so the flow table resolves
+/// any segment with a *single* hash probe — the oriented [`FlowKey`]
+/// needed up to two (`forward`, then `reversed`) on the per-packet path
+/// the paper's real-time constraint (§3.2) cares about. Orientation still exists: it lives in the value
 /// (the record's [`FlowKey`]), not in the map key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CanonFlowKey {

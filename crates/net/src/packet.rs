@@ -92,12 +92,12 @@ pub struct Packet {
 
 /// A parsed frame whose payload *borrows* the input buffer.
 ///
-/// This is the allocation-free stage [`Packet::parse`] is built on. The
-/// parallel-ingest dispatcher uses it directly: routing a frame to a shard
-/// worker needs the addresses, ports and flags, but not an owned payload,
-/// and must not pay a heap allocation per packet. Because [`Packet::parse`]
-/// is `PacketView::parse` + one copy, both accept and reject exactly the
-/// same frames by construction.
+/// This is the allocation-free stage [`Packet::parse`] is built on, and the
+/// generic fallback of the sniffers' flat parser
+/// ([`crate::seg::parse_flat`]): callers that need the addresses, ports and
+/// flags but not an owned payload pay no heap allocation per packet.
+/// Because [`Packet::parse`] is `PacketView::parse` + one copy, both accept
+/// and reject exactly the same frames by construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketView<'a> {
     pub ethernet: EthernetHeader,

@@ -21,7 +21,7 @@ use std::net::IpAddr;
 /// percent of uniform for any address-assignment policy while remaining
 /// deterministic across runs.
 ///
-/// The parallel ingest pipeline routes DNS responses *and* data frames by
+/// The parallel ingest pipeline routes DNS responses *and* flow events by
 /// this one key — the shard-affinity invariant: a client's DNS bindings
 /// and the flows they tag always meet on the same shard, preserving
 /// Algorithm 1's per-client ordering.

@@ -157,15 +157,13 @@ metrics! {
 
     // --- Runtime: depends on driver shape / wall clock -----------------
     NetParses => "dnh_net_parses_total", Counter, Runtime,
-        "Successful frame parses (the parallel driver parses DNS frames twice)";
+        "Successful frame parses";
     PipelineItemsRouted => "dnh_pipeline_items_routed_total", Counter, Runtime,
-        "Frames routed to a worker shard by the dispatcher";
+        "Items (DNS responses, flow starts, finished flows) routed to a worker shard by the dispatcher";
     PipelineBatchesSent => "dnh_pipeline_batches_total", Counter, Runtime,
         "Batches flushed into worker rings";
     PipelineSendStalls => "dnh_pipeline_send_stalls_total", Counter, Runtime,
         "Blocking sends that found a worker ring full (backpressure stalls)";
-    PipelineTicks => "dnh_pipeline_ticks_total", Counter, Runtime,
-        "Time ticks broadcast to workers (one per worker per tick)";
     DispatchBusyNanos => "dnh_pipeline_dispatch_busy_nanos_total", Counter, Runtime,
         "Dispatcher busy time outside blocking channel sends, in nanoseconds";
     SendWaitNanos => "dnh_pipeline_send_wait_nanos_total", Counter, Runtime,
