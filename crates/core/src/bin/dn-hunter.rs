@@ -1,4 +1,5 @@
-//! `dn-hunter` — run the sniffer over a pcap file and report labeled flows.
+//! `dn-hunter` — run the sniffer over a pcap capture (or a DNFR flow-record
+//! export stream) and report labeled flows.
 //!
 //! ```text
 //! dn-hunter capture.pcap                  # summary + sample of labels
@@ -20,9 +21,10 @@
 //! #   daemon mode: poll a pcap byte stream (FIFO, pipe, socket) and rotate
 //! #   window state every 10 minutes of packet time — rotated output is
 //! #   byte-identical to a batch --window run over the same bytes
-//! dn-hunter flows.dnfr --flowrec --flowrec-skew 30s
+//! dn-hunter flows.dnfr --flowrec --flowrec-skew 30s --workers 4
 //! #   flow-record regime: ingest a NetFlow/IPFIX-style export stream
-//! #   (gen-trace --flowrec-out) through a bounded reorder buffer
+//! #   (gen-trace --flowrec-out) through a bounded reorder buffer; it runs
+//! #   the same loop as a pcap, so every other flag composes with it
 //! ```
 
 use std::collections::HashMap;
@@ -35,7 +37,7 @@ use dnhunter::{
     DaemonSniffer, FlowSink, FlowrecConfig, ParallelSniffer, RealTimeSniffer, Rotation,
     SnifferConfig, StreamingAnalytics, StreamingConfig, WindowConfig, WindowedAnalytics,
 };
-use dnhunter_net::{FlowRecReader, FrameSource, PcapFileSource, PcapStreamSource};
+use dnhunter_net::{FlowRecReader, FlowRecSource, FrameSource, PcapFileSource, PcapStreamSource};
 use dnhunter_telemetry as telemetry;
 
 fn usage() -> &'static str {
@@ -47,7 +49,15 @@ fn usage() -> &'static str {
      DUR is seconds, or a number suffixed s/m/h (e.g. --window 1h --slide 5m); --window \
      switches --stream-analytics to sliding-window JSONL output; '-' reads a pcap byte \
      stream from stdin (FIFO/pipe daemon mode); --rotate retires window state every DUR \
-     of packet time; --flowrec ingests a DNFR flow-record export stream instead of pcap"
+     of packet time; --flowrec reads the input (file or '-') as a DNFR flow-record export \
+     stream instead of pcap, with every other flag unchanged"
+}
+
+/// Print `msg` and the usage text to stderr: the exit of every bad command
+/// line.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("{msg}\n{}", usage());
+    ExitCode::FAILURE
 }
 
 /// Parse `30`, `30s`, `5m`, or `1h` into microseconds.
@@ -134,20 +144,14 @@ fn main() -> ExitCode {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse().ok()) {
                     Some(n) if n >= 1 => workers = n,
-                    _ => {
-                        eprintln!("--workers needs a count >= 1\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
+                    _ => return usage_error("--workers needs a count >= 1"),
                 }
             }
             "--metrics" => {
                 i += 1;
                 match args.get(i) {
                     Some(p) => metrics_path = Some(p.clone()),
-                    None => {
-                        eprintln!("--metrics needs a file path\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
+                    None => return usage_error("--metrics needs a file path"),
                 }
             }
             "--metrics-interval" => {
@@ -155,11 +159,9 @@ fn main() -> ExitCode {
                 match args.get(i).and_then(|s| parse_secs_micros(s)) {
                     Some(s) if s >= 1_000_000 => metrics_interval_micros = s,
                     _ => {
-                        eprintln!(
-                            "--metrics-interval needs seconds in 1..={MAX_SECS}\n{}",
-                            usage()
-                        );
-                        return ExitCode::FAILURE;
+                        return usage_error(&format!(
+                            "--metrics-interval needs seconds in 1..={MAX_SECS}"
+                        ))
                     }
                 }
             }
@@ -167,10 +169,7 @@ fn main() -> ExitCode {
                 i += 1;
                 match args.get(i) {
                     Some(p) => stream_path = Some(p.clone()),
-                    None => {
-                        eprintln!("--stream-analytics needs a file path\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
+                    None => return usage_error("--stream-analytics needs a file path"),
                 }
             }
             "--stream-interval" => {
@@ -178,11 +177,9 @@ fn main() -> ExitCode {
                 match args.get(i).and_then(|s| parse_secs_micros(s)) {
                     Some(s) if s >= 1_000_000 => stream_interval_micros = s,
                     _ => {
-                        eprintln!(
-                            "--stream-interval needs seconds in 1..={MAX_SECS}\n{}",
-                            usage()
-                        );
-                        return ExitCode::FAILURE;
+                        return usage_error(&format!(
+                            "--stream-interval needs seconds in 1..={MAX_SECS}"
+                        ))
                     }
                 }
             }
@@ -190,36 +187,21 @@ fn main() -> ExitCode {
                 i += 1;
                 match args.get(i).and_then(|s| parse_duration_micros(s)) {
                     Some(w) if w >= 1_000_000 => window_micros = Some(w),
-                    _ => {
-                        eprintln!(
-                            "--window needs a duration >= 1s (e.g. 1h, 5m, 30s)\n{}",
-                            usage()
-                        );
-                        return ExitCode::FAILURE;
-                    }
+                    _ => return usage_error("--window needs a duration >= 1s (e.g. 1h, 5m, 30s)"),
                 }
             }
             "--slide" => {
                 i += 1;
                 match args.get(i).and_then(|s| parse_duration_micros(s)) {
                     Some(w) if w >= 1_000_000 => slide_micros = Some(w),
-                    _ => {
-                        eprintln!("--slide needs a duration >= 1s (e.g. 5m, 30s)\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
+                    _ => return usage_error("--slide needs a duration >= 1s (e.g. 5m, 30s)"),
                 }
             }
             "--rotate" => {
                 i += 1;
                 match args.get(i).and_then(|s| parse_duration_micros(s)) {
                     Some(r) if r >= 1_000_000 => rotate_micros = Some(r),
-                    _ => {
-                        eprintln!(
-                            "--rotate needs a duration >= 1s (e.g. 10m, 1h)\n{}",
-                            usage()
-                        );
-                        return ExitCode::FAILURE;
-                    }
+                    _ => return usage_error("--rotate needs a duration >= 1s (e.g. 10m, 1h)"),
                 }
             }
             "--flowrec" => flowrec = true,
@@ -227,43 +209,28 @@ fn main() -> ExitCode {
                 i += 1;
                 match args.get(i).and_then(|s| parse_duration_micros(s)) {
                     Some(s) => flowrec_skew_micros = Some(s),
-                    _ => {
-                        eprintln!(
-                            "--flowrec-skew needs a duration (e.g. 30s, 2m)\n{}",
-                            usage()
-                        );
-                        return ExitCode::FAILURE;
-                    }
+                    _ => return usage_error("--flowrec-skew needs a duration (e.g. 30s, 2m)"),
                 }
             }
             "--trace-out" => {
                 i += 1;
                 match args.get(i) {
                     Some(p) => trace_out = Some(p.clone()),
-                    None => {
-                        eprintln!("--trace-out needs a file path\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
+                    None => return usage_error("--trace-out needs a file path"),
                 }
             }
             "--explain" => {
                 i += 1;
                 match args.get(i) {
                     Some(t) => explain = Some(t.clone()),
-                    None => {
-                        eprintln!("--explain needs an FQDN or IP:PORT\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
+                    None => return usage_error("--explain needs an FQDN or IP:PORT"),
                 }
             }
             "--port" => {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse().ok()) {
                     Some(p) => port = Some(p),
-                    None => {
-                        eprintln!("--port needs a number\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
+                    None => return usage_error("--port needs a number"),
                 }
             }
             "--warmup" => {
@@ -271,8 +238,7 @@ fn main() -> ExitCode {
                 match args.get(i).and_then(|s| parse_secs_micros(s)) {
                     Some(w) => warmup_micros = w,
                     None => {
-                        eprintln!("--warmup needs seconds in 0..={MAX_SECS}\n{}", usage());
-                        return ExitCode::FAILURE;
+                        return usage_error(&format!("--warmup needs seconds in 0..={MAX_SECS}"))
                     }
                 }
             }
@@ -282,10 +248,7 @@ fn main() -> ExitCode {
             }
             "-" if path.is_none() => path = Some("-".to_string()),
             other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            other => {
-                eprintln!("unknown argument '{other}'\n{}", usage());
-                return ExitCode::FAILURE;
-            }
+            other => return usage_error(&format!("unknown argument '{other}'")),
         }
         i += 1;
     }
@@ -294,43 +257,19 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     if slide_micros.is_some() && window_micros.is_none() {
-        eprintln!("--slide needs --window\n{}", usage());
-        return ExitCode::FAILURE;
+        return usage_error("--slide needs --window");
     }
     if window_micros.is_some() && stream_path.is_none() {
-        eprintln!(
-            "--window needs --stream-analytics FILE to write the windowed JSONL to\n{}",
-            usage()
+        return usage_error(
+            "--window needs --stream-analytics FILE to write the windowed JSONL to",
         );
-        return ExitCode::FAILURE;
     }
     let stdin_input = path == "-";
     if rotate_micros.is_some() && window_micros.is_none() {
-        eprintln!(
-            "--rotate needs --window: rotation retires sliding-window buckets\n{}",
-            usage()
-        );
-        return ExitCode::FAILURE;
-    }
-    if flowrec && workers > 1 {
-        eprintln!(
-            "--flowrec is a sequential regime: flow records are pre-aggregated, so the \
-             sharded pipeline has nothing to parallelise\n{}",
-            usage()
-        );
-        return ExitCode::FAILURE;
-    }
-    if flowrec && metrics_path.is_some() {
-        eprintln!(
-            "--flowrec and --metrics do not compose yet: the flow-record loop has no \
-             per-packet clock for interval snapshots\n{}",
-            usage()
-        );
-        return ExitCode::FAILURE;
+        return usage_error("--rotate needs --window: rotation retires sliding-window buckets");
     }
     if flowrec_skew_micros.is_some() && !flowrec {
-        eprintln!("--flowrec-skew needs --flowrec\n{}", usage());
-        return ExitCode::FAILURE;
+        return usage_error("--flowrec-skew needs --flowrec");
     }
 
     let config = SnifferConfig {
@@ -412,110 +351,100 @@ fn main() -> ExitCode {
         };
         Rotation::new(r, wc.clone())
     });
-    let mut last_ts = 0u64;
-    let (report, sinks) = if flowrec {
-        // Flow-record regime: a DNFR export stream through the bounded
-        // reorder buffer, sequential by construction.
-        let mut sniffer = RealTimeSniffer::new(config);
-        if let Some(mode) = &stream_cfg {
-            sniffer.set_sink(mode.make_sink());
-        }
-        let input: Box<dyn Read> = if stdin_input {
-            Box::new(std::io::stdin().lock())
-        } else {
-            match File::open(&path) {
-                Ok(f) => Box::new(BufReader::new(f)),
-                Err(e) => {
-                    eprintln!("cannot open {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        };
-        let mut reader = match FlowRecReader::new(input) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("not a readable flow-record stream: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let fcfg = FlowrecConfig {
-            skew_micros: flowrec_skew_micros.unwrap_or(FlowrecConfig::default().skew_micros),
-            ..FlowrecConfig::default()
-        };
-        match dnhunter::run_flowrec_daemon(&mut reader, &mut sniffer, &fcfg, rotation.as_mut()) {
-            Ok(stats) => eprintln!(
-                "flow-record ingest: {} dns, {} flow, {} skew-overflow, {} late",
-                stats.dns_records, stats.flow_records, stats.skew_overflow, stats.late_records
-            ),
-            Err(e) => {
-                eprintln!("flow-record stream error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        sniffer.finish_with_sinks()
+    // One daemon loop for every input: a pcap file, a pcap byte stream
+    // (`-`), or with `--flowrec` a DNFR export stream from either. Output
+    // is a function of the record stream alone, so file and FIFO replays of
+    // the same bytes render byte-identically at any worker count.
+    let mut sniffer = if workers > 1 {
+        DaemonSniffer::Par(Box::new(match &stream_cfg {
+            Some(mode) => ParallelSniffer::with_sinks(config, workers, &mut |_| mode.make_sink()),
+            None => ParallelSniffer::new(config, workers),
+        }))
     } else {
-        // Every pcap input — file or byte stream, with or without
-        // `--rotate` — polls a frame source through the one daemon event
-        // loop. Output is a function of the record stream alone, so file
-        // and FIFO replays of the same bytes render byte-identically at
-        // any worker count.
-        let mut sniffer = if workers > 1 {
-            DaemonSniffer::Par(Box::new(match &stream_cfg {
-                Some(mode) => {
-                    ParallelSniffer::with_sinks(config, workers, &mut |_| mode.make_sink())
-                }
-                None => ParallelSniffer::new(config, workers),
-            }))
-        } else {
-            let mut s = RealTimeSniffer::new(config);
-            if let Some(mode) = &stream_cfg {
-                s.set_sink(mode.make_sink());
-            }
-            DaemonSniffer::Seq(Box::new(s))
-        };
-        let mut source: Box<dyn FrameSource> = if stdin_input {
-            Box::new(PcapStreamSource::new(std::io::stdin().lock()))
-        } else {
-            let file = match File::open(&path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot open {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match PcapFileSource::new(BufReader::new(file)) {
-                Ok(s) => Box::new(s),
-                Err(e) => {
-                    eprintln!("not a readable pcap: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        };
-        let live_snapshot = sniffer.live_snapshot();
-        let mut metrics_err: Option<std::io::Error> = None;
-        let run =
-            dnhunter::run_frame_daemon(source.as_mut(), &mut sniffer, rotation.as_mut(), |ts| {
-                last_ts = last_ts.max(ts);
-                if let (Some(out), Some(reg)) = (metrics_out.as_mut(), registry.as_deref()) {
-                    if emitter.poll(ts) && metrics_err.is_none() {
-                        let seq = emitter.emitted().saturating_sub(1);
-                        let line = telemetry::jsonl(&live_snapshot(reg), seq, ts, metrics_full);
-                        if let Err(e) = out.write_all(line.as_bytes()) {
-                            metrics_err = Some(e);
-                        }
-                    }
-                }
-            });
-        if let Err(e) = run {
-            eprintln!("pcap error: {e}");
-            return ExitCode::FAILURE;
+        let mut s = RealTimeSniffer::new(config);
+        if let Some(mode) = &stream_cfg {
+            s.set_sink(mode.make_sink());
         }
-        if let Some(e) = metrics_err {
-            eprintln!("metrics write failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        sniffer.finish_with_sinks()
+        DaemonSniffer::Seq(Box::new(s))
     };
+    let input: Box<dyn Read> = if stdin_input {
+        Box::new(std::io::stdin().lock())
+    } else {
+        match File::open(&path) {
+            Ok(f) => Box::new(BufReader::new(f)),
+            Err(e) => {
+                eprintln!("cannot open {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    };
+    let kind = if flowrec {
+        "flow-record stream"
+    } else {
+        "pcap"
+    };
+    let mut flowrec_source = None;
+    let mut pcap_source: Box<dyn FrameSource>;
+    let source: &mut dyn FrameSource = match (flowrec, stdin_input) {
+        (true, _) => match FlowRecReader::new(input) {
+            Ok(reader) => flowrec_source.insert(FlowRecSource::new(
+                reader,
+                FlowrecConfig {
+                    skew_micros: flowrec_skew_micros
+                        .unwrap_or(FlowrecConfig::default().skew_micros),
+                    ..FlowrecConfig::default()
+                },
+            )),
+            Err(e) => {
+                eprintln!("not a readable {kind}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        (false, true) => {
+            pcap_source = Box::new(PcapStreamSource::new(input));
+            pcap_source.as_mut()
+        }
+        (false, false) => match PcapFileSource::new(input) {
+            Ok(s) => {
+                pcap_source = Box::new(s);
+                pcap_source.as_mut()
+            }
+            Err(e) => {
+                eprintln!("not a readable {kind}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
+    let live_snapshot = sniffer.live_snapshot();
+    let mut last_ts = 0u64;
+    let mut metrics_err: Option<std::io::Error> = None;
+    let run = dnhunter::run_frame_daemon(source, &mut sniffer, rotation.as_mut(), |ts| {
+        last_ts = last_ts.max(ts);
+        if let (Some(out), Some(reg)) = (metrics_out.as_mut(), registry.as_deref()) {
+            if emitter.poll(ts) && metrics_err.is_none() {
+                let seq = emitter.emitted().saturating_sub(1);
+                let line = telemetry::jsonl(&live_snapshot(reg), seq, ts, metrics_full);
+                if let Err(e) = out.write_all(line.as_bytes()) {
+                    metrics_err = Some(e);
+                }
+            }
+        }
+    });
+    if let Err(e) = run {
+        eprintln!("{kind} error: {e}");
+        return ExitCode::FAILURE;
+    }
+    if let Some(e) = metrics_err {
+        eprintln!("metrics write failed: {e}");
+        return ExitCode::FAILURE;
+    }
+    if let Some(stats) = flowrec_source.map(|s| s.stats()) {
+        eprintln!(
+            "flow-record ingest: {} dns, {} flow, {} skew-overflow, {} late",
+            stats.dns_records, stats.flow_records, stats.skew_overflow, stats.late_records
+        );
+    }
+    let (report, sinks) = sniffer.finish_with_sinks();
     // Fold the flight recorder's drop count into the registry before the
     // final snapshot: a wrapped ring means the export below is partial.
     if let Some(set) = &trace_set {

@@ -24,24 +24,19 @@
 //! rotation barrier firing at the same packet-clock instants, makes daemon
 //! output byte-identical at every worker count.
 //!
-//! [`run_flowrec_daemon`] is the NetFlow/IPFIX-style regime: a versioned
-//! export stream ([`dnhunter_net::flowrec`]) carrying mirrored DNS
-//! payloads and pre-aggregated flow summaries. Export order is not event
-//! order (a flow exports at its *last* packet), so a bounded reorder
-//! buffer sits in front of the resolver: records are released in event-time
-//! order once the watermark (max event time seen minus the skew bound)
-//! passes them, overflow past the buffer's capacity force-releases the
-//! earliest record (counted on `dnh_flowrec_skew_overflow_total`), and a
-//! record landing behind the release clock is counted late but still
-//! processed — never dropped, never panicking.
+//! One loop serves every source: pcap files, pcap byte streams and DNFR
+//! flow-export streams ([`dnhunter_net::FlowRecSource`], which releases
+//! export records in event-time order through its bounded reorder
+//! buffer). Frames and export records advance the same packet clock, fire
+//! the same rotations and reach the driver through the same front end, so
+//! every driver takes every source. [`run_flowrec_daemon`] is that loop
+//! over a flow-record reader, for callers that only want its counts.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::io::Read;
 
-use dnhunter_net::{
-    ExportRecord, FlowRecError, FlowRecReader, FrameSource, NetError, PcapRecord, SourcePoll,
-};
+use dnhunter_net::{FlowRecReader, FlowRecSource, FrameSource, NetError, SourcePoll};
+pub use dnhunter_net::{FlowrecConfig, FlowrecStats};
 use dnhunter_telemetry::{self as telemetry, tm_count, Metric};
 
 use crate::pipeline::ParallelSniffer;
@@ -54,35 +49,43 @@ use crate::window::{WindowConfig, WindowedAnalytics};
 /// replay latency stays sub-millisecond, long enough not to spin.
 const PENDING_BACKOFF_MICROS: u64 = 200;
 
-/// Either sniffer driver, behind the one record/rotate surface the daemon
-/// loop needs.
+/// What the daemon loop drives: one record in, one rotation at a time.
+/// [`RealTimeSniffer`], [`ParallelSniffer`] and [`DaemonSniffer`] (either
+/// of the two) implement it.
+pub trait DaemonDriver {
+    /// Feed one record the source produced: a `Ready` frame or an `Export`
+    /// record. The loop never passes `Pending` or `Eof`.
+    fn ingest(&mut self, rec: &SourcePoll);
+
+    /// Rotate at packet-clock `clock`: returns the horizon actually used
+    /// (clamped to the oldest live flow) and the retired bucket partials,
+    /// per-shard lists concatenated in shard order.
+    fn rotate(&mut self, clock: u64) -> (u64, Vec<(u64, StreamingAnalytics)>);
+}
+
+/// Either sniffer driver, chosen at run time.
 pub enum DaemonSniffer {
     Seq(Box<RealTimeSniffer>),
     Par(Box<ParallelSniffer>),
 }
 
-impl DaemonSniffer {
-    /// Feed one pcap record to the underlying driver.
-    pub fn process_record(&mut self, rec: &PcapRecord) {
+impl DaemonDriver for DaemonSniffer {
+    fn ingest(&mut self, rec: &SourcePoll) {
         match self {
-            DaemonSniffer::Seq(s) => s.process_record(rec),
-            DaemonSniffer::Par(s) => s.process_record(rec),
+            DaemonSniffer::Seq(s) => s.ingest(rec),
+            DaemonSniffer::Par(s) => s.ingest(rec),
         }
     }
 
-    /// Rotate at packet-clock `clock`: returns the horizon actually used
-    /// (clamped to the oldest live flow) and the retired bucket partials,
-    /// per-shard lists concatenated in shard order.
-    pub fn rotate(&mut self, clock: u64) -> (u64, Vec<(u64, StreamingAnalytics)>) {
+    fn rotate(&mut self, clock: u64) -> (u64, Vec<(u64, StreamingAnalytics)>) {
         match self {
             DaemonSniffer::Seq(s) => s.rotate(clock),
-            DaemonSniffer::Par(s) => {
-                let (horizon, per_shard) = s.rotate(clock);
-                (horizon, per_shard.into_iter().flatten().collect())
-            }
+            DaemonSniffer::Par(s) => s.rotate(clock),
         }
     }
+}
 
+impl DaemonSniffer {
     /// Live telemetry view for mid-run `--metrics` interval lines: a
     /// sampler that, given the driver thread's registry, returns its
     /// snapshot plus (for the parallel sniffer) a racy-but-monotone sum of
@@ -163,228 +166,59 @@ impl Rotation {
 }
 
 /// Drive `sniffer` from `source` until `Eof`: the daemon's event loop.
-/// `Ready` records advance the packet clock and may fire a rotation;
-/// `Pending` sleeps briefly (bounded backpressure — the pipeline's rings
-/// already bound in-flight work); `on_record(ts)` runs after every record
-/// for driver-side polling (metric snapshots). Returns the record count.
-pub fn run_frame_daemon(
+/// Each record — a frame, or an export record at its event time —
+/// advances the packet clock and may fire a rotation; `Pending` sleeps
+/// briefly (bounded backpressure — the pipeline's channels already bound
+/// in-flight work); `on_record(ts)` runs after every record for
+/// driver-side polling (metric snapshots). Returns the record count.
+pub fn run_frame_daemon<S: DaemonDriver + ?Sized>(
     source: &mut dyn FrameSource,
-    sniffer: &mut DaemonSniffer,
+    sniffer: &mut S,
     mut rotation: Option<&mut Rotation>,
     mut on_record: impl FnMut(u64),
 ) -> Result<u64, NetError> {
     let mut records = 0u64;
     loop {
-        match source.poll_next()? {
-            SourcePoll::Ready(rec) => {
-                records += 1;
-                let ts = rec.timestamp_micros();
-                if let Some(rot) = rotation.as_deref_mut() {
-                    rot.emitter.note_origin(ts);
-                }
-                sniffer.process_record(&rec);
-                if let Some(rot) = rotation.as_deref_mut() {
-                    if let Some(clock) = rot.observe(ts) {
-                        rot.fire(clock, sniffer.rotate(clock));
-                    }
-                }
-                on_record(ts);
-                source.recycle(rec);
-            }
+        let poll = source.poll_next()?;
+        let ts = match &poll {
+            SourcePoll::Ready(rec) => rec.timestamp_micros(),
+            SourcePoll::Export(rec) => rec.event_ts(),
             SourcePoll::Pending => {
                 std::thread::sleep(std::time::Duration::from_micros(PENDING_BACKOFF_MICROS));
+                continue;
             }
             SourcePoll::Eof => return Ok(records),
+        };
+        records += 1;
+        if let Some(rot) = rotation.as_deref_mut() {
+            rot.emitter.note_origin(ts);
+        }
+        sniffer.ingest(&poll);
+        if let Some(rot) = rotation.as_deref_mut() {
+            if let Some(clock) = rot.observe(ts) {
+                rot.fire(clock, sniffer.rotate(clock));
+            }
+        }
+        on_record(ts);
+        if let SourcePoll::Ready(rec) = poll {
+            source.recycle(rec);
         }
     }
 }
 
-/// Flow-record ingest tuning: how much export-time skew the reorder
-/// buffer absorbs, and its hard capacity.
-#[derive(Debug, Clone)]
-pub struct FlowrecConfig {
-    /// Watermark lag: a record is released once the maximum event time
-    /// seen exceeds its own by this much (export order lags event order by
-    /// at most a flow's duration; size this to the probe's active timeout).
-    pub skew_micros: u64,
-    /// Hard cap on buffered records; beyond it the earliest buffered
-    /// record is force-released and counted as a skew overflow.
-    pub capacity: usize,
-}
-
-impl Default for FlowrecConfig {
-    fn default() -> Self {
-        FlowrecConfig {
-            skew_micros: 60 * 1_000_000,
-            capacity: 65_536,
-        }
-    }
-}
-
-/// What the flow-record daemon counted, for the driver's summary.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FlowrecStats {
-    /// DNS export records ingested.
-    pub dns_records: u64,
-    /// Flow export records ingested.
-    pub flow_records: u64,
-    /// Records force-released because the buffer hit capacity.
-    pub skew_overflow: u64,
-    /// Records released behind the release clock (reordering beyond the
-    /// skew bound); processed anyway, never dropped.
-    pub late_records: u64,
-}
-
-/// One buffered export record, ordered by `(event_ts, arrival)` so the
-/// release order is deterministic even among equal timestamps.
-struct PendingRec {
-    ts: u64,
-    arrival: u64,
-    rec: ExportRecord,
-}
-
-impl PartialEq for PendingRec {
-    fn eq(&self, other: &Self) -> bool {
-        (self.ts, self.arrival) == (other.ts, other.arrival)
-    }
-}
-impl Eq for PendingRec {}
-impl PartialOrd for PendingRec {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingRec {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.ts, self.arrival).cmp(&(other.ts, other.arrival))
-    }
-}
-
-/// The bounded reorder buffer in front of the resolver for the
-/// NetFlow/IPFIX regime: DNS must reach Algorithm 1 before the flows it
-/// tags, but a flow exports at its *last* packet — so releases follow
-/// event time under a watermark, not arrival order.
-struct ReorderBuffer {
-    heap: BinaryHeap<Reverse<PendingRec>>,
-    arrival: u64,
-    max_event_ts: u64,
-    released_ts: u64,
-}
-
-impl ReorderBuffer {
-    fn new() -> Self {
-        ReorderBuffer {
-            heap: BinaryHeap::new(),
-            arrival: 0,
-            max_event_ts: 0,
-            released_ts: 0,
-        }
-    }
-
-    fn push(&mut self, rec: ExportRecord) {
-        let ts = rec.event_ts();
-        self.max_event_ts = self.max_event_ts.max(ts);
-        let arrival = self.arrival;
-        self.arrival += 1;
-        self.heap.push(Reverse(PendingRec { ts, arrival, rec }));
-    }
-
-    /// End of stream: every buffered record is present and heap-ordered,
-    /// so the watermark can jump to infinity — remaining releases are
-    /// exact, not skew violations.
-    fn seal(&mut self) {
-        self.max_event_ts = u64::MAX;
-    }
-
-    /// Pop the earliest buffered record if the watermark passed it, or
-    /// unconditionally when `force` (capacity overflow).
-    fn release(
-        &mut self,
-        skew: u64,
-        force: bool,
-        stats: &mut FlowrecStats,
-    ) -> Option<ExportRecord> {
-        let watermark = self.max_event_ts.saturating_sub(skew);
-        let due = self.heap.peek().is_some_and(|p| p.0.ts <= watermark);
-        let capacity_forced = force && !self.heap.is_empty();
-        if !(due || capacity_forced) {
-            return None;
-        }
-        let Reverse(p) = self.heap.pop()?;
-        if !due {
-            stats.skew_overflow += 1;
-            tm_count!(Metric::FlowrecSkewOverflow);
-        }
-        if p.ts < self.released_ts {
-            // Reordered beyond the skew bound: the resolver sees it out of
-            // order (a flow may miss a binding DNS already established for
-            // a later clock). Count it; never drop it.
-            stats.late_records += 1;
-            tm_count!(Metric::FlowrecLateRecords);
-        }
-        self.released_ts = self.released_ts.max(p.ts);
-        Some(p.rec)
-    }
-}
-
-/// Drive `sniffer` from a flow-record export stream until EOF, releasing
-/// records in watermarked event-time order. Rotation (when given) runs on
-/// the released-record clock — the same packet-clock contract as
-/// [`run_frame_daemon`]. Decode errors surface as `Err` (counted first),
-/// never as panics.
+/// [`run_frame_daemon`] over a flow-record export stream into the
+/// sequential sniffer, returning what the reorder buffer counted. A decode
+/// error comes back as `Err` after every record decoded ahead of it was
+/// ingested.
 pub fn run_flowrec_daemon<R: Read>(
     reader: &mut FlowRecReader<R>,
     sniffer: &mut RealTimeSniffer,
     cfg: &FlowrecConfig,
-    mut rotation: Option<&mut Rotation>,
-) -> Result<FlowrecStats, FlowRecError> {
-    let mut stats = FlowrecStats::default();
-    let mut buf = ReorderBuffer::new();
-    let capacity = cfg.capacity.max(1);
-    let mut ingest =
-        |rec: ExportRecord, stats: &mut FlowrecStats, rotation: &mut Option<&mut Rotation>| {
-            let ts = rec.event_ts();
-            match &rec {
-                ExportRecord::Dns(_) => {
-                    stats.dns_records += 1;
-                    tm_count!(Metric::FlowrecDnsRecords);
-                }
-                ExportRecord::Flow(_) => {
-                    stats.flow_records += 1;
-                    tm_count!(Metric::FlowrecFlowRecords);
-                }
-            }
-            if let Some(rot) = rotation.as_deref_mut() {
-                rot.emitter.note_origin(ts);
-            }
-            sniffer.ingest_export(&rec);
-            if let Some(rot) = rotation.as_deref_mut() {
-                if let Some(clock) = rot.observe(ts) {
-                    rot.fire(clock, sniffer.rotate(clock));
-                }
-            }
-        };
-    loop {
-        let rec = match reader.next_record() {
-            Ok(Some(rec)) => rec,
-            Ok(None) => break,
-            Err(err) => {
-                tm_count!(Metric::FlowrecDecodeErrors);
-                return Err(err);
-            }
-        };
-        buf.push(rec);
-        while let Some(rec) = buf.release(cfg.skew_micros, buf.heap.len() > capacity, &mut stats) {
-            ingest(rec, &mut stats, &mut rotation);
-        }
-    }
-    // End of stream: seal the watermark and drain — the tail releases in
-    // exact event order, so it is not a skew violation.
-    buf.seal();
-    while let Some(rec) = buf.release(cfg.skew_micros, false, &mut stats) {
-        ingest(rec, &mut stats, &mut rotation);
-    }
-    Ok(stats)
+    rotation: Option<&mut Rotation>,
+) -> Result<FlowrecStats, NetError> {
+    let mut source = FlowRecSource::new(reader, cfg.clone());
+    run_frame_daemon(&mut source, sniffer, rotation, |_| {})?;
+    Ok(source.stats())
 }
 
 /// Incremental replica of [`WindowedAnalytics`]'s window sweep, fed by
@@ -685,39 +519,5 @@ mod tests {
         assert!(footer.starts_with("{\"rotations\":3"));
         assert!(footer.contains("\"dropped_bucket_events\":0"));
         assert!(lines.next().is_none());
-    }
-
-    #[test]
-    fn reorder_buffer_releases_in_event_order_within_skew() {
-        let mut stats = FlowrecStats::default();
-        let mut buf = ReorderBuffer::new();
-        let dns = |ts: u64| {
-            ExportRecord::Dns(dnhunter_net::DnsExportRecord {
-                ts_micros: ts,
-                client: "10.0.0.1".parse().unwrap(),
-                message: vec![0; 4],
-            })
-        };
-        for ts in [500u64, 100, 300, 900, 200] {
-            buf.push(dns(ts));
-        }
-        // Watermark = 900 - 250 = 650: releases 100, 200, 300, 500.
-        let mut released = Vec::new();
-        while let Some(rec) = buf.release(250, false, &mut stats) {
-            released.push(rec.event_ts());
-        }
-        assert_eq!(released, vec![100, 200, 300, 500]);
-        assert_eq!(stats.late_records, 0);
-        // Capacity pressure forces the 900-ts record out while it is still
-        // inside the skew window: that is the overflow the metric counts.
-        assert!(buf.release(250, true, &mut stats).is_some());
-        assert_eq!(stats.skew_overflow, 1);
-        // A record behind the release clock is late but still released,
-        // and the sealed EOF drain is not a skew violation.
-        buf.push(dns(50));
-        buf.seal();
-        while buf.release(250, false, &mut stats).is_some() {}
-        assert_eq!(stats.late_records, 1);
-        assert_eq!(stats.skew_overflow, 1);
     }
 }

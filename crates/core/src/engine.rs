@@ -67,7 +67,7 @@ struct ResponseRecord {
 }
 
 /// Tag assigned when a flow started.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PendingTag {
     fqdn: Option<DomainName>,
     alt_labels: Vec<DomainName>,
@@ -250,39 +250,7 @@ impl ShardEngine {
         key: FlowKey,
         enforcer: Option<&mut E>,
     ) {
-        let mut tag = self.tag_flow_start(seq, ts, key.client, key.server);
-        if telemetry::trace_enabled() {
-            let server_key = key.server_trace_key();
-            match &tag.fqdn {
-                Some(name) => tm_trace!(Te::ResolverHit, seq, ts, server_key, name.trace_key()),
-                None => tm_trace!(
-                    Te::ResolverMiss,
-                    seq,
-                    ts,
-                    server_key,
-                    u64::from(tag.in_warmup)
-                ),
-            }
-            tm_trace!(
-                Te::FlowOpen,
-                seq,
-                ts,
-                server_key,
-                u64::from(key.server_port)
-            );
-        }
-        // §6 extension: when the resolver keeps several labels per pair,
-        // record the alternatives so downstream consumers can resolve
-        // ambiguity themselves.
-        if self.config.resolver.labels_per_server > 1 && tag.fqdn.is_some() {
-            for alt in self.resolver.lookup_all(key.client, key.server) {
-                // Distinct alternatives only; repeated resolutions of the
-                // primary name are not ambiguity.
-                if Some(&alt) != tag.fqdn.as_ref() && !tag.alt_labels.contains(&alt) {
-                    tag.alt_labels.push(alt);
-                }
-            }
-        }
+        let tag = self.tag_flow_start(seq, ts, key);
         if let Some(e) = enforcer {
             let _ = e.on_flow_start(key, tag.fqdn.as_ref());
         }
@@ -291,14 +259,14 @@ impl ShardEngine {
 
     /// Tag a flow at its first packet, for both the packet path and the
     /// flow-record path: the resolver lookup (Algorithm 1 lines 27–34), the
-    /// warm-up gate on hit accounting, and the delay accounting against the
-    /// latest response covering `(client, server)`. Alternative labels are
-    /// the caller's to add.
-    fn tag_flow_start(&mut self, seq: u64, ts: u64, client: IpAddr, server: IpAddr) -> PendingTag {
+    /// warm-up gate on hit accounting, the delay accounting against the
+    /// latest response covering `(client, server)`, the open-side
+    /// provenance events, and the §6 alternative labels.
+    fn tag_flow_start(&mut self, seq: u64, ts: u64, key: FlowKey) -> PendingTag {
         let in_warmup = self
             .trace_start
             .is_some_and(|t0| ts.saturating_sub(t0) < self.config.warmup_micros);
-        let fqdn = self.resolver.lookup(client, server);
+        let fqdn = self.resolver.lookup(key.client, key.server);
         if !in_warmup {
             self.stats.tag_attempts += 1;
             tm_count!(Tm::TagAttempts);
@@ -308,7 +276,7 @@ impl ShardEngine {
             }
         }
         let mut tag_delay = None;
-        let covering = self.response_index.get(client, server);
+        let covering = self.response_index.get(key.client, key.server);
         if let Some(rec) = covering.and_then(|&idx| self.responses.get_mut(idx)) {
             // Saturated one short of the sentinel, so a measured delay never
             // reads as "no flow yet".
@@ -329,9 +297,36 @@ impl ShardEngine {
             }
             tag_delay = Some(delay);
         }
+        if telemetry::trace_enabled() {
+            let server_key = key.server_trace_key();
+            match &fqdn {
+                Some(name) => tm_trace!(Te::ResolverHit, seq, ts, server_key, name.trace_key()),
+                None => tm_trace!(Te::ResolverMiss, seq, ts, server_key, u64::from(in_warmup)),
+            }
+            tm_trace!(
+                Te::FlowOpen,
+                seq,
+                ts,
+                server_key,
+                u64::from(key.server_port)
+            );
+        }
+        // §6 extension: when the resolver keeps several labels per pair,
+        // record the alternatives so downstream consumers can resolve
+        // ambiguity themselves.
+        let mut alt_labels = Vec::new();
+        if self.config.resolver.labels_per_server > 1 && fqdn.is_some() {
+            for alt in self.resolver.lookup_all(key.client, key.server) {
+                // Distinct alternatives only; repeated resolutions of the
+                // primary name are not ambiguity.
+                if Some(&alt) != fqdn.as_ref() && !alt_labels.contains(&alt) {
+                    alt_labels.push(alt);
+                }
+            }
+        }
         PendingTag {
             fqdn,
-            alt_labels: Vec::new(),
+            alt_labels,
             tag_delay,
             in_warmup,
         }
@@ -340,14 +335,35 @@ impl ShardEngine {
     /// A flow finished at merge position `at`: classify it (DPI verdict),
     /// join it with its start-time tag, and emit it.
     pub(crate) fn on_flow_finished(&mut self, at: EventKey, record: &dnhunter_flow::FlowRecord) {
-        let tag = self.pending_tags.remove(&record.key).unwrap_or(PendingTag {
-            fqdn: None,
-            alt_labels: Vec::new(),
-            tag_delay: None,
-            in_warmup: false,
-        });
+        let tag = self.pending_tags.remove(&record.key).unwrap_or_default();
         let protocol = record.protocol_now();
-        tm_count!(match protocol {
+        let tls = (protocol == dnhunter_flow::AppProtocol::Tls).then(|| record.tls_info());
+        self.emit_flow(
+            at,
+            TaggedFlow {
+                key: record.key,
+                fqdn: tag.fqdn,
+                second_level: None,
+                alt_labels: tag.alt_labels,
+                tag_delay_micros: tag.tag_delay,
+                first_ts: record.first_ts,
+                last_ts: record.last_ts,
+                packets_c2s: record.packets_c2s,
+                packets_s2c: record.packets_s2c,
+                bytes_c2s: record.bytes_c2s,
+                bytes_s2c: record.bytes_s2c,
+                protocol,
+                tls,
+                in_warmup: tag.in_warmup,
+            },
+        );
+    }
+
+    /// Emit one finished, tagged flow at merge position `at`, for both
+    /// finish paths: the DPI verdict count, the finish-side provenance
+    /// events, the sink, and the database row.
+    fn emit_flow(&mut self, at: EventKey, flow: TaggedFlow) {
+        tm_count!(match flow.protocol {
             dnhunter_flow::AppProtocol::Http => Tm::DpiHttp,
             dnhunter_flow::AppProtocol::Tls => Tm::DpiTls,
             dnhunter_flow::AppProtocol::P2p => Tm::DpiP2p,
@@ -357,38 +373,17 @@ impl ShardEngine {
             dnhunter_flow::AppProtocol::Other => Tm::DpiOther,
         });
         if telemetry::trace_enabled() {
-            let server_key = record.key.server_trace_key();
+            let server_key = flow.key.server_trace_key();
             tm_trace!(
                 Te::FlowVerdict,
                 at.0,
-                record.last_ts,
+                flow.last_ts,
                 server_key,
-                protocol as u64
+                flow.protocol as u64
             );
-            let bytes = record.bytes_c2s.saturating_add(record.bytes_s2c);
-            tm_trace!(Te::FlowFinish, at.0, record.last_ts, server_key, bytes);
+            let bytes = flow.bytes_c2s.saturating_add(flow.bytes_s2c);
+            tm_trace!(Te::FlowFinish, at.0, flow.last_ts, server_key, bytes);
         }
-        let tls = if protocol == dnhunter_flow::AppProtocol::Tls {
-            Some(record.tls_info())
-        } else {
-            None
-        };
-        let flow = TaggedFlow {
-            key: record.key,
-            fqdn: tag.fqdn,
-            second_level: None,
-            alt_labels: tag.alt_labels,
-            tag_delay_micros: tag.tag_delay,
-            first_ts: record.first_ts,
-            last_ts: record.last_ts,
-            packets_c2s: record.packets_c2s,
-            packets_s2c: record.packets_s2c,
-            bytes_c2s: record.bytes_c2s,
-            bytes_s2c: record.bytes_s2c,
-            protocol,
-            tls,
-            in_warmup: tag.in_warmup,
-        };
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.on_flow_finished(&flow);
         }
@@ -421,24 +416,11 @@ impl ShardEngine {
 
     /// Ingest one pre-aggregated flow export record (the NetFlow/IPFIX
     /// regime, paper-adjacent FlowDNS): no packets ever existed, so the
-    /// flow starts *and* finishes here. Tagging, warm-up gating, and delay
-    /// accounting run exactly as [`ShardEngine::on_flow_started`] would at
-    /// the flow's first-packet time; DPI falls back to the server port
-    /// (payload bytes don't exist in this regime).
+    /// flow starts *and* finishes here, both at the record's seq. Tagging
+    /// runs exactly as [`ShardEngine::on_flow_started`] would at the flow's
+    /// first-packet time; DPI falls back to the server port (payload bytes
+    /// don't exist in this regime).
     pub(crate) fn ingest_flow_export(&mut self, seq: u64, rec: &dnhunter_net::FlowExportRecord) {
-        let tag = self.tag_flow_start(seq, rec.first_ts, rec.client, rec.server);
-        let protocol = dnhunter_flow::AppProtocol::from_server_port(rec.server_port);
-        tm_count!(match protocol {
-            dnhunter_flow::AppProtocol::Http => Tm::DpiHttp,
-            dnhunter_flow::AppProtocol::Tls => Tm::DpiTls,
-            dnhunter_flow::AppProtocol::P2p => Tm::DpiP2p,
-            dnhunter_flow::AppProtocol::Dns => Tm::DpiDns,
-            dnhunter_flow::AppProtocol::Mail => Tm::DpiMail,
-            dnhunter_flow::AppProtocol::Chat => Tm::DpiChat,
-            dnhunter_flow::AppProtocol::Other => Tm::DpiOther,
-        });
-        tm_count!(Tm::FlowsStarted);
-        tm_count!(Tm::FlowsFinished);
         let key = FlowKey::from_initiator(
             rec.client,
             rec.server,
@@ -446,26 +428,28 @@ impl ShardEngine {
             rec.server_port,
             dnhunter_net::IpProtocol::from(rec.ip_proto),
         );
-        let flow = TaggedFlow {
-            key,
-            fqdn: tag.fqdn,
-            second_level: None,
-            alt_labels: tag.alt_labels,
-            tag_delay_micros: tag.tag_delay,
-            first_ts: rec.first_ts,
-            last_ts: rec.last_ts,
-            packets_c2s: rec.packets_c2s,
-            packets_s2c: rec.packets_s2c,
-            bytes_c2s: rec.bytes_c2s,
-            bytes_s2c: rec.bytes_s2c,
-            protocol,
-            tls: None,
-            in_warmup: tag.in_warmup,
-        };
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.on_flow_finished(&flow);
-        }
-        self.tagged.push(((seq, PHASE_FRAME), flow));
+        tm_count!(Tm::FlowsStarted);
+        let tag = self.tag_flow_start(seq, rec.first_ts, key);
+        tm_count!(Tm::FlowsFinished);
+        self.emit_flow(
+            (seq, PHASE_FRAME),
+            TaggedFlow {
+                key,
+                fqdn: tag.fqdn,
+                second_level: None,
+                alt_labels: tag.alt_labels,
+                tag_delay_micros: tag.tag_delay,
+                first_ts: rec.first_ts,
+                last_ts: rec.last_ts,
+                packets_c2s: rec.packets_c2s,
+                packets_s2c: rec.packets_s2c,
+                bytes_c2s: rec.bytes_c2s,
+                bytes_s2c: rec.bytes_s2c,
+                protocol: dnhunter_flow::AppProtocol::from_server_port(rec.server_port),
+                tls: None,
+                in_warmup: tag.in_warmup,
+            },
+        );
     }
 
     /// End of trace: hand over everything accumulated. The driver flushes

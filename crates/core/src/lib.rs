@@ -47,8 +47,8 @@
 
 #![forbid(unsafe_code)]
 
-/// Daemon mode: poll-driven ingest over any frame source, packet-clock
-/// state rotation, and the flow-record (NetFlow/IPFIX-style) regime.
+/// Daemon mode: the one poll-driven ingest loop over every source (pcap
+/// files and streams, flow-record exports) and packet-clock state rotation.
 pub mod daemon;
 pub mod db;
 /// Per-shard sniffer engine shared by the sequential and parallel drivers.
@@ -67,8 +67,8 @@ pub mod traceio;
 pub mod window;
 
 pub use daemon::{
-    run_flowrec_daemon, run_frame_daemon, DaemonSniffer, FlowrecConfig, FlowrecStats, Rotation,
-    RotationEmitter,
+    run_flowrec_daemon, run_frame_daemon, DaemonDriver, DaemonSniffer, FlowrecConfig, FlowrecStats,
+    Rotation, RotationEmitter,
 };
 pub use db::{FlowDatabase, TaggedFlow};
 pub use export::{write_csv, write_tstat_log};

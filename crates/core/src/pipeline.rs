@@ -7,10 +7,11 @@
 //! the caller's thread, which runs the sequential sniffer's own front end
 //! (`sniffer::FrontEnd`: flat parse, DNS demultiplexing, the one flow
 //! table and its eviction gate) and fans the engine events it produces —
-//! DNS response payloads, flow starts, finished flow records — out over
-//! bounded channels to `N` shard workers. The workers run the rest of
-//! Fig. 1: DNS decode, the resolver (Algorithm 1), tagging at flow start,
-//! delay accounting, the DPI verdict of each finished flow, and the sink.
+//! DNS response payloads, flow starts, finished flow records, flow-export
+//! records — out over bounded channels to `N` shard workers. The workers
+//! run the rest of Fig. 1: DNS decode, the resolver (Algorithm 1), tagging
+//! at flow start, delay accounting, the DPI verdict of each finished flow,
+//! and the sink.
 //!
 //! Work travels as batches: up to `BATCH_ITEMS` items plus one shared byte
 //! arena holding the DNS payloads, so steady-state ingest copies no frame
@@ -43,13 +44,14 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dnhunter_flow::{FlowKey, FlowRecord};
-use dnhunter_net::PcapRecord;
+use dnhunter_net::{ExportRecord, FlowExportRecord, PcapRecord, SourcePoll};
 use dnhunter_resolver::{shard_of, InternStats, ResolverConfig};
 use dnhunter_telemetry::{
     self as telemetry, tm_count, tm_observe, tm_trace_wall, LaneKind, Metric as Tm,
     TraceEvent as Te, TraceSet,
 };
 
+use crate::daemon::DaemonDriver;
 use crate::engine::{assemble_report, EventKey, ShardEngine, ShardOutput};
 use crate::policy::RuleEnforcer;
 use crate::sniffer::{EngineEvents, FrontEnd, SnifferConfig, SnifferReport, SnifferStats};
@@ -97,9 +99,11 @@ enum ItemKind {
     /// classify it and emit it. Unboxed on the dispatcher and, once the
     /// batch comes back, freed there too (see [`Batch`]).
     FlowEnd { record: FlowRecord, phase: u8 },
+    /// A flow-export record: tag the flow and emit it at `(item.seq, 0)`.
+    FlowExport(FlowExportRecord),
     /// Retire every windowed-analytics bucket strictly below `horizon` and
     /// answer with the retired partials on this worker's rotation channel —
-    /// the broadcast half of [`ParallelSniffer::rotate`]'s barrier.
+    /// the broadcast half of the [`DaemonDriver::rotate`] barrier.
     Rotate { horizon: u64 },
 }
 
@@ -209,6 +213,11 @@ impl EngineEvents for Dispatcher {
         let (ts, record) = (record.last_ts, *record);
         self.push_item(shard, ItemKind::FlowEnd { record, phase }, seq, ts, &[]);
     }
+
+    fn flow_export(&mut self, seq: u64, rec: &FlowExportRecord) {
+        let shard = shard_of(rec.client, self.links.len());
+        self.push_item(shard, ItemKind::FlowExport(*rec), seq, rec.first_ts, &[]);
+    }
 }
 
 impl Dispatcher {
@@ -290,7 +299,7 @@ pub struct ParallelSniffer {
     dispatcher: Dispatcher,
     handles: Vec<JoinHandle<(ShardOutput, u64)>>,
     /// Receive half of each worker's capacity-1 rotation channel, shard
-    /// order; [`ParallelSniffer::rotate`] blocks on one reply per worker.
+    /// order; [`DaemonDriver::rotate`] blocks on one reply per worker.
     rotation_rxs: Vec<Receiver<RotateReply>>,
     seq: u64,
     busy_nanos: u64,
@@ -387,33 +396,6 @@ impl ParallelSniffer {
         }
     }
 
-    /// Retire windowed-analytics buckets below the rotation horizon on
-    /// every shard, returning the retired `(bucket, partial)` lists in
-    /// shard order. The horizon is `clock` clamped down to the oldest live
-    /// flow's start — the same flow table and the same clamp as
-    /// [`crate::RealTimeSniffer::rotate`] — so no window a live flow can
-    /// still contribute to is emitted early. Runs as a barrier: a `Rotate`
-    /// item is broadcast to every shard, pending batches flush, and the
-    /// call blocks until each worker answers on its capacity-1 rotation
-    /// channel — cheap at rotation cadence, and it pins retirement to the
-    /// same packet-clock instant at every worker count.
-    pub fn rotate(&mut self, clock: u64) -> (u64, Vec<Vec<(u64, StreamingAnalytics)>>) {
-        let horizon = self.front.horizon(clock);
-        let seq = self.seq;
-        for shard in 0..self.dispatcher.links.len() {
-            self.dispatcher
-                .push_item(shard, ItemKind::Rotate { horizon }, seq, clock, &[]);
-        }
-        self.dispatcher.flush_all();
-        let mut replies = Vec::with_capacity(self.rotation_rxs.len());
-        for rx in &self.rotation_rxs {
-            // `Err` = the worker died; treat as "nothing retired" and let
-            // the join in `finish` re-raise its panic.
-            replies.push(rx.recv().unwrap_or_default());
-        }
-        (horizon, replies)
-    }
-
     /// Worker count.
     pub fn workers(&self) -> usize {
         self.dispatcher.links.len()
@@ -431,6 +413,14 @@ impl ParallelSniffer {
         let seq = self.seq;
         self.seq += 1;
         self.timed(|front, dispatcher| front.frame(seq, ts, frame, dispatcher));
+    }
+
+    /// Dispatch one flow-export record through the front end, exactly as
+    /// [`crate::RealTimeSniffer::ingest_export`] does.
+    pub fn ingest_export(&mut self, rec: &ExportRecord) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.timed(|front, dispatcher| front.export(seq, rec, dispatcher));
     }
 
     /// Run dispatcher work, adding its CPU time to the busy total. Blocking
@@ -530,6 +520,43 @@ impl ParallelSniffer {
     }
 }
 
+impl DaemonDriver for ParallelSniffer {
+    fn ingest(&mut self, rec: &SourcePoll) {
+        match rec {
+            SourcePoll::Ready(rec) => self.process_record(rec),
+            SourcePoll::Export(rec) => self.ingest_export(rec),
+            SourcePoll::Pending | SourcePoll::Eof => {}
+        }
+    }
+
+    /// Retire windowed-analytics buckets below the rotation horizon on
+    /// every shard, returning the retired `(bucket, partial)` lists
+    /// concatenated in shard order. The horizon is `clock` clamped down to
+    /// the oldest live flow's start — the same flow table and the same
+    /// clamp as the [`crate::RealTimeSniffer`] — so no window a live flow
+    /// can still contribute to is emitted early. Runs as a barrier: a
+    /// `Rotate` item is broadcast to every shard, pending batches flush,
+    /// and the call blocks until each worker answers on its capacity-1
+    /// rotation channel — cheap at rotation cadence, and it pins
+    /// retirement to the same packet-clock instant at every worker count.
+    fn rotate(&mut self, clock: u64) -> (u64, Vec<(u64, StreamingAnalytics)>) {
+        let horizon = self.front.horizon(clock);
+        let seq = self.seq;
+        for shard in 0..self.dispatcher.links.len() {
+            self.dispatcher
+                .push_item(shard, ItemKind::Rotate { horizon }, seq, clock, &[]);
+        }
+        self.dispatcher.flush_all();
+        let mut retired = Vec::new();
+        for rx in &self.rotation_rxs {
+            // `Err` = the worker died; treat as "nothing retired" and let
+            // the join in `finish` re-raise its panic.
+            retired.extend(rx.recv().unwrap_or_default());
+        }
+        (horizon, retired)
+    }
+}
+
 /// Build the `workers` shard engines, splitting the Clist budget `L`:
 /// `L / workers` entries each, the remainder one each to the lowest
 /// shards, at least 1 (§3.1.1 — sharding splits the §4.2 memory budget, it
@@ -624,6 +651,7 @@ fn worker_loop(
                 ItemKind::FlowEnd { ref record, phase } => {
                     engine.on_flow_finished((item.seq, phase), record)
                 }
+                ItemKind::FlowExport(ref rec) => engine.ingest_flow_export(item.seq, rec),
                 ItemKind::Rotate { horizon } => {
                     let retired = engine.rotate(horizon);
                     // The barrier half: the dispatcher blocks on this

@@ -5,11 +5,12 @@ use std::net::IpAddr;
 
 use dnhunter_flow::{CompactSeg, FlowEvent, FlowKey, FlowRecord, FlowTable, FlowTableConfig};
 use dnhunter_net::seg::{parse_flat, FlatParse, FrameFault};
-use dnhunter_net::{IpProtocol, PcapRecord};
+use dnhunter_net::{ExportRecord, FlowExportRecord, IpProtocol, PcapRecord, SourcePoll};
 use dnhunter_resolver::{DnsResolver, ResolverConfig, ResolverStats};
 use dnhunter_telemetry::{self as telemetry, tm_count, tm_trace, Metric as Tm, TraceEvent as Te};
 use serde::{Deserialize, Serialize};
 
+use crate::daemon::DaemonDriver;
 use crate::db::FlowDatabase;
 use crate::engine::{assemble_report, EventKey, ShardEngine, PHASE_FRAME, PHASE_SCAN};
 use crate::policy::PolicyEnforcer;
@@ -195,38 +196,19 @@ impl RealTimeSniffer {
         self.front.frame(seq, ts, frame, &mut direct);
     }
 
-    /// Retire windowed-analytics buckets below the rotation horizon,
-    /// returning the retired `(bucket, partial)` pairs in bucket order.
-    /// The horizon is `clock` clamped down to the oldest live flow's first
-    /// timestamp (`FrontEnd::horizon`, the same call
-    /// [`crate::ParallelSniffer::rotate`] makes), so no window a live flow
-    /// can still contribute to is ever emitted early.
-    pub fn rotate(&mut self, clock: u64) -> (u64, Vec<(u64, StreamingAnalytics)>) {
-        let horizon = self.front.horizon(clock);
-        (horizon, self.engine.rotate(horizon))
-    }
-
     /// Ingest one decoded flow-export record — the NetFlow/IPFIX-style
     /// regime, where the probe ships pre-aggregated flow summaries and
     /// mirrored DNS payloads instead of raw frames. DNS records feed
     /// Algorithm 1 exactly as sniffed responses do; flow records are
     /// tagged and emitted directly (there is nothing to reconstruct).
-    pub fn ingest_export(&mut self, rec: &dnhunter_net::ExportRecord) {
+    pub fn ingest_export(&mut self, rec: &ExportRecord) {
         let seq = self.seq;
         self.seq += 1;
-        let ts = rec.event_ts();
-        if self.front.note_ts(ts) {
-            self.engine.note_trace_start(ts);
-        }
-        match rec {
-            dnhunter_net::ExportRecord::Dns(d) => {
-                self.engine
-                    .handle_dns_payload(seq, d.ts_micros, d.client, &d.message, false);
-            }
-            dnhunter_net::ExportRecord::Flow(f) => {
-                self.engine.ingest_flow_export(seq, f);
-            }
-        }
+        let mut direct = Direct {
+            engine: &mut self.engine,
+            enforcer: None::<&mut crate::policy::RuleEnforcer>,
+        };
+        self.front.export(seq, rec, &mut direct);
     }
 
     /// End of trace: flush live flows and assemble the report.
@@ -257,6 +239,27 @@ impl RealTimeSniffer {
     }
 }
 
+impl DaemonDriver for RealTimeSniffer {
+    fn ingest(&mut self, rec: &SourcePoll) {
+        match rec {
+            SourcePoll::Ready(rec) => self.process_record(rec),
+            SourcePoll::Export(rec) => self.ingest_export(rec),
+            SourcePoll::Pending | SourcePoll::Eof => {}
+        }
+    }
+
+    /// Retire windowed-analytics buckets below the rotation horizon,
+    /// returning the retired `(bucket, partial)` pairs in bucket order.
+    /// The horizon is `clock` clamped down to the oldest live flow's first
+    /// timestamp (`FrontEnd::horizon`, the same call the
+    /// [`crate::ParallelSniffer`] makes), so no window a live flow can
+    /// still contribute to is ever emitted early.
+    fn rotate(&mut self, clock: u64) -> (u64, Vec<(u64, StreamingAnalytics)>) {
+        let horizon = self.front.horizon(clock);
+        (horizon, self.engine.rotate(horizon))
+    }
+}
+
 /// Where the [`FrontEnd`]'s engine events go — the one thing the two
 /// drivers do differently with a frame.
 pub(crate) trait EngineEvents {
@@ -271,6 +274,8 @@ pub(crate) trait EngineEvents {
     fn flow_started(&mut self, seq: u64, ts: u64, key: FlowKey);
     /// The flow table emitted a finished flow at merge position `at`.
     fn flow_finished(&mut self, at: EventKey, record: Box<FlowRecord>);
+    /// A flow-export record: a flow that starts and finishes at once.
+    fn flow_export(&mut self, seq: u64, rec: &FlowExportRecord);
 }
 
 /// The sequential driver's [`EngineEvents`]: every event goes straight
@@ -302,12 +307,16 @@ impl<E: PolicyEnforcer> EngineEvents for Direct<'_, E> {
     fn flow_finished(&mut self, at: EventKey, record: Box<FlowRecord>) {
         self.engine.on_flow_finished(at, &record);
     }
+
+    fn flow_export(&mut self, seq: u64, rec: &FlowExportRecord) {
+        self.engine.ingest_flow_export(seq, rec);
+    }
 }
 
 /// Frame classification, written once for both drivers: the frame
 /// counters, the trace bounds, the flat parse, the DNS demultiplexer, the
-/// one [`FlowTable`] with its eviction-scan gate, and the end-of-trace
-/// flush. [`RealTimeSniffer`] runs it into its engine, the
+/// one [`FlowTable`] with its eviction-scan gate, the end-of-trace flush,
+/// and the split of flow-export records into DNS and flow events. [`RealTimeSniffer`] runs it into its engine, the
 /// [`crate::ParallelSniffer`] dispatcher into its shard batches; on the
 /// same frames both see the same events under the same `(seq, phase)`
 /// stamps.
@@ -334,7 +343,7 @@ impl FrontEnd {
     }
 
     /// Widen the trace bounds to `ts`; `true` for the trace's first record.
-    pub(crate) fn note_ts(&mut self, ts: u64) -> bool {
+    fn note_ts(&mut self, ts: u64) -> bool {
         self.trace_end = Some(self.trace_end.map_or(ts, |t| t.max(ts)));
         let first = self.trace_start.is_none();
         self.trace_start.get_or_insert(ts);
@@ -399,6 +408,20 @@ impl FrontEnd {
         if ts.saturating_sub(self.last_eviction) >= self.eviction_interval {
             self.last_eviction = ts;
             finished(self.flows.evict_idle(ts), (seq, PHASE_SCAN), out);
+        }
+    }
+
+    /// Hand one flow-export record, `seq`-th of the stream, to `out`: it
+    /// widens the trace bounds at its event time, a DNS record goes on as a
+    /// UDP response, a flow record as a whole flow.
+    pub(crate) fn export(&mut self, seq: u64, rec: &ExportRecord, out: &mut impl EngineEvents) {
+        let ts = rec.event_ts();
+        if self.note_ts(ts) {
+            out.trace_start(seq, ts);
+        }
+        match rec {
+            ExportRecord::Dns(d) => out.dns(seq, d.ts_micros, d.client, &d.message, false),
+            ExportRecord::Flow(f) => out.flow_export(seq, f),
         }
     }
 
@@ -673,6 +696,65 @@ mod tests {
         );
         let report = s.finish();
         assert_eq!(report.answers_per_response, vec![16, 1]);
+    }
+
+    /// The §6 alternative labels are the tagger's, not the packet path's:
+    /// one flow fed as frames and as a flow-export record carries the same
+    /// primary label and the same alternatives.
+    #[test]
+    fn exported_flows_get_the_same_alternative_labels_as_sniffed_ones() {
+        let config = SnifferConfig {
+            resolver: dnhunter_resolver::ResolverConfig {
+                labels_per_server: 2,
+                ..dnhunter_resolver::ResolverConfig::default()
+            },
+            ..no_warmup_config()
+        };
+        let names = ["first.example.com", "second.example.com"];
+
+        let mut sniffed = RealTimeSniffer::new(config.clone());
+        for (i, name) in names.iter().enumerate() {
+            let ts = 1_000_000 + i as u64 * 100_000;
+            sniffed.process_frame(ts, &dns_response_frame(name, &[WEB_SERVER], i as u16));
+        }
+        sniffed.process_frame(1_500_000, &syn_frame(WEB_SERVER, 443, 50010));
+        let sniffed = sniffed.finish();
+
+        let mut exported = RealTimeSniffer::new(config);
+        for (i, name) in names.iter().enumerate() {
+            let frame = dns_response_frame(name, &[WEB_SERVER], i as u16);
+            let Ok(FlatParse::Seg(seg)) = parse_flat(&frame) else {
+                panic!("response frame parses");
+            };
+            exported.ingest_export(&ExportRecord::Dns(dnhunter_net::DnsExportRecord {
+                ts_micros: 1_000_000 + i as u64 * 100_000,
+                client: IpAddr::V4(CLIENT),
+                message: seg.payload.to_vec(),
+            }));
+        }
+        exported.ingest_export(&ExportRecord::Flow(FlowExportRecord {
+            first_ts: 1_500_000,
+            last_ts: 1_500_000,
+            client: IpAddr::V4(CLIENT),
+            client_port: 50010,
+            server: IpAddr::V4(WEB_SERVER),
+            server_port: 443,
+            ip_proto: 6,
+            packets_c2s: 1,
+            packets_s2c: 0,
+            bytes_c2s: 0,
+            bytes_s2c: 0,
+        }));
+        let exported = exported.finish();
+
+        let (s, e) = (&sniffed.database.flows()[0], &exported.database.flows()[0]);
+        assert_eq!(s.fqdn.as_ref().unwrap().to_string(), "second.example.com");
+        assert_eq!(s.alt_labels.len(), 1, "sniffed flow has no alternative");
+        assert_eq!(e.fqdn, s.fqdn);
+        assert_eq!(
+            e.alt_labels, s.alt_labels,
+            "exported flow lost its alternatives"
+        );
     }
 
     #[test]

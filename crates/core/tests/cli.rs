@@ -3,13 +3,17 @@
 //! exactly what the library's exporters render for the sequential sniffer
 //! — at any `--workers` — the deleted `--dispatchers` flag must be
 //! refused like any other unknown argument, and a seconds flag too large
-//! for microseconds must be a usage error.
+//! for microseconds must be a usage error. A flow-record stream runs the
+//! same loop, so it takes `--workers` and `--metrics` like a pcap does.
 
+use std::io::{Cursor, Write};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
-use dnhunter::{write_csv, write_tstat_log, RealTimeSniffer, SnifferConfig};
-use dnhunter_simnet::{profiles, TraceGenerator};
+use dnhunter::{write_csv, write_tstat_log, FlowrecConfig, RealTimeSniffer, SnifferConfig};
+use dnhunter_net::flowrec::encode_stream;
+use dnhunter_net::FlowRecReader;
+use dnhunter_simnet::{flowexport, profiles, TraceGenerator};
 
 fn dn_hunter(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dn-hunter"))
@@ -96,4 +100,85 @@ fn file_replay_prints_the_library_exports_at_one_and_two_workers() {
         }
     }
     let _ = std::fs::remove_file(&pcap);
+}
+
+/// `dn-hunter` with `stdin` piped in.
+fn dn_hunter_stdin(args: &[&str], stdin: &[u8]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dn-hunter"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("dn-hunter binary runs");
+    let mut pipe = child.stdin.take().expect("stdin is piped");
+    pipe.write_all(stdin).expect("stdin takes the stream");
+    drop(pipe);
+    child.wait_with_output().expect("dn-hunter finishes")
+}
+
+#[test]
+fn flowrec_replay_composes_with_workers_and_metrics() {
+    let trace = TraceGenerator::new(profiles::eu1_ftth().scaled(0.05), false).generate();
+    let stream = flowexport::export_stream(&trace.records, 7, 53);
+    let bytes = encode_stream(&stream);
+    let dnfr = temp_path("replay.dnfr");
+    std::fs::write(&dnfr, &bytes).expect("dnfr writes");
+
+    // The library's flow-record loop under the binary's default
+    // configuration: 300 s warm-up, default reorder buffer.
+    let mut sniffer = RealTimeSniffer::new(SnifferConfig {
+        warmup_micros: 300 * 1_000_000,
+        ..SnifferConfig::default()
+    });
+    let mut reader = FlowRecReader::new(Cursor::new(&bytes)).expect("valid header");
+    dnhunter::run_flowrec_daemon(&mut reader, &mut sniffer, &FlowrecConfig::default(), None)
+        .expect("flow-record stream ingests");
+    let want = sniffer.finish().database.to_json_lines();
+    assert!(
+        want.lines().count() > 50,
+        "stream too small to mean anything"
+    );
+
+    let path = dnfr.to_str().expect("utf-8 temp path");
+    for workers in ["1", "2"] {
+        let args = ["--flowrec", "--json", "--workers", workers];
+        let from_file = dn_hunter(&[&[path][..], &args].concat());
+        let from_stdin = dn_hunter_stdin(&[&["-"][..], &args].concat(), &bytes);
+        for (input, out) in [("file", from_file), ("stdin", from_stdin)] {
+            assert!(out.status.success(), "{input} --workers {workers} failed");
+            assert!(
+                out.stdout == want.as_bytes(),
+                "{input} --workers {workers} diverged from the library export"
+            );
+        }
+    }
+
+    let metrics = temp_path("flowrec-metrics.jsonl");
+    let metrics_path = metrics.to_str().expect("utf-8 temp path");
+    let out = dn_hunter(&[
+        path,
+        "--flowrec",
+        "--metrics",
+        metrics_path,
+        "--workers",
+        "2",
+    ]);
+    assert!(out.status.success(), "--flowrec --metrics failed");
+    let lines = std::fs::read_to_string(&metrics).expect("metrics file written");
+    let last: serde_json::Value =
+        serde_json::from_str(lines.lines().last().expect("a final line")).expect("JSON line");
+    let counter = |name: &str| last["counters"][name].as_u64().expect("counter present");
+    assert_eq!(
+        counter("dnh_flowrec_dns_records_total") + counter("dnh_flowrec_flow_records_total"),
+        stream.len() as u64,
+        "the final metrics line lost flow records"
+    );
+    for p in [
+        dnfr,
+        metrics.clone(),
+        PathBuf::from(format!("{metrics_path}.prom")),
+    ] {
+        let _ = std::fs::remove_file(p);
+    }
 }

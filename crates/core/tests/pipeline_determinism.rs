@@ -15,8 +15,8 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use dnhunter::{
-    FlowSink, ParallelSniffer, PipelineTimings, RealTimeSniffer, SnifferConfig, SnifferReport,
-    TaggedFlow,
+    DaemonDriver, FlowSink, ParallelSniffer, PipelineTimings, RealTimeSniffer, SnifferConfig,
+    SnifferReport, TaggedFlow,
 };
 use dnhunter_dns::{codec, DnsMessage, QClass, QType, RData, ResourceRecord};
 use dnhunter_flow::FlowTableConfig;

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::flowrec::FlowRecError;
+
 /// Errors produced while parsing or building wire formats.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
@@ -28,6 +30,8 @@ pub enum NetError {
     BadPcap(String),
     /// Underlying I/O failure (pcap reading/writing).
     Io(String),
+    /// A flow-record export stream failed to decode.
+    FlowRec(FlowRecError),
 }
 
 impl fmt::Display for NetError {
@@ -57,6 +61,7 @@ impl fmt::Display for NetError {
             ),
             NetError::BadPcap(detail) => write!(f, "pcap: {detail}"),
             NetError::Io(detail) => write!(f, "io: {detail}"),
+            NetError::FlowRec(e) => write!(f, "{e}"),
         }
     }
 }

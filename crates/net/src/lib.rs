@@ -53,6 +53,9 @@ pub use packet::{
 pub use pcap::{PcapReader, PcapRecord, PcapWriter};
 pub use proto::IpProtocol;
 pub use seg::{parse_flat, FlatParse, FlatSeg, FrameFault};
-pub use source::{FrameSource, PcapFileSource, PcapStreamSource, SourcePoll};
+pub use source::{
+    FlowRecSource, FlowrecConfig, FlowrecStats, FrameSource, PcapFileSource, PcapStreamSource,
+    SourcePoll,
+};
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::UdpHeader;

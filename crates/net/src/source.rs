@@ -1,10 +1,10 @@
-//! Pluggable frame ingest: the [`FrameSource`] abstraction the daemon
-//! event loop polls instead of iterating a pcap file directly.
+//! Pluggable ingest: the [`FrameSource`] abstraction the daemon event loop
+//! polls instead of iterating a capture directly.
 //!
-//! Two packet backends live here:
+//! Three backends live here, and the one loop drives all of them:
 //!
-//! * [`PcapFileSource`] — the existing batch path: a seekable capture
-//!   file, which is always either `Ready` or `Eof`.
+//! * [`PcapFileSource`] — the batch path: a seekable capture file, which is
+//!   always either `Ready` or `Eof`.
 //! * [`PcapStreamSource`] — a pcap byte stream arriving incrementally
 //!   over a pipe/FIFO/socket. Reads are partial and records can straddle
 //!   read boundaries, so the source buffers bytes and reports `Pending`
@@ -12,20 +12,33 @@
 //!   testable offline: `mkfifo` + `cat trace.pcap > fifo` replays a
 //!   capture with real pipe semantics, and tests drive it with a
 //!   deliberately dribbling reader.
-//!
-//! The third backend (flow records rather than frames) lives in the
-//! daemon crate-side correlator; its codec is [`crate::flowrec`].
+//! * [`FlowRecSource`] — the NetFlow/IPFIX-style regime: a DNFR export
+//!   stream ([`crate::flowrec`]) of mirrored DNS payloads and
+//!   pre-aggregated flow summaries, yielded as `Export` records. Export
+//!   order is not event order (a flow exports at its *last* packet), so a
+//!   bounded reorder buffer releases records in event-time order once the
+//!   watermark (max event time seen minus the skew bound) passes them;
+//!   overflow past the buffer's capacity force-releases the earliest
+//!   record (counted on `dnh_flowrec_skew_overflow_total`), and a record
+//!   landing behind the release clock is counted late but still released
+//!   — never dropped, never panicking.
 
+use std::collections::BTreeMap;
 use std::io::Read;
 
+use dnhunter_telemetry::{tm_count, Metric};
+
 use crate::error::{NetError, Result};
+use crate::flowrec::{ExportRecord, FlowRecError};
 use crate::pcap::{PcapReader, PcapRecord, LINKTYPE_ETHERNET, MAGIC, SNAPLEN};
 
-/// One poll of a frame source.
+/// One poll of a source.
 #[derive(Debug)]
 pub enum SourcePoll {
-    /// A complete record is available.
+    /// A complete captured frame is available.
     Ready(PcapRecord),
+    /// A flow-export record is available, released in event-time order.
+    Export(ExportRecord),
     /// No complete record yet, but the stream is still open — poll again.
     Pending,
     /// The stream ended cleanly on a record boundary.
@@ -267,6 +280,170 @@ impl<R: Read> FrameSource for PcapStreamSource<R> {
     }
 }
 
+/// Flow-record ingest tuning: how much export-time skew the reorder
+/// buffer absorbs, and its hard capacity.
+#[derive(Debug, Clone)]
+pub struct FlowrecConfig {
+    /// Watermark lag: a record is released once the maximum event time
+    /// seen exceeds its own by this much (export order lags event order by
+    /// at most a flow's duration; size this to the probe's active timeout).
+    pub skew_micros: u64,
+    /// Hard cap on buffered records; beyond it the earliest buffered
+    /// record is force-released and counted as a skew overflow.
+    pub capacity: usize,
+}
+
+impl Default for FlowrecConfig {
+    fn default() -> Self {
+        FlowrecConfig {
+            skew_micros: 60 * 1_000_000,
+            capacity: 65_536,
+        }
+    }
+}
+
+/// What the flow-record source counted, for the driver's summary.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FlowrecStats {
+    /// DNS export records released.
+    pub dns_records: u64,
+    /// Flow export records released.
+    pub flow_records: u64,
+    /// Records force-released because the buffer hit capacity.
+    pub skew_overflow: u64,
+    /// Records released behind the release clock (reordering beyond the
+    /// skew bound); processed anyway, never dropped.
+    pub late_records: u64,
+}
+
+/// The bounded reorder buffer in front of the resolver for the
+/// NetFlow/IPFIX regime: DNS must reach Algorithm 1 before the flows it
+/// tags, but a flow exports at its *last* packet — so releases follow
+/// event time under a watermark, not arrival order.
+#[derive(Default)]
+struct ReorderBuffer {
+    cfg: FlowrecConfig,
+    stats: FlowrecStats,
+    /// Buffered records by `(event_ts, arrival)`: the release order is
+    /// deterministic even among equal timestamps.
+    pending: BTreeMap<(u64, u64), ExportRecord>,
+    arrival: u64,
+    max_event_ts: u64,
+    released_ts: u64,
+    /// End of stream: every record is in and in order, so every one is
+    /// due — the tail releases in exact event order, not as skew
+    /// violations.
+    sealed: bool,
+}
+
+impl ReorderBuffer {
+    fn push(&mut self, rec: ExportRecord) {
+        let ts = rec.event_ts();
+        self.max_event_ts = self.max_event_ts.max(ts);
+        self.pending.insert((ts, self.arrival), rec);
+        self.arrival += 1;
+    }
+
+    /// Pop the earliest buffered record if the watermark passed it or the
+    /// buffer is over capacity (a forced release, counted as a skew
+    /// overflow), counting what it releases.
+    fn release(&mut self) -> Option<ExportRecord> {
+        let (&(ts, _), _) = self.pending.first_key_value()?;
+        let due = self.sealed || ts <= self.max_event_ts.saturating_sub(self.cfg.skew_micros);
+        if !due && self.pending.len() <= self.cfg.capacity.max(1) {
+            return None;
+        }
+        let (_, rec) = self.pending.pop_first()?;
+        if !due {
+            self.stats.skew_overflow += 1;
+            tm_count!(Metric::FlowrecSkewOverflow);
+        }
+        if ts < self.released_ts {
+            // Reordered beyond the skew bound: the resolver sees it out of
+            // order (a flow may miss a binding DNS already established for
+            // a later clock). Count it; never drop it.
+            self.stats.late_records += 1;
+            tm_count!(Metric::FlowrecLateRecords);
+        }
+        self.released_ts = self.released_ts.max(ts);
+        match &rec {
+            ExportRecord::Dns(_) => {
+                self.stats.dns_records += 1;
+                tm_count!(Metric::FlowrecDnsRecords);
+            }
+            ExportRecord::Flow(_) => {
+                self.stats.flow_records += 1;
+                tm_count!(Metric::FlowrecFlowRecords);
+            }
+        }
+        Some(rec)
+    }
+}
+
+/// The flow-record backend: decoded DNFR records (a
+/// [`crate::FlowRecReader`], owned or borrowed) behind the reorder buffer,
+/// released as [`SourcePoll::Export`] in watermarked event-time order.
+/// Never `Pending`: the reader blocks.
+///
+/// A decode error ends the stream, but not before every record decoded
+/// ahead of it: the buffer is sealed and drained first, and the error
+/// comes back from the poll after the last release.
+pub struct FlowRecSource<I> {
+    records: I,
+    buf: ReorderBuffer,
+    /// Set once the reader is done: `Some(Err)` holds its decode error
+    /// until the buffer has drained.
+    end: Option<std::result::Result<(), FlowRecError>>,
+}
+
+impl<I> FlowRecSource<I> {
+    /// Wrap a record reader (stream header already validated).
+    pub fn new(records: I, cfg: FlowrecConfig) -> Self {
+        FlowRecSource {
+            records,
+            buf: ReorderBuffer {
+                cfg,
+                ..ReorderBuffer::default()
+            },
+            end: None,
+        }
+    }
+
+    /// What the source has released and counted so far.
+    pub fn stats(&self) -> FlowrecStats {
+        self.buf.stats
+    }
+}
+
+impl<I> FrameSource for FlowRecSource<I>
+where
+    I: Iterator<Item = std::result::Result<ExportRecord, FlowRecError>>,
+{
+    fn poll_next(&mut self) -> Result<SourcePoll> {
+        loop {
+            if let Some(rec) = self.buf.release() {
+                return Ok(SourcePoll::Export(rec));
+            }
+            if let Some(end) = self.end.as_mut() {
+                return match std::mem::replace(end, Ok(())) {
+                    Ok(()) => Ok(SourcePoll::Eof),
+                    Err(e) => Err(NetError::FlowRec(e)),
+                };
+            }
+            match self.records.next() {
+                Some(Ok(rec)) => self.buf.push(rec),
+                end => {
+                    if matches!(end, Some(Err(_))) {
+                        tm_count!(Metric::FlowrecDecodeErrors);
+                    }
+                    self.buf.sealed = true;
+                    self.end = Some(end.map_or(Ok(()), |r| r.map(drop)));
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +486,7 @@ mod tests {
                 SourcePoll::Ready(rec) => out.push(rec),
                 SourcePoll::Pending => {}
                 SourcePoll::Eof => return Ok(out),
+                SourcePoll::Export(rec) => panic!("a pcap source yielded {rec:?}"),
             }
         }
     }
@@ -379,6 +557,7 @@ mod tests {
                     }
                     SourcePoll::Pending => {}
                     SourcePoll::Eof => break,
+                    SourcePoll::Export(rec) => panic!("a pcap source yielded {rec:?}"),
                 }
             }
             assert_eq!(got, expect.len(), "chunk={chunk}");
@@ -458,5 +637,72 @@ mod tests {
         // Zero bytes isn't a capture: no header ever arrived.
         let mut src = PcapStreamSource::new(Cursor::new(Vec::new()));
         assert!(src.poll_next().is_err());
+    }
+
+    fn dns(ts: u64) -> ExportRecord {
+        ExportRecord::Dns(crate::DnsExportRecord {
+            ts_micros: ts,
+            client: "10.0.0.1".parse().unwrap(),
+            message: vec![0; 4],
+        })
+    }
+
+    #[test]
+    fn reorder_buffer_releases_in_event_order_within_skew() {
+        let mut buf = ReorderBuffer {
+            cfg: FlowrecConfig {
+                skew_micros: 250,
+                capacity: 16,
+            },
+            ..ReorderBuffer::default()
+        };
+        for ts in [500u64, 100, 300, 900, 200] {
+            buf.push(dns(ts));
+        }
+        // Watermark = 900 - 250 = 650: releases 100, 200, 300, 500.
+        let mut released = Vec::new();
+        while let Some(rec) = buf.release() {
+            released.push(rec.event_ts());
+        }
+        assert_eq!(released, vec![100, 200, 300, 500]);
+        assert_eq!(buf.stats.late_records, 0);
+        // Capacity pressure forces the 900-ts record out while it is still
+        // inside the skew window: that is the overflow the metric counts.
+        buf.cfg.capacity = 1;
+        buf.push(dns(950));
+        assert_eq!(buf.release().map(|r| r.event_ts()), Some(900));
+        assert_eq!(buf.stats.skew_overflow, 1);
+        assert!(buf.release().is_none());
+        // A record behind the release clock is late but still released,
+        // and the sealed EOF drain is not a skew violation.
+        buf.push(dns(50));
+        buf.sealed = true;
+        while buf.release().is_some() {}
+        assert_eq!(buf.stats.late_records, 1);
+        assert_eq!(buf.stats.skew_overflow, 1);
+        assert_eq!(buf.stats.dns_records, 7);
+    }
+
+    #[test]
+    fn flowrec_source_drains_what_it_decoded_before_an_error() {
+        // Six records, the last two after a decode error: the four decoded
+        // ahead of it all come out, in event order, before the error does.
+        let mut records: Vec<std::result::Result<ExportRecord, FlowRecError>> =
+            [400u64, 100, 300, 200].map(|ts| Ok(dns(ts))).into();
+        records.push(Err(FlowRecError::Truncated));
+        records.push(Ok(dns(50)));
+        let mut src = FlowRecSource::new(records.into_iter(), FlowrecConfig::default());
+        let mut released = Vec::new();
+        let err = loop {
+            match src.poll_next() {
+                Ok(SourcePoll::Export(rec)) => released.push(rec.event_ts()),
+                Ok(other) => panic!("unexpected poll {other:?}"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(released, [100, 200, 300, 400]);
+        assert_eq!(err, NetError::FlowRec(FlowRecError::Truncated));
+        assert_eq!(src.stats().dns_records, 4);
+        assert!(matches!(src.poll_next(), Ok(SourcePoll::Eof)));
     }
 }

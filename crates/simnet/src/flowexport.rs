@@ -13,7 +13,7 @@
 //! Export order is deliberately **not** event order: DNS mirrors lead
 //! their flows (as in the real regime), but two flows export in flush
 //! order, not start order — the reorder buffer in
-//! `dnhunter::run_flowrec_daemon` is what puts events back on the clock.
+//! `dnhunter_net::FlowRecSource` is what puts events back on the clock.
 
 use std::collections::HashMap;
 use std::net::IpAddr;

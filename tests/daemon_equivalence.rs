@@ -4,17 +4,23 @@
 //! regime: short reads, mid-record stalls, `WouldBlock`), at 1, 2, and 8
 //! workers, on every simnet profile. Rotation cadence, horizons, and the
 //! emitted window lines are functions of the record stream alone — never of
-//! source pacing or shard count. See DESIGN.md §13.
+//! source pacing or shard count. The flow-record regime runs through the
+//! same loop and is held to the same bar, against an event-order oracle.
+//! See DESIGN.md §13.
 
 use std::io::{Cursor, Read};
 use std::sync::Arc;
 
 use dnhunter::{
-    DaemonSniffer, FlowSink, ParallelSniffer, RealTimeSniffer, Rotation, SnifferConfig,
-    WindowConfig, WindowedAnalytics,
+    DaemonSniffer, FlowSink, FlowrecConfig, FlowrecStats, ParallelSniffer, RealTimeSniffer,
+    Rotation, SnifferConfig, SnifferReport, WindowConfig, WindowedAnalytics,
 };
-use dnhunter_net::{PcapFileSource, PcapRecord, PcapStreamSource, PcapWriter};
-use dnhunter_simnet::{profiles, TraceGenerator};
+use dnhunter_net::flowrec::encode_stream;
+use dnhunter_net::{
+    ExportRecord, FlowRecReader, FlowRecSource, PcapFileSource, PcapRecord, PcapStreamSource,
+    PcapWriter,
+};
+use dnhunter_simnet::{flowexport, profiles, TraceGenerator};
 use dnhunter_telemetry as telemetry;
 use telemetry::Metric;
 
@@ -211,5 +217,77 @@ fn rotation_cadence_does_not_change_which_windows_exist() {
             reference.len(),
             "cadence {cadence}: window count diverged"
         );
+    }
+}
+
+/// One run of a DNFR stream through the daemon loop at `workers`: what the
+/// source's reorder buffer counted, the report, and (under `rotation`) the
+/// rotated JSONL.
+fn run_flowrec(
+    bytes: &[u8],
+    workers: usize,
+    mut rotation: Option<Rotation>,
+) -> (FlowrecStats, SnifferReport, Option<String>) {
+    let mut sniffer = make_sniffer(workers);
+    let reader = FlowRecReader::new(Cursor::new(bytes)).expect("valid header");
+    let mut source = FlowRecSource::new(reader, FlowrecConfig::default());
+    dnhunter::run_frame_daemon(&mut source, &mut sniffer, rotation.as_mut(), |_| {})
+        .expect("flow-record stream ingests");
+    let (report, sinks) = sniffer.finish_with_sinks();
+    let rotated = rotation.map(|rot| {
+        assert!(
+            rot.rotations > 0,
+            "no rotation fired over a multi-hour stream"
+        );
+        rot.emitter.finish(rot.rotations, sinks)
+    });
+    (source.stats(), report, rotated)
+}
+
+#[test]
+fn flowrec_replay_matches_the_event_order_oracle_at_any_worker_count() {
+    let trace = TraceGenerator::new(profiles::eu1_ftth().scaled(scaled(0.006)), false).generate();
+    let stream = flowexport::export_stream(&trace.records, 11, 53);
+    assert!(stream.len() > 200, "export stream too small");
+    let bytes = encode_stream(&stream);
+
+    // With nothing late and nothing forced out, the reorder buffer's release
+    // order is the stable sort by event time: the oracle feeds exactly that
+    // order to the sequential sniffer, no buffer involved.
+    let mut sorted = stream.clone();
+    sorted.sort_by_key(ExportRecord::event_ts);
+    let mut oracle = RealTimeSniffer::new(SnifferConfig::default());
+    for rec in &sorted {
+        oracle.ingest_export(rec);
+    }
+    let oracle = oracle.finish().database.to_json_lines();
+    assert!(oracle.lines().count() > 50, "oracle tagged too few flows");
+
+    let mut reference_rotated: Option<String> = None;
+    for workers in [1usize, 2, 8] {
+        let (stats, report, _) = run_flowrec(&bytes, workers, None);
+        assert_eq!(
+            (stats.late_records, stats.skew_overflow),
+            (0, 0),
+            "{workers} workers: the clean stream left event order"
+        );
+        assert_eq!(stats.dns_records + stats.flow_records, stream.len() as u64);
+        assert!(
+            report.database.to_json_lines() == oracle,
+            "{workers} workers: report diverged from the event-order oracle"
+        );
+
+        let rotation = Rotation::new(ROTATE_MICROS, window_cfg());
+        let (_, _, rotated) = run_flowrec(&bytes, workers, Some(rotation));
+        let rotated = rotated.expect("rotated output");
+        assert!(rotated.lines().count() > 2, "no rotated window lines");
+        assert!(rotated.ends_with("\"dropped_bucket_events\":0}\n"));
+        match &reference_rotated {
+            None => reference_rotated = Some(rotated),
+            Some(reference) => assert!(
+                rotated == *reference,
+                "{workers} workers: rotated flow-record output diverged"
+            ),
+        }
     }
 }

@@ -726,7 +726,8 @@ fn flowrec_skew_and_reorder_cells_are_counted_and_survived() {
 #[test]
 fn flowrec_decode_faults_error_cleanly_mid_stream() {
     // Truncation and corruption of the export stream surface as counted
-    // errors after a clean partial ingest — never as panics.
+    // errors after a clean partial ingest of every record decoded before
+    // them — never as panics.
     let profile = profiles::eu1_adsl1().scaled(scaled(0.02));
     let trace = TraceGenerator::new(profile, false).generate();
     let stream = flowexport::export_stream(&trace.records, 7, 53);
@@ -766,9 +767,22 @@ fn flowrec_decode_faults_error_cleanly_mid_stream() {
             None,
         );
         assert!(result.is_err(), "{name}: mangled stream decoded cleanly");
+        let snap = registry.snapshot();
         assert!(
-            registry.snapshot().get(Metric::FlowrecDecodeErrors) > 0,
+            snap.get(Metric::FlowrecDecodeErrors) > 0,
             "{name}: decode error was not counted"
+        );
+        // Every record decoded ahead of the error was released and
+        // ingested: the reorder buffer is drained before the error returns.
+        let decoded = FlowRecReader::new(Cursor::new(&mangled))
+            .expect("header intact")
+            .take_while(Result::is_ok)
+            .count() as u64;
+        assert!(decoded > 0, "{name}: the cut left no whole record");
+        assert_eq!(
+            snap.get(Metric::FlowrecDnsRecords) + snap.get(Metric::FlowrecFlowRecords),
+            decoded,
+            "{name}: records decoded before the error never reached the resolver"
         );
         // The sniffer survives the partial ingest and still finishes.
         let _ = sniffer.finish();
