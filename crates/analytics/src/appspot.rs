@@ -4,11 +4,11 @@
 //! BitTorrent trackers and legitimate services, build the tag cloud of app
 //! names, and reconstruct the tracker activity timeline.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
+use dnhunter::db::token_scores;
 use dnhunter::FlowDatabase;
 use dnhunter_dns::suffix::SuffixSet;
-use dnhunter_dns::tokenizer::tokenize_fqdn;
 use dnhunter_dns::DomainName;
 use dnhunter_flow::AppProtocol;
 
@@ -68,7 +68,6 @@ pub fn appspot_report(
     let mut general_row = tracker_row;
     let mut tracker_services: HashSet<&DomainName> = HashSet::new();
     let mut general_services: HashSet<&DomainName> = HashSet::new();
-    let mut token_scores: HashMap<(String, std::net::IpAddr), u64> = HashMap::new();
     let mut timeline: BTreeMap<DomainName, (u64, HashSet<u64>)> = BTreeMap::new();
 
     for f in db.by_second_level(&sld) {
@@ -83,10 +82,6 @@ pub fn appspot_report(
         row.flows += 1;
         row.bytes_c2s += f.bytes_c2s;
         row.bytes_s2c += f.bytes_s2c;
-        // Fig. 10 tokens, per-client for the Eq. (1) damping.
-        for token in tokenize_fqdn(fqdn, suffixes) {
-            *token_scores.entry((token, f.key.client)).or_default() += 1;
-        }
         // Fig. 11 timeline for trackers.
         if is_tracker {
             let bin = f.first_ts.saturating_sub(origin) / timeline_bin_micros;
@@ -100,11 +95,8 @@ pub fn appspot_report(
     tracker_row.services = tracker_services.len();
     general_row.services = general_services.len();
 
-    let mut cloud: HashMap<String, f64> = HashMap::new();
-    for ((token, _client), n) in token_scores {
-        *cloud.entry(token).or_default() += ((n + 1) as f64).ln();
-    }
-    let mut tag_cloud: Vec<(String, f64)> = cloud.into_iter().collect();
+    // Fig. 10 tokens, scored by Eq. (1) for the per-client damping.
+    let mut tag_cloud = token_scores(db.by_second_level(&sld), suffixes);
     tag_cloud.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
 
     // Order trackers by first appearance, as Fig. 11 assigns ids.

@@ -22,23 +22,26 @@ pub enum NameGranularity {
 
 /// CONTENT_DISCOVERY(ServerIPSet): rank the names served by a set of
 /// server addresses by flow count (the paper's token `score.update()` over
-/// database hits).
+/// database hits), in one pass over the rows.
 pub fn content_discovery(
     db: &FlowDatabase,
     servers: &[IpAddr],
     granularity: NameGranularity,
     suffixes: &SuffixSet,
 ) -> Vec<(DomainName, u64)> {
+    let servers: HashSet<IpAddr> = servers.iter().copied().collect();
     let mut scores: HashMap<DomainName, u64> = HashMap::new();
-    for &ip in servers {
-        for f in db.by_server(ip) {
-            let Some(fqdn) = &f.fqdn else { continue };
-            let key = match granularity {
-                NameGranularity::Fqdn => fqdn.clone(),
-                NameGranularity::SecondLevel => fqdn.second_level_domain(suffixes),
-            };
-            *scores.entry(key).or_default() += 1;
-        }
+    for f in db
+        .flows()
+        .iter()
+        .filter(|f| servers.contains(&f.key.server))
+    {
+        let Some(fqdn) = &f.fqdn else { continue };
+        let key = match granularity {
+            NameGranularity::Fqdn => fqdn.clone(),
+            NameGranularity::SecondLevel => fqdn.second_level_domain(suffixes),
+        };
+        *scores.entry(key).or_default() += 1;
     }
     let mut out: Vec<(DomainName, u64)> = scores.into_iter().collect();
     out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));

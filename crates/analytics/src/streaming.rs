@@ -6,10 +6,9 @@
 //! graph); this module is its analytics-side home. [`offline_aggregates`]
 //! recomputes the same state shapes from a finished [`SnifferReport`]
 //! database using only this crate's offline modules, and
-//! [`check_equivalence`] asserts the two agree — exactly for the exact
-//! aggregates (spatial / content / tags / growth / delay counters), within
-//! a declared float tolerance for the Eq. 1 scores (the offline module
-//! sums logs in hash-map order, the streaming side in ordered-map order).
+//! [`check_equivalence`] asserts the two agree exactly: the aggregates
+//! (spatial / content / tags / growth / delay counters) and the Eq. 1
+//! scores, which both sides sum in client-address order.
 
 use std::collections::BTreeMap;
 use std::net::IpAddr;
@@ -28,9 +27,6 @@ pub use dnhunter::window::{WindowConfig, WindowSpan, WindowedAnalytics, MAX_LIVE
 
 use crate::growth::growth_curves;
 use crate::tags::token_scores;
-
-/// Absolute tolerance for Eq. 1 score comparisons (float sum order).
-pub const SCORE_TOLERANCE: f64 = 1e-9;
 
 /// The streaming state shapes, recomputed offline from the full database.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,27 +183,18 @@ pub fn check_equivalence(
         ),
     );
 
-    // Eq. 1 scores, within float-sum-order tolerance.
+    // Eq. 1 scores, exactly: both sides sum in client-address order.
     for &port in streaming.tag_counts().keys() {
-        let offline_scores = token_scores(db, port, suffixes);
+        let offline_scores = token_scores(db.by_port(port), suffixes);
         let stream_scores = streaming.token_scores(port);
         check(
-            stream_scores.len() == offline_scores.len(),
+            stream_scores == offline_scores,
             format!(
-                "port {port}: {} streaming tokens vs {} offline",
+                "port {port}: Eq. 1 scores differ ({} streaming tokens vs {} offline)",
                 stream_scores.len(),
                 offline_scores.len()
             ),
         );
-        for (token, score) in &stream_scores {
-            match offline_scores.get(token) {
-                Some(o) => check(
-                    (score - o).abs() <= SCORE_TOLERANCE,
-                    format!("port {port} token {token}: score {score} vs offline {o}"),
-                ),
-                None => check(false, format!("port {port} token {token}: missing offline")),
-            }
-        }
     }
 
     // Growth curves, exactly (same origin + bin width as the sink).

@@ -4,14 +4,12 @@
 //! For a target port, tokenize the FQDNs of its flows (TLD and 2nd-level
 //! dropped, digit runs → `N`) and score each token
 //! `score(X) = Σ_c log(N_X(c) + 1)` over clients `c`, damping chatty
-//! clients.
+//! clients. The scores are [`token_scores`], the one offline Eq. 1 (in
+//! `dnhunter::db`); this module ranks them.
 
-use std::collections::HashMap;
-use std::net::IpAddr;
-
+pub use dnhunter::db::token_scores;
 use dnhunter::FlowDatabase;
 use dnhunter_dns::suffix::SuffixSet;
-use dnhunter_dns::tokenizer::tokenize_fqdn;
 
 /// A scored token.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,9 +18,10 @@ pub struct Tag {
     pub score: f64,
 }
 
-/// TAG_EXTRACTION(dPort, k): the top-k tokens for a port.
+/// TAG_EXTRACTION(dPort, k): the top-k tokens for a port, score
+/// descending, ties by token.
 pub fn extract_tags(db: &FlowDatabase, port: u16, k: usize, suffixes: &SuffixSet) -> Vec<Tag> {
-    let scores = token_scores(db, port, suffixes);
+    let scores = token_scores(db.by_port(port), suffixes);
     let mut out: Vec<Tag> = scores
         .into_iter()
         .map(|(token, score)| Tag { token, score })
@@ -35,23 +34,6 @@ pub fn extract_tags(db: &FlowDatabase, port: u16, k: usize, suffixes: &SuffixSet
     });
     out.truncate(k);
     out
-}
-
-/// Raw token scores per Eq. (1).
-pub fn token_scores(db: &FlowDatabase, port: u16, suffixes: &SuffixSet) -> HashMap<String, f64> {
-    // N_X(c): flows from client c whose FQDN contains token X.
-    let mut per_client: HashMap<(String, IpAddr), u64> = HashMap::new();
-    for f in db.by_port(port) {
-        let Some(fqdn) = &f.fqdn else { continue };
-        for token in tokenize_fqdn(fqdn, suffixes) {
-            *per_client.entry((token, f.key.client)).or_default() += 1;
-        }
-    }
-    let mut scores: HashMap<String, f64> = HashMap::new();
-    for ((token, _client), n) in per_client {
-        *scores.entry(token).or_default() += ((n + 1) as f64).ln();
-    }
-    scores
 }
 
 /// Restrict a ranked tag list to those summing to the `q`-th score
@@ -130,14 +112,43 @@ mod tests {
         for i in 0..10 {
             db.push(flow(&format!("10.0.1.{i}"), "spread.example.com", 80), &s);
         }
-        let scores = token_scores(&db, 80, &s);
+        let scores = token_scores(db.by_port(80), &s);
         // Raw counts would rank hog 100× higher; the log score ranks
         // the widely-used token on top (10·ln2 ≈ 6.9 > ln1001 ≈ 6.9... use 11 clients).
-        let hog = scores["hog"];
-        let spread = scores["spread"];
+        let score = |token: &str| scores.iter().find(|(t, _)| t == token).unwrap().1;
+        let hog = score("hog");
+        let spread = score("spread");
         assert!(hog < 1000.0_f64.ln() + 1.0);
         assert!(spread > 0.9 * 10.0 * 2.0_f64.ln());
         assert!(spread > hog * 0.9, "spread {spread} vs hog {hog}");
+    }
+
+    /// Two tokens with the same per-client counts on different clients tie
+    /// exactly, so every call ranks them by name with the same bits.
+    #[test]
+    fn tied_tokens_rank_by_name_with_identical_scores_on_every_call() {
+        let s = SuffixSet::builtin();
+        let mut db = FlowDatabase::new();
+        for (i, n) in [1, 2, 3, 5, 8, 13, 21].into_iter().enumerate() {
+            for _ in 0..n {
+                db.push(
+                    flow(&format!("10.0.0.{i}"), "pop.glbdns.example.com", 995),
+                    &s,
+                );
+                db.push(flow(&format!("10.0.1.{i}"), "hot.example.com", 995), &s);
+            }
+        }
+        let ranked = |tags: Vec<Tag>| -> Vec<(String, u64)> {
+            tags.into_iter()
+                .map(|t| (t.token, t.score.to_bits()))
+                .collect()
+        };
+        let first = ranked(extract_tags(&db, 995, 10, &s));
+        let tokens: Vec<&str> = first.iter().map(|(t, _)| t.as_str()).collect();
+        assert_eq!(tokens, ["glbdns", "hot", "pop"]);
+        for _ in 0..20 {
+            assert_eq!(ranked(extract_tags(&db, 995, 10, &s)), first);
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn bench_scoring(c: &mut Criterion) {
     let suffixes = SuffixSet::builtin();
     let mut g = c.benchmark_group("tag_scoring");
     g.bench_function("eq1_log_score", |b| {
-        b.iter(|| black_box(token_scores(&db, 25, &suffixes)))
+        b.iter(|| black_box(token_scores(db.by_port(25), &suffixes)))
     });
     g.bench_function("raw_counts", |b| {
         b.iter(|| black_box(raw_counts(&db, 25, &suffixes)))

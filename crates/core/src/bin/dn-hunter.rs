@@ -27,7 +27,7 @@
 //! #   the same loop as a pcap, so every other flag composes with it
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::process::ExitCode;
@@ -540,21 +540,9 @@ fn main() -> ExitCode {
 
     if let Some(port) = port {
         let suffixes = dnhunter_dns::suffix::SuffixSet::builtin();
-        // Inline Algorithm 4, so the binary has no analytics dependency.
-        let mut per_client: HashMap<(String, std::net::IpAddr), u64> = HashMap::new();
-        for f in report.database.by_port(port) {
-            if let Some(fqdn) = &f.fqdn {
-                for token in dnhunter_dns::tokenize_fqdn(fqdn, &suffixes) {
-                    *per_client.entry((token, f.key.client)).or_default() += 1;
-                }
-            }
-        }
-        let mut scores: HashMap<String, f64> = HashMap::new();
-        for ((token, _), n) in per_client {
-            *scores.entry(token).or_default() += ((n + 1) as f64).ln();
-        }
-        let mut ranked: Vec<(String, f64)> = scores.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        let mut ranked = dnhunter::db::token_scores(report.database.by_port(port), &suffixes);
+        // `extract_tags`' order: score descending, ties by token.
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         println!("service tags for port {port}:");
         for (token, score) in ranked.into_iter().take(10) {
             println!("  ({score:.0}) {token}");
@@ -594,7 +582,7 @@ fn main() -> ExitCode {
     );
     // Per-protocol hit ratios, the paper's Tab. 2 framing (P2P never
     // resolves names, so the overall number understates coverage).
-    let mut per_proto: HashMap<&str, (u64, u64)> = HashMap::new();
+    let mut per_proto: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     for f in report.database.flows() {
         if f.in_warmup {
             continue;
@@ -603,10 +591,7 @@ fn main() -> ExitCode {
         e.0 += 1;
         e.1 += u64::from(f.is_tagged());
     }
-    let mut keys: Vec<&&str> = per_proto.keys().collect();
-    keys.sort();
-    for k in keys {
-        let (n, h) = per_proto[*k];
+    for (k, (n, h)) in per_proto {
         println!("  {k:<6}: {:>5.1}% of {n}", 100.0 * h as f64 / n as f64);
     }
     println!(
@@ -614,14 +599,9 @@ fn main() -> ExitCode {
         report.delays.useless_fraction() * 100.0
     );
     println!("\ntop labels by flows:");
-    let mut counts: Vec<(String, usize)> = report
-        .database
-        .fqdn_flow_counts()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    // Tie-break by name: `by_fqdn` iterates in randomized hash order, so
-    // without this the top-15 cutoff varies run to run on tied counts.
-    counts.sort_by(|(fa, na), (fb, nb)| nb.cmp(na).then_with(|| fa.cmp(fb)));
+    let mut counts: Vec<_> = report.database.fqdn_flow_counts().collect();
+    // Most flows first, ties by name, so tied counts cut off alike.
+    counts.sort_by_cached_key(|&(fqdn, n)| (std::cmp::Reverse(n), fqdn.to_string()));
     for (fqdn, n) in counts.into_iter().take(15) {
         println!("  {n:>6}  {fqdn}");
     }

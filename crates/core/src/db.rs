@@ -1,35 +1,28 @@
-//! The labeled-flow database (paper Fig. 1, "Flow Database").
-//!
-//! Stores one row per finished flow, tagged with the FQDN the client
-//! resolved, and maintains the secondary indexes the offline analytics
-//! query: by FQDN, by second-level domain, by server address, by server
-//! port.
+//! The labeled-flow database (paper Fig. 1): one row per finished flow,
+//! tagged with the FQDN its client resolved, in event order, and no index:
+//! queries by second-level domain, server and port (Algorithms 2–4) filter
+//! the rows in row order, and [`token_scores`] is the offline Eq. 1.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::IpAddr;
 
-use dnhunter_dns::suffix::SuffixSet;
-use dnhunter_dns::DomainName;
-use dnhunter_flow::tls::TlsInfo;
-use dnhunter_flow::{AppProtocol, FlowKey};
+use dnhunter_dns::{suffix::SuffixSet, tokenize_fqdn, DomainName};
+use dnhunter_flow::{tls::TlsInfo, AppProtocol, FlowKey};
 use serde::{Deserialize, Serialize};
 
 /// One finished, labelled flow.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaggedFlow {
     pub key: FlowKey,
-    /// The label: the FQDN the client resolved for the server, if the DNS
-    /// resolver had one.
+    /// The label: the FQDN the client resolved for the server, if any.
     pub fqdn: Option<DomainName>,
     /// The organization-level name (second-level domain) of the label.
     pub second_level: Option<DomainName>,
-    /// Older labels still live for the same (client, server) pair, newest
-    /// first — §6's "return all possible labels" extension. Empty unless
-    /// the resolver runs with `labels_per_server > 1`.
+    /// Older live labels of the same (client, server) pair, newest first (§6
+    /// "return all possible labels"); empty unless `labels_per_server > 1`.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub alt_labels: Vec<DomainName>,
-    /// Microseconds between the tagging DNS response and the flow's first
-    /// packet — the paper's "first flow delay" ingredient.
+    /// µs from the tagging DNS response to the flow's first packet.
     pub tag_delay_micros: Option<u64>,
     /// First/last packet timestamps (µs since epoch).
     pub first_ts: u64,
@@ -43,8 +36,7 @@ pub struct TaggedFlow {
     /// TLS observations (SNI / certificate CN), when the flow was TLS.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub tls: Option<TlsInfo>,
-    /// True if the flow began during the warm-up window (excluded from
-    /// hit-ratio accounting, as in the paper's 5-minute warm-up).
+    /// The flow began in the warm-up window: no hit-ratio accounting.
     pub in_warmup: bool,
 }
 
@@ -60,14 +52,10 @@ impl TaggedFlow {
     }
 }
 
-/// The labeled-flow database with secondary indexes.
+/// The labeled-flow database: its rows, in merge order.
 #[derive(Debug, Default)]
 pub struct FlowDatabase {
     flows: Vec<TaggedFlow>,
-    by_fqdn: HashMap<DomainName, Vec<usize>>,
-    by_second_level: HashMap<DomainName, Vec<usize>>,
-    by_server: HashMap<IpAddr, Vec<usize>>,
-    by_port: HashMap<u16, Vec<usize>>,
 }
 
 impl FlowDatabase {
@@ -76,28 +64,18 @@ impl FlowDatabase {
         Self::default()
     }
 
-    /// Insert one finished flow, maintaining indexes. The second-level
-    /// domain is derived here so every query path shares one definition.
-    pub fn push(&mut self, mut flow: TaggedFlow, suffixes: &SuffixSet) {
-        if flow.second_level.is_none() {
-            flow.second_level = flow.fqdn.as_ref().map(|f| f.second_level_domain(suffixes));
+    /// The database of `flows`, in their order, second-level domains derived.
+    pub fn from_rows(mut flows: Vec<TaggedFlow>, suffixes: &SuffixSet) -> Self {
+        for f in flows.iter_mut().filter(|f| f.second_level.is_none()) {
+            f.second_level = f.fqdn.as_ref().map(|n| n.second_level_domain(suffixes));
         }
-        let idx = self.flows.len();
-        if let Some(f) = &flow.fqdn {
-            self.by_fqdn.entry(f.clone()).or_default().push(idx);
-        }
-        if let Some(sld) = &flow.second_level {
-            self.by_second_level
-                .entry(sld.clone())
-                .or_default()
-                .push(idx);
-        }
-        self.by_server.entry(flow.key.server).or_default().push(idx);
-        self.by_port
-            .entry(flow.key.server_port)
-            .or_default()
-            .push(idx);
-        self.flows.push(flow);
+        FlowDatabase { flows }
+    }
+
+    /// Append one finished flow, deriving its second-level domain.
+    pub fn push(&mut self, flow: TaggedFlow, suffixes: &SuffixSet) {
+        let mut row = Self::from_rows(vec![flow], suffixes);
+        self.flows.append(&mut row.flows);
     }
 
     /// All rows, in completion order.
@@ -115,83 +93,69 @@ impl FlowDatabase {
         self.flows.is_empty()
     }
 
-    /// Flows labelled with exactly `fqdn`.
-    pub fn by_fqdn<'a>(&'a self, fqdn: &DomainName) -> impl Iterator<Item = &'a TaggedFlow> {
-        self.by_fqdn
-            .get(fqdn)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.flows[i])
-    }
-
-    /// Flows whose label falls under the given second-level domain
-    /// (paper Algorithm 2, line 5: `queryByDomainName(2ndDomain)`).
+    /// Flows under a second-level domain (Algorithm 2: `queryByDomainName`).
     pub fn by_second_level<'a>(&'a self, sld: &DomainName) -> impl Iterator<Item = &'a TaggedFlow> {
-        self.by_second_level
-            .get(sld)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.flows[i])
+        let sld = Some(sld.clone());
+        self.flows.iter().filter(move |f| f.second_level == sld)
     }
 
     /// Flows to a specific server address (content discovery, Algorithm 3).
     pub fn by_server(&self, server: IpAddr) -> impl Iterator<Item = &TaggedFlow> {
-        self.by_server
-            .get(&server)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.flows[i])
+        self.flows.iter().filter(move |f| f.key.server == server)
     }
 
-    /// Flows to a specific server port (service-tag extraction, Algorithm 4,
-    /// line 4: `FlowDB.query(dPort)`).
+    /// Flows to a server port (Algorithm 4, line 4: `FlowDB.query(dPort)`).
     pub fn by_port(&self, port: u16) -> impl Iterator<Item = &TaggedFlow> {
-        self.by_port
-            .get(&port)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.flows[i])
+        self.flows.iter().filter(move |f| f.key.server_port == port)
     }
 
     /// Distinct FQDNs observed (labels only).
     pub fn distinct_fqdns(&self) -> usize {
-        self.by_fqdn.len()
-    }
-
-    /// Distinct second-level domains observed.
-    pub fn distinct_second_levels(&self) -> usize {
-        self.by_second_level.len()
+        self.fqdn_flow_counts().count()
     }
 
     /// Distinct server addresses observed.
     pub fn distinct_servers(&self) -> usize {
-        self.by_server.len()
+        self.servers().count()
     }
 
-    /// Iterate (fqdn, flow indices count) pairs.
+    /// (FQDN, labelled flows) pairs, in name order.
     pub fn fqdn_flow_counts(&self) -> impl Iterator<Item = (&DomainName, usize)> {
-        self.by_fqdn.iter().map(|(k, v)| (k, v.len()))
+        let mut counts: BTreeMap<&DomainName, usize> = BTreeMap::new();
+        for fqdn in self.flows.iter().filter_map(|f| f.fqdn.as_ref()) {
+            *counts.entry(fqdn).or_default() += 1;
+        }
+        counts.into_iter()
     }
 
-    /// Iterate all distinct server IPs.
-    pub fn servers(&self) -> impl Iterator<Item = IpAddr> + '_ {
-        self.by_server.keys().copied()
-    }
-
-    /// Iterate all distinct labelled FQDNs.
-    pub fn fqdns(&self) -> impl Iterator<Item = &DomainName> {
-        self.by_fqdn.keys()
+    /// Every distinct server address, in address order.
+    pub fn servers(&self) -> impl Iterator<Item = IpAddr> {
+        BTreeSet::from_iter(self.flows.iter().map(|f| f.key.server)).into_iter()
     }
 
     /// Export all rows as JSON lines (one row per line).
     pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for f in &self.flows {
-            out.push_str(&serde_json::to_string(f).expect("row serializes"));
-            out.push('\n');
-        }
-        out
+        let row = |f| serde_json::to_string(f).expect("row serializes") + "\n";
+        self.flows.iter().map(row).collect()
     }
+}
+
+/// Eq. 1 scores of `flows`' tokens, `score(X) = Σ_c ln(N_X(c) + 1)`: each
+/// sum in client order, the scores in token order, as `StreamingAnalytics`
+/// computes them, so tied tokens tie exactly on every run.
+pub fn token_scores<'a>(
+    flows: impl IntoIterator<Item = &'a TaggedFlow>,
+    suffixes: &SuffixSet,
+) -> Vec<(String, f64)> {
+    let mut counts: BTreeMap<String, BTreeMap<IpAddr, u64>> = BTreeMap::new();
+    for f in flows {
+        for token in f.fqdn.iter().flat_map(|fqdn| tokenize_fqdn(fqdn, suffixes)) {
+            let clients = counts.entry(token).or_default();
+            *clients.entry(f.key.client).or_default() += 1;
+        }
+    }
+    let score = |c: BTreeMap<_, u64>| c.values().map(|&n| ((n + 1) as f64).ln()).sum();
+    counts.into_iter().map(|(t, c)| (t, score(c))).collect()
 }
 
 #[cfg(test)]
@@ -229,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn push_builds_all_indexes() {
+    fn queries_filter_the_rows() {
         let mut db = FlowDatabase::new();
         db.push(
             flow(Some("www.example.com"), "93.184.216.34", 80),
@@ -247,15 +211,58 @@ mod tests {
 
         assert_eq!(db.len(), 4);
         assert_eq!(db.distinct_fqdns(), 3);
-        assert_eq!(db.distinct_second_levels(), 2);
         assert_eq!(db.distinct_servers(), 4);
-        assert_eq!(db.by_fqdn(&"www.example.com".parse().unwrap()).count(), 1);
         assert_eq!(
             db.by_second_level(&"example.com".parse().unwrap()).count(),
             2
         );
         assert_eq!(db.by_port(80).count(), 2);
         assert_eq!(db.by_server("198.51.100.1".parse().unwrap()).count(), 1);
+    }
+
+    #[test]
+    fn queries_return_rows_in_row_order_and_summaries_sorted() {
+        let mut db = FlowDatabase::new();
+        for (fqdn, server) in [
+            ("b.example.com", "10.9.0.2"),
+            ("a.example.com", "10.9.0.1"),
+            ("b.example.com", "10.9.0.3"),
+        ] {
+            db.push(flow(Some(fqdn), server, 80), &suffixes());
+        }
+        let servers: Vec<String> = db
+            .by_second_level(&"example.com".parse().unwrap())
+            .map(|f| f.key.server.to_string())
+            .collect();
+        assert_eq!(servers, ["10.9.0.2", "10.9.0.1", "10.9.0.3"]);
+        let sorted: Vec<String> = db.servers().map(|s| s.to_string()).collect();
+        assert_eq!(sorted, ["10.9.0.1", "10.9.0.2", "10.9.0.3"]);
+        let counts: Vec<(String, usize)> = db
+            .fqdn_flow_counts()
+            .map(|(f, n)| (f.to_string(), n))
+            .collect();
+        assert_eq!(
+            counts,
+            [
+                ("a.example.com".to_string(), 1),
+                ("b.example.com".to_string(), 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn from_rows_keeps_the_order_and_derives_second_levels() {
+        let rows = vec![
+            flow(Some("news.bbc.co.uk"), "23.1.2.3", 80),
+            flow(None, "203.0.113.1", 6881),
+        ];
+        let db = FlowDatabase::from_rows(rows, &suffixes());
+        assert_eq!(
+            db.flows()[0].second_level.as_ref().unwrap().to_string(),
+            "bbc.co.uk"
+        );
+        assert!(db.flows()[1].second_level.is_none());
+        assert_eq!(db.flows()[1].key.server_port, 6881);
     }
 
     #[test]
@@ -267,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn untagged_flows_have_no_fqdn_index() {
+    fn untagged_flows_count_no_fqdn() {
         let mut db = FlowDatabase::new();
         db.push(flow(None, "203.0.113.1", 6881), &suffixes());
         assert_eq!(db.distinct_fqdns(), 0);
@@ -288,7 +295,7 @@ mod tests {
     #[test]
     fn missing_keys_yield_empty_iterators() {
         let db = FlowDatabase::new();
-        assert_eq!(db.by_fqdn(&"x.com".parse().unwrap()).count(), 0);
+        assert_eq!(db.by_second_level(&"x.com".parse().unwrap()).count(), 0);
         assert_eq!(db.by_port(80).count(), 0);
         assert_eq!(db.by_server("9.9.9.9".parse().unwrap()).count(), 0);
         assert!(db.is_empty());

@@ -489,18 +489,35 @@ fn add_resolver_stats(into: &mut ResolverStats, from: &ResolverStats) {
     into.hits += from.hits;
 }
 
+/// Move `from` into an empty `into`, else append it: a one-shard merge
+/// copies nothing.
+fn append_or_move<T>(into: &mut Vec<T>, from: &mut Vec<T>) {
+    if into.is_empty() {
+        std::mem::swap(into, from);
+    } else {
+        into.append(from);
+    }
+}
+
 /// Merge shard outputs into the one [`SnifferReport`] the offline
 /// analytics consume.
 ///
 /// Counters are summed; every sample stream is re-ordered under the global
 /// [`EventKey`] order (stable, so same-key samples keep their within-shard
-/// order — a frame never splits across shards). Finished flows sort by
+/// order — a frame never splits across shards, and one TCP frame can carry
+/// several responses under one seq). Finished flows sort by
 /// `(EventKey, first_ts, 5-tuple)`, reproducing the sequential sniffer's
 /// database row order exactly: frame events precede the scan their frame
 /// gated open, and scan evictions across shards interleave in the flow
-/// table's deterministic `(first_ts, 5-tuple)` order. With one shard the
-/// sort is the identity, so the sequential report *is* the merged report
-/// of a single shard.
+/// table's deterministic `(first_ts, 5-tuple)` order. That key is total —
+/// a 5-tuple lives once in the one flow table, and all of a client's flows
+/// go to one shard — so an unstable sort, which needs no scratch buffer,
+/// gives the stable order. With one shard the sort is the identity, so the
+/// sequential report *is* the merged report of a single shard.
+///
+/// The shards' buffers become the report's: a single shard's are moved,
+/// more are appended to the first, and the flow rows drop their keys in
+/// place, so no second copy of the flow log exists at finish.
 pub(crate) fn assemble_report(
     outputs: Vec<ShardOutput>,
     dispatch_stats: SnifferStats,
@@ -514,26 +531,25 @@ pub(crate) fn assemble_report(
     let mut responses: Vec<ResponseRecord> = Vec::new();
     let mut any_flow_delays: Vec<(u64, u64)> = Vec::new();
     let mut tagged: Vec<(EventKey, TaggedFlow)> = Vec::new();
-    for out in outputs {
+    for mut out in outputs {
         add_sniffer_stats(&mut stats, &out.stats);
         add_resolver_stats(&mut resolver_stats, &out.resolver_stats);
-        responses.extend(out.responses);
-        any_flow_delays.extend(out.any_flow_delays);
-        tagged.extend(out.tagged);
+        append_or_move(&mut responses, &mut out.responses);
+        append_or_move(&mut any_flow_delays, &mut out.any_flow_delays);
+        append_or_move(&mut tagged, &mut out.tagged);
     }
     responses.sort_by_key(|r| r.seq);
     any_flow_delays.sort_by_key(|&(seq, _)| seq);
-    tagged.sort_by_key(|(at, f)| {
-        (
-            *at,
-            f.first_ts,
-            f.key.client,
-            f.key.client_port,
-            f.key.server,
-            f.key.server_port,
-            f.key.protocol,
-        )
-    });
+    let row_key = |(at, f): &(EventKey, TaggedFlow)| {
+        let k = &f.key;
+        let tuple = (k.client, k.client_port, k.server, k.server_port, k.protocol);
+        (*at, f.first_ts, tuple)
+    };
+    tagged.sort_unstable_by_key(row_key);
+    debug_assert!(
+        tagged.is_sorted_by(|a, b| row_key(a) < row_key(b)),
+        "flow rows share a merge key"
+    );
 
     let mut delays = DelaySamples {
         any_flow_delays: any_flow_delays.into_iter().map(|(_, d)| d).collect(),
@@ -556,11 +572,9 @@ pub(crate) fn assemble_report(
         }
     }
 
-    let suffixes = SuffixSet::builtin();
-    let mut database = FlowDatabase::new();
-    for (_, flow) in tagged {
-        database.push(flow, &suffixes);
-    }
+    // Collected in place: std reuses `tagged`'s allocation for the rows.
+    let rows = tagged.into_iter().map(|(_, flow)| flow).collect();
+    let database = FlowDatabase::from_rows(rows, &SuffixSet::builtin());
 
     SnifferReport {
         database,
@@ -625,6 +639,57 @@ mod tests {
         assert_eq!(capacities(100, 4), [25; 4]);
         // An empty Clist cannot hold a binding: round up to one per shard.
         assert_eq!(capacities(2, 4), [1; 4]);
+    }
+
+    /// Rows merged from two shards equal the rows of one shard fed the same
+    /// events, where the shards' flows share one scan `at` and one
+    /// `first_ts` and only the 5-tuple orders them.
+    #[test]
+    fn merged_shard_rows_equal_one_shard_fed_the_same_events() {
+        let scan = (7, PHASE_SCAN);
+        let finish = |engine: &mut ShardEngine, at: EventKey, client: u8, port: u16, first_ts| {
+            let key = FlowKey::from_initiator(
+                IpAddr::from([10, 0, 0, client]),
+                IpAddr::from([192, 0, 2, 1]),
+                port,
+                443,
+                dnhunter_net::IpProtocol::Tcp,
+            );
+            engine.on_flow_finished(at, &dnhunter_flow::FlowRecord::new(key, first_ts));
+        };
+        // (at, client, client port, first_ts) in the sequential sniffer's
+        // event order: a frame event, then one scan evicting in the flow
+        // table's (first_ts, 5-tuple) order.
+        let events = [
+            ((5, PHASE_FRAME), 2, 5000, 90),
+            (scan, 1, 4001, 100),
+            (scan, 2, 3000, 100),
+            (scan, 3, 1000, 100),
+            (scan, 3, 1001, 100),
+        ];
+        let engine = || {
+            let config = SnifferConfig::default();
+            ShardEngine::new(config.clone(), config.resolver)
+        };
+        let rows = |outputs: Vec<ShardOutput>| {
+            assemble_report(outputs, SnifferStats::default(), None, None, 0)
+                .database
+                .to_json_lines()
+        };
+        let mut one = engine();
+        // Clients 1 and 3 on one shard, client 2 on the other.
+        let (mut odd, mut even) = (engine(), engine());
+        for &(at, client, port, first_ts) in &events {
+            finish(&mut one, at, client, port, first_ts);
+            let shard = if client % 2 == 1 { &mut odd } else { &mut even };
+            finish(shard, at, client, port, first_ts);
+        }
+        let expected = rows(vec![one.finish_shard()]);
+        assert_eq!(expected.lines().count(), events.len());
+        assert_eq!(
+            rows(vec![even.finish_shard(), odd.finish_shard()]),
+            expected
+        );
     }
 
     #[test]

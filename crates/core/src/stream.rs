@@ -58,6 +58,7 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::net::IpAddr;
+use std::sync::OnceLock;
 
 use dnhunter_dns::suffix::SuffixSet;
 use dnhunter_dns::tokenizer::tokenize_fqdn;
@@ -325,25 +326,27 @@ fn birth_bin_counts<K>(map: &BTreeMap<K, BirthBins>) -> BTreeMap<u64, u64> {
     out
 }
 
+/// The suffix set and organization database every sink reads: built once
+/// per process and never updated, so all sinks share one copy.
+fn lookup_tables() -> &'static (SuffixSet, OrgDb) {
+    static TABLES: OnceLock<(SuffixSet, OrgDb)> = OnceLock::new();
+    TABLES.get_or_init(|| (SuffixSet::builtin(), builtin_registry()))
+}
+
 /// The streaming analytics sink (see the module docs).
 pub struct StreamingAnalytics {
     cfg: StreamingConfig,
-    suffixes: SuffixSet,
-    orgdb: OrgDb,
     state: StreamState,
 }
 
 impl StreamingAnalytics {
-    /// A fresh sink. Each pipeline worker gets its own (the suffix set and
-    /// org database are per-sink copies so updates stay lock-free).
+    /// A fresh sink. Each pipeline worker gets its own.
     pub fn new(cfg: StreamingConfig) -> Self {
         let mut cfg = cfg;
         cfg.snapshot_interval_micros = cfg.snapshot_interval_micros.max(1);
         cfg.max_tracked = cfg.max_tracked.max(1);
         StreamingAnalytics {
             cfg,
-            suffixes: SuffixSet::builtin(),
-            orgdb: builtin_registry(),
             state: StreamState::new(),
         }
     }
@@ -651,12 +654,10 @@ impl StreamingAnalytics {
         view
     }
 
-    /// Clone configuration, lookup tables, and state into a new sink.
+    /// Clone configuration and state into a new sink.
     fn clone_data(&self) -> StreamingAnalytics {
         StreamingAnalytics {
             cfg: self.cfg.clone(),
-            suffixes: SuffixSet::builtin(),
-            orgdb: builtin_registry(),
             state: self.state.clone(),
         }
     }
@@ -1034,11 +1035,12 @@ impl FlowSink for StreamingAnalytics {
             }
         }
         if let Some(fqdn) = &flow.fqdn {
-            let sld = fqdn.second_level_domain(&self.suffixes);
+            let (suffixes, orgdb) = lookup_tables();
+            let sld = fqdn.second_level_domain(suffixes);
             let server = flow.key.server;
             let port = flow.key.server_port;
             let client = flow.key.client;
-            let org = self.orgdb.org_name(server).to_string();
+            let org = orgdb.org_name(server).to_string();
             let s = &mut self.state;
             if let Some(m) = capped(&mut s.fqdn_servers, fqdn.clone(), cap, &mut dropped) {
                 if let Some(n) = capped(m, server, cap, &mut dropped) {
@@ -1059,7 +1061,7 @@ impl FlowSink for StreamingAnalytics {
             // Apex names tokenize to nothing; creating the port entry for
             // them would store a void value, which breaks retraction's
             // remove-when-empty key accounting (see `merge_ref`).
-            let port_tokens = tokenize_fqdn(fqdn, &self.suffixes);
+            let port_tokens = tokenize_fqdn(fqdn, suffixes);
             if !port_tokens.is_empty() {
                 if let Some(tokens) = capped(&mut s.tag_counts, port, cap, &mut dropped) {
                     for token in port_tokens {

@@ -5,12 +5,20 @@
 //! refused like any other unknown argument, and a seconds flag too large
 //! for microseconds must be a usage error. A flow-record stream runs the
 //! same loop, so it takes `--workers` and `--metrics` like a pcap does.
+//! The default summary and `--port` tags print the library's own counts
+//! and Eq. 1 ranking at any `--workers`.
 
+use std::collections::BTreeSet;
 use std::io::{Cursor, Write};
+use std::net::IpAddr;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
-use dnhunter::{write_csv, write_tstat_log, FlowrecConfig, RealTimeSniffer, SnifferConfig};
+use dnhunter::db::token_scores;
+use dnhunter::{
+    write_csv, write_tstat_log, FlowDatabase, FlowrecConfig, RealTimeSniffer, SnifferConfig,
+};
+use dnhunter_dns::suffix::SuffixSet;
 use dnhunter_net::flowrec::encode_stream;
 use dnhunter_net::FlowRecReader;
 use dnhunter_simnet::{flowexport, profiles, TraceGenerator};
@@ -61,14 +69,14 @@ fn seconds_flags_reject_values_that_overflow_microseconds() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot open"));
 }
 
-#[test]
-fn file_replay_prints_the_library_exports_at_one_and_two_workers() {
+/// A small EU1-FTTH trace written to a pcap at `temp_path(name)`, and the
+/// database the library's sequential sniffer builds from it under the
+/// binary's default configuration (300 s warm-up, all else default).
+fn replay_fixture(name: &str) -> (PathBuf, FlowDatabase) {
     let trace = TraceGenerator::new(profiles::eu1_ftth().scaled(0.05), false).generate();
-    let pcap = temp_path("replay.pcap");
+    let pcap = temp_path(name);
     std::fs::write(&pcap, trace.write_pcap(Vec::new()).expect("pcap encodes"))
         .expect("pcap writes");
-
-    // The binary's default configuration: 300 s warm-up, all else default.
     let mut sniffer = RealTimeSniffer::new(SnifferConfig {
         warmup_micros: 300 * 1_000_000,
         ..SnifferConfig::default()
@@ -78,6 +86,12 @@ fn file_replay_prints_the_library_exports_at_one_and_two_workers() {
     }
     let db = sniffer.finish().database;
     assert!(db.len() > 50, "trace too small to mean anything");
+    (pcap, db)
+}
+
+#[test]
+fn file_replay_prints_the_library_exports_at_one_and_two_workers() {
+    let (pcap, db) = replay_fixture("replay.pcap");
     let mut csv = Vec::new();
     write_csv(&db, &mut csv).expect("csv renders");
     let mut tstat = Vec::new();
@@ -99,6 +113,87 @@ fn file_replay_prints_the_library_exports_at_one_and_two_workers() {
             );
         }
     }
+    let _ = std::fs::remove_file(&pcap);
+}
+
+/// The default summary at one and two workers: its flow, FQDN and server
+/// counts are the library rows' own, counted here with `BTreeSet`s, and the
+/// top-labels block is the same at both worker counts.
+#[test]
+fn summary_counts_match_the_library_rows_at_one_and_two_workers() {
+    let (pcap, db) = replay_fixture("summary.pcap");
+    let fqdns: BTreeSet<String> = db
+        .flows()
+        .iter()
+        .filter_map(|f| f.fqdn.as_ref().map(|n| n.to_string()))
+        .collect();
+    let servers: BTreeSet<IpAddr> = db.flows().iter().map(|f| f.key.server).collect();
+    let expected = [
+        format!("flows           : {}", db.len()),
+        format!("distinct FQDNs  : {}", fqdns.len()),
+        format!("distinct servers: {}", servers.len()),
+    ];
+
+    let path = pcap.to_str().expect("utf-8 temp path");
+    let mut top_labels = Vec::new();
+    for workers in ["1", "2"] {
+        let out = dn_hunter(&[path, "--workers", workers]);
+        assert!(out.status.success(), "summary --workers {workers} failed");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 summary");
+        for line in &expected {
+            assert!(
+                stdout.lines().any(|l| l == line),
+                "--workers {workers}: missing '{line}' in:\n{stdout}"
+            );
+        }
+        let (_, top) = stdout
+            .split_once("top labels by flows:")
+            .expect("summary has a top-labels block");
+        assert!(top.lines().count() > 5, "top-labels block too short: {top}");
+        top_labels.push(top.to_string());
+    }
+    assert_eq!(
+        top_labels[0], top_labels[1],
+        "top labels differ by worker count"
+    );
+    let _ = std::fs::remove_file(&pcap);
+}
+
+/// `--port N` prints the library's Eq. 1 top 10 for that port — score
+/// descending, ties by token — at one and two workers.
+#[test]
+fn port_tags_are_the_library_top_ten_at_one_and_two_workers() {
+    let (pcap, db) = replay_fixture("port.pcap");
+    let suffixes = SuffixSet::builtin();
+    let path = pcap.to_str().expect("utf-8 temp path");
+    let mut ranked_ports = 0;
+    for port in [25u16, 80, 110, 443, 995] {
+        // Token order in, a stable sort on the score: ties stay by token.
+        let mut ranked = token_scores(db.by_port(port), &suffixes);
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut want = format!("service tags for port {port}:\n");
+        for (token, score) in ranked.iter().take(10) {
+            want.push_str(&format!("  ({score:.0}) {token}\n"));
+        }
+        ranked_ports += usize::from(ranked.len() >= 3);
+        let port_arg = port.to_string();
+        for workers in ["1", "2"] {
+            let out = dn_hunter(&[path, "--port", &port_arg, "--workers", workers]);
+            assert!(
+                out.status.success(),
+                "--port {port} --workers {workers} failed"
+            );
+            assert_eq!(
+                String::from_utf8(out.stdout).expect("utf-8 tags"),
+                want,
+                "--port {port} --workers {workers}"
+            );
+        }
+    }
+    assert!(
+        ranked_ports >= 2,
+        "too few ports with tags to mean anything"
+    );
     let _ = std::fs::remove_file(&pcap);
 }
 

@@ -21,7 +21,7 @@ pub const MAX_LABEL_OCTETS: usize = 63;
 ///
 /// A name is one immutable refcounted buffer, so `clone()` is a refcount
 /// bump and a name costs one allocation however many Clist entries, flow
-/// rows and index keys carry it. The buffer holds the dotted text
+/// rows and map keys carry it. The buffer holds the dotted text
 /// (`www.example.com`) followed by one two-byte length entry per label;
 /// the text alone serves display, serialization, hashing and suffix
 /// probes as a single slice, and the lengths keep label boundaries exact
