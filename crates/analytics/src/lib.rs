@@ -20,6 +20,7 @@
 //! | [`cdf`], [`timeseries`], [`report`] | shared statistical/rendering plumbing |
 
 #![forbid(unsafe_code)]
+#![expect(clippy::disallowed_types, reason = "offline analyzer, not per packet")]
 
 pub mod anomaly;
 pub mod appspot;

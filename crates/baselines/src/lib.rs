@@ -12,6 +12,7 @@
 //!   of Tabs. 6–7.
 
 #![forbid(unsafe_code)]
+#![expect(clippy::disallowed_types, reason = "offline baselines, not per packet")]
 
 pub mod cert;
 pub mod ports;

@@ -19,6 +19,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![expect(clippy::disallowed_types, reason = "experiment driver, not per packet")]
 
 pub mod experiments;
 pub mod harness;

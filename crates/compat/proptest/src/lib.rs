@@ -50,7 +50,7 @@ macro_rules! proptest {
                     )+
                     let __outcome = (move || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
                         $body
-                        #[allow(unreachable_code)]
+                        #[allow(unreachable_code, reason = "a body that returns early makes the trailing `Ok` unreachable; an `expect` in an exported macro is never checked")]
                         ::std::result::Result::Ok(())
                     })();
                     (__repr, __outcome)

@@ -18,6 +18,11 @@
 //! them. [`assemble_report`] merges any number of shard outputs under that
 //! order into the one [`SnifferReport`] the offline analytics consume.
 
+// No panics and no unchecked indexing on the packet path (DESIGN.md §8).
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented))]
+
 use std::net::IpAddr;
 
 use dnhunter_dns::suffix::SuffixSet;
@@ -593,7 +598,10 @@ pub(crate) fn assemble_report(
 mod tests {
     use super::*;
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per counter the test pins"
+    )]
     fn stats(
         frames: u64,
         parse_errors: u64,

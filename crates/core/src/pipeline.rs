@@ -36,6 +36,11 @@
 //! (as long as no shard overflows its Clist partition; the default
 //! `L = 2^20` makes evictions a non-issue at trace scale).
 
+// No panics and no unchecked indexing on the packet path (DESIGN.md §8).
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented))]
+
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};

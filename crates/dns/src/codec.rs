@@ -1,6 +1,6 @@
 //! RFC 1035 wire codec with name compression.
 
-// Lint L2 forbids default-hasher HashMaps on per-packet paths, and this
+// `clippy.toml` forbids default-hasher HashMaps on per-packet paths, and this
 // crate cannot depend on `resolver::maps` (the resolver depends on `dns`),
 // so the compression table is a BTreeMap: at most a handful of suffixes per
 // message, where the tree walk beats hashing the whole suffix string anyway.
@@ -108,7 +108,10 @@ pub fn encode_tcp(msg: &DnsMessage) -> Result<Vec<u8>> {
 /// Decode every complete length-prefixed message (RFC 1035 §4.2.2) at the
 /// start of a TCP payload. Trailing partial data (a message split across segments) is
 /// ignored; malformed messages stop the scan.
-// allow_lint(L1): pos+1 is readable by the `pos + 2 <= buf.len()` loop guard; start..end is readable because `end > buf.len()` breaks first
+#[expect(
+    clippy::indexing_slicing,
+    reason = "pos+1 is readable by the `pos + 2 <= buf.len()` loop guard; start..end is readable because `end > buf.len()` breaks first"
+)]
 pub fn decode_tcp_stream(buf: &[u8]) -> Vec<DnsMessage> {
     let mut out = Vec::new();
     let mut pos = 0;
@@ -273,7 +276,10 @@ impl Encoder {
                 "RDATA length {rdlen} too large"
             )));
         }
-        // allow_lint(L1): len_pos points at the two placeholder bytes appended before the RDATA body
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "len_pos points at the two placeholder bytes appended before the RDATA body"
+        )]
         self.buf[len_pos..len_pos + 2].copy_from_slice(&(rdlen as u16).to_be_bytes());
         Ok(())
     }
@@ -334,33 +340,45 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    // allow_lint(L1): pos..pos+n is readable — the `pos + n > buf.len()` check above returns Malformed first
+    fn truncated(&self, n: usize) -> DnsError {
+        DnsError::Malformed(format!(
+            "truncated at offset {} (need {n} more bytes)",
+            self.pos
+        ))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(DnsError::Malformed(format!(
-                "truncated at offset {} (need {n} more bytes)",
-                self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = self
+            .buf
+            .get(self.pos..self.pos + n)
+            .ok_or_else(|| self.truncated(n))?;
         self.pos += n;
         Ok(s)
     }
 
+    /// The next `N` bytes as an array: every fixed-width field reads
+    /// through this, so none of them indexes.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let a = self
+            .buf
+            .get(self.pos..self.pos + N)
+            .and_then(|s| s.try_into().ok())
+            .ok_or_else(|| self.truncated(N))?;
+        self.pos += N;
+        Ok(a)
+    }
+
     fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        let [b] = self.take_array()?;
+        Ok(b)
     }
 
-    // allow_lint(L1): take(2) returned a slice of exactly 2 bytes
     fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
+        self.take_array().map(u16::from_be_bytes)
     }
 
-    // allow_lint(L1): take(4) returned a slice of exactly 4 bytes
     fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        self.take_array().map(u32::from_be_bytes)
     }
 
     fn header(&mut self) -> Result<(DnsHeader, (u16, u16, u16, u16))> {
@@ -550,18 +568,13 @@ impl<'a> Decoder<'a> {
                 if rdlen != 4 {
                     return Err(DnsError::Malformed(format!("A RDATA length {rdlen}")));
                 }
-                let b = self.take(4)?;
-                // allow_lint(L1): take(4) returned a slice of exactly 4 bytes
-                RData::A(Ipv4Addr::new(b[0], b[1], b[2], b[3]))
+                RData::A(Ipv4Addr::from(self.take_array::<4>()?))
             }
             QType::Aaaa => {
                 if rdlen != 16 {
                     return Err(DnsError::Malformed(format!("AAAA RDATA length {rdlen}")));
                 }
-                let b = self.take(16)?;
-                let mut o = [0u8; 16];
-                o.copy_from_slice(b);
-                RData::Aaaa(Ipv6Addr::from(o))
+                RData::Aaaa(Ipv6Addr::from(self.take_array::<16>()?))
             }
             QType::Cname => RData::Cname(self.name_bounded(data_end)?),
             QType::Ptr => RData::Ptr(self.name_bounded(data_end)?),

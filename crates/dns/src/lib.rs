@@ -17,6 +17,10 @@
 //!   non-alphanumeric characters, collapse digit runs to `N`).
 
 #![forbid(unsafe_code)]
+// No panics and no unchecked indexing on the packet path (DESIGN.md §8).
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented))]
 
 /// Reference model of [`DomainName`]'s §4.1 label arithmetic, for
 /// differential tests and the fuzzer.

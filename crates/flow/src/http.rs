@@ -18,7 +18,10 @@ const METHODS: &[&str] = &[
 ];
 
 /// Quick check: does this client-to-server payload begin like an HTTP request?
-// allow_lint(L1): payload[m.len()] is readable — `payload.len() > m.len()` is checked first in the conjunction
+#[expect(
+    clippy::indexing_slicing,
+    reason = "payload[m.len()] is readable — `payload.len() > m.len()` is checked first in the conjunction"
+)]
 pub fn looks_like_http_request(payload: &[u8]) -> bool {
     METHODS.iter().any(|m| {
         payload.len() > m.len() && payload.starts_with(m.as_bytes()) && payload[m.len()] == b' '

@@ -17,6 +17,10 @@
 //! labelling is compared (Tab. 2) and as the "GT" column of Tables 6–7.
 
 #![forbid(unsafe_code)]
+// No panics and no unchecked indexing on the packet path (DESIGN.md §8).
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented))]
 
 pub mod bittorrent;
 pub mod dpi;

@@ -119,7 +119,10 @@ impl FlowRecord {
         *bytes += wire_bytes as u64;
         if payload_len > 0 && head_buf.len() < DPI_SNAP {
             let take = (DPI_SNAP - head_buf.len()).min(payload_len).min(head.len());
-            // allow_lint(L1): take <= head.len() by the `.min()` above
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "take <= head.len() by the `.min()` above"
+            )]
             head_buf.extend_from_slice(&head[..take]);
             self.dpi_dirty = true;
         }

@@ -7,7 +7,7 @@ use std::net::IpAddr;
 use dnhunter_net::{IpProtocol, Packet, TransportHeader};
 // The flow table sits on the per-packet path: every segment does one map
 // lookup (paper §3.2's real-time constraint), so it uses the FNV-keyed map
-// rather than the default SipHash `HashMap` (lint L2).
+// rather than the default SipHash `HashMap` (`clippy.toml` disallows it).
 use dnhunter_resolver::maps::FnvHashMap;
 use dnhunter_telemetry::{tm_count, tm_gauge, Metric as Tm};
 

@@ -108,7 +108,7 @@ impl TcpTracker {
             TcpConnState::Established | TcpConnState::HalfClosed => {}
             // Terminal states already returned above; if that guard ever
             // changes, a live capture must stay inert rather than panic
-            // (lint L1: the sniffer's packet path is panic-free).
+            // (the sniffer's packet path is panic-free, DESIGN.md §8).
             TcpConnState::Closed | TcpConnState::Reset => {}
         }
     }

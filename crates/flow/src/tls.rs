@@ -30,14 +30,20 @@ pub struct TlsInfo {
 }
 
 /// Quick check: does this payload begin with a plausible TLS record?
-// allow_lint(L1): indices 0..=2 are readable — `payload.len() >= 5` is the first conjunct
+#[expect(
+    clippy::indexing_slicing,
+    reason = "indices 0..=2 are readable — `payload.len() >= 5` is the first conjunct"
+)]
 pub fn looks_like_tls(payload: &[u8]) -> bool {
     payload.len() >= 5 && (20..=23).contains(&payload[0]) && payload[1] == 3 && payload[2] <= 4
 }
 
 /// Parse all complete TLS records at the start of `payload`, accumulating
 /// handshake information. Unknown/encrypted content is skipped gracefully.
-// allow_lint(L1): header bytes pos..pos+5 are readable by the loop guard; body_start.. slices are clamped by the `body_end > payload.len()` branch
+#[expect(
+    clippy::indexing_slicing,
+    reason = "header bytes pos..pos+5 are readable by the loop guard; body_start.. slices are clamped by the `body_end > payload.len()` branch"
+)]
 pub fn inspect(payload: &[u8]) -> TlsInfo {
     let mut info = TlsInfo::default();
     let mut pos = 0;
@@ -65,7 +71,10 @@ pub fn inspect(payload: &[u8]) -> TlsInfo {
 }
 
 /// Walk the handshake messages inside one record body.
-// allow_lint(L1): the 4 header bytes are readable by the `body.len() >= 4` guard; msg_end is min-clamped to body.len(); the tail slice is guarded by the `4 + hs_len > body.len()` break
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the 4 header bytes are readable by the `body.len() >= 4` guard; msg_end is min-clamped to body.len(); the tail slice is guarded by the `4 + hs_len > body.len()` break"
+)]
 fn inspect_handshakes(mut body: &[u8], info: &mut TlsInfo) {
     while body.len() >= 4 {
         let hs_type = body[0];
@@ -97,7 +106,10 @@ fn inspect_handshakes(mut body: &[u8], info: &mut TlsInfo) {
 
 /// Extract the SNI host name from a ClientHello body (after the 4-byte
 /// handshake header).
-// allow_lint(L1): extension-walk indices stay below ext_end which is min-clamped to msg.len(); SNI body indices are guarded by the d.len() checks
+#[expect(
+    clippy::indexing_slicing,
+    reason = "extension-walk indices stay below ext_end which is min-clamped to msg.len(); SNI body indices are guarded by the d.len() checks"
+)]
 fn parse_client_hello_sni(msg: &[u8]) -> Option<String> {
     // version(2) random(32)
     let mut pos = 34;
@@ -137,7 +149,10 @@ fn parse_client_hello_sni(msg: &[u8]) -> Option<String> {
 
 /// Extract the subject CN from a Certificate message body: the message is a
 /// 3-byte list length, then per-certificate 3-byte lengths + DER bytes.
-// allow_lint(L1): indices 3..=5 are readable — the `msg.len() < 6` case returned None above
+#[expect(
+    clippy::indexing_slicing,
+    reason = "indices 3..=5 are readable — the `msg.len() < 6` case returned None above"
+)]
 fn parse_certificate_cn(msg: &[u8]) -> Option<String> {
     if msg.len() < 6 {
         return None;

@@ -101,7 +101,10 @@ fn read_tlv(der: &[u8], pos: usize) -> Option<(u8, usize, usize)> {
 /// most likely to be cut, and the last CN still present would be the
 /// **issuer**'s — reporting it would hand the flow tagger a bogus FQDN
 /// (the CA's name). No name beats a wrong name.
-// allow_lint(L1): the window i..i+needle.len() is readable by the loop guard (outer_end <= der.len() from read_tlv); vs..ve come from read_tlv, which bounds-checks them against der.len()
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the window i..i+needle.len() is readable by the loop guard (outer_end <= der.len() from read_tlv); vs..ve come from read_tlv, which bounds-checks them against der.len()"
+)]
 pub fn extract_common_name(der: &[u8]) -> Option<String> {
     let (_, _, outer_end) = read_tlv(der, 0)?;
     let mut found: Option<String> = None;

@@ -19,13 +19,12 @@ impl Checksum {
 
     /// Add a byte slice. An odd trailing byte is padded with a zero octet, as
     /// required by RFC 1071.
-    // allow_lint(L1): chunks_exact(2) guarantees every chunk holds exactly 2 bytes
     pub fn add_bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        let (pairs, rest) = data.as_chunks::<2>();
+        for &c in pairs {
+            self.sum += u32::from(u16::from_be_bytes(c));
         }
-        if let [last] = chunks.remainder() {
+        if let [last] = rest {
             self.sum += u32::from(u16::from_be_bytes([*last, 0]));
         }
     }

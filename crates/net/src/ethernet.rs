@@ -52,7 +52,10 @@ pub struct EthernetHeader {
 
 impl EthernetHeader {
     /// Decode the header; returns the header and the payload slice offset.
-    // allow_lint(L1): all offsets are below HEADER_LEN, checked by the `need` guard on entry
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "all offsets are below HEADER_LEN, checked by the `need` guard on entry"
+    )]
     pub fn parse(buf: &[u8]) -> Result<(EthernetHeader, usize)> {
         need("ethernet", buf, HEADER_LEN)?;
         let mut dst = [0u8; 6];

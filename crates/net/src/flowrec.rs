@@ -166,49 +166,45 @@ struct Cur<'a> {
 
 impl<'a> Cur<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], FlowRecError> {
-        let end = self
+        let out = self
             .pos
             .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
+            .and_then(|end| self.buf.get(self.pos..end))
             .ok_or(FlowRecError::Corrupt("field overruns payload"))?;
-        // allow_lint(L1): `end <= buf.len()` and `pos <= end` by the
-        // checked_add/filter gate above
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
+        self.pos += n;
+        Ok(out)
+    }
+
+    /// The next `N` bytes as an array: every fixed-width field reads
+    /// through this, so none of them indexes.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], FlowRecError> {
+        let out = self
+            .pos
+            .checked_add(N)
+            .and_then(|end| self.buf.get(self.pos..end))
+            .and_then(|s| s.try_into().ok())
+            .ok_or(FlowRecError::Corrupt("field overruns payload"))?;
+        self.pos += N;
         Ok(out)
     }
 
     fn u8(&mut self) -> Result<u8, FlowRecError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.take_array()?;
+        Ok(b)
     }
 
-    // allow_lint(L1): `take(2)` hands back exactly 2 bytes
     fn u16(&mut self) -> Result<u16, FlowRecError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        self.take_array().map(u16::from_le_bytes)
     }
 
-    // allow_lint(L1): `take(8)` hands back exactly 8 bytes
     fn u64(&mut self) -> Result<u64, FlowRecError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        self.take_array().map(u64::from_le_bytes)
     }
 
-    // allow_lint(L1): `take(4)` hands back exactly 4 bytes
     fn ip(&mut self) -> Result<IpAddr, FlowRecError> {
         match self.u8()? {
-            4 => {
-                let b = self.take(4)?;
-                Ok(IpAddr::from([b[0], b[1], b[2], b[3]]))
-            }
-            6 => {
-                let b = self.take(16)?;
-                let mut o = [0u8; 16];
-                o.copy_from_slice(b);
-                Ok(IpAddr::from(o))
-            }
+            4 => Ok(IpAddr::from(self.take_array::<4>()?)),
+            6 => Ok(IpAddr::from(self.take_array::<16>()?)),
             _ => Err(FlowRecError::Corrupt("bad ip tag")),
         }
     }
@@ -281,10 +277,9 @@ pub fn encode_record(out: &mut Vec<u8>, rec: &ExportRecord) {
             encode_ip(&mut payload, d.client);
             // DNS messages are u16-length by construction (TCP transport
             // caps them); truncate defensively rather than lie.
-            let len = d.message.len().min(u16::MAX as usize);
-            payload.extend_from_slice(&(len as u16).to_le_bytes());
-            // allow_lint(L1): `len` is min-clamped to `message.len()` above
-            payload.extend_from_slice(&d.message[..len]);
+            let message = d.message.get(..u16::MAX as usize).unwrap_or(&d.message);
+            payload.extend_from_slice(&(message.len() as u16).to_le_bytes());
+            payload.extend_from_slice(message);
             TYPE_DNS
         }
         ExportRecord::Flow(fl) => {
@@ -361,7 +356,6 @@ pub struct FlowRecReader<R: Read> {
 
 impl<R: Read> FlowRecReader<R> {
     /// Read and validate the stream header.
-    // allow_lint(L1): constant indices into the fixed [u8; 6] header array cannot be out of bounds
     pub fn new(mut inner: R) -> Result<Self, FlowRecError> {
         let mut hdr = [0u8; 6];
         inner.read_exact(&mut hdr).map_err(|e| match e.kind() {
@@ -381,7 +375,10 @@ impl<R: Read> FlowRecReader<R> {
 
     /// Next record; `Ok(None)` at clean end-of-stream, an error if the
     /// stream ends inside a record.
-    // allow_lint(L1): constant indices into the fixed [u8; 5] record header cannot be out of bounds
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`filled < hdr.len()` by the loop guard"
+    )]
     pub fn next_record(&mut self) -> Result<Option<ExportRecord>, FlowRecError> {
         let mut hdr = [0u8; 5];
         // A clean stream ends exactly on a record boundary; distinguish

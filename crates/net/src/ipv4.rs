@@ -57,7 +57,10 @@ impl Ipv4Header {
 
     /// Decode from `buf`, validating version, IHL, total length and checksum.
     /// Returns the header and the offset where the payload begins.
-    // allow_lint(L1): fixed offsets sit below MIN_HEADER_LEN (the `need` guard); ihl-relative slices follow the `ihl <= buf.len()` check
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fixed offsets sit below MIN_HEADER_LEN (the `need` guard); ihl-relative slices follow the `ihl <= buf.len()` check"
+    )]
     pub fn parse(buf: &[u8]) -> Result<(Ipv4Header, usize)> {
         need("ipv4", buf, MIN_HEADER_LEN)?;
         let version = buf[0] >> 4;
@@ -119,7 +122,10 @@ impl Ipv4Header {
 
     /// Encode this header followed by `payload_len` bytes of payload (which
     /// the caller appends). Computes total length and checksum.
-    // allow_lint(L1): `out` grows from `start` by exactly `header_len` pushes before the checksum is patched in at start+10..start+12
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`out` grows from `start` by exactly `header_len` pushes before the checksum is patched in at start+10..start+12"
+    )]
     pub fn write(&self, out: &mut Vec<u8>, payload_len: usize) -> Result<()> {
         if !self.options.len().is_multiple_of(4) || self.options.len() > 40 {
             return Err(NetError::BadLength {

@@ -37,7 +37,10 @@ impl Ipv6Header {
     }
 
     /// Decode from `buf`; returns the header and payload offset.
-    // allow_lint(L1): all fixed offsets sit below HEADER_LEN, checked by the `need` guard on entry
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "all fixed offsets sit below HEADER_LEN, checked by the `need` guard on entry"
+    )]
     pub fn parse(buf: &[u8]) -> Result<(Ipv6Header, usize)> {
         need("ipv6", buf, HEADER_LEN)?;
         let version = buf[0] >> 4;

@@ -19,7 +19,6 @@ impl MacAddr {
     }
 
     /// True if the group bit (least significant bit of first octet) is set.
-    // allow_lint(L1): constant index 0 into the fixed [u8; 6] array cannot be out of bounds
     pub fn is_multicast(&self) -> bool {
         self.0[0] & 0x01 != 0
     }
@@ -30,7 +29,6 @@ impl MacAddr {
     }
 
     /// True if the locally-administered bit is set.
-    // allow_lint(L1): constant index 0 into the fixed [u8; 6] array cannot be out of bounds
     pub fn is_local(&self) -> bool {
         self.0[0] & 0x02 != 0
     }
@@ -42,7 +40,6 @@ impl MacAddr {
 
     /// Deterministically derive a locally-administered unicast MAC from an
     /// integer id. Used by the simulator to give every host a stable MAC.
-    // allow_lint(L1): constant indices 3..=7 into the fixed [u8; 8] from to_be_bytes cannot be out of bounds
     pub fn from_id(id: u64) -> Self {
         let b = id.to_be_bytes();
         // 0x02 prefix = locally administered, unicast.
@@ -51,7 +48,6 @@ impl MacAddr {
 }
 
 impl fmt::Display for MacAddr {
-    // allow_lint(L1): constant indices 0..=5 into the fixed [u8; 6] array cannot be out of bounds
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -73,9 +69,8 @@ impl FromStr for MacAddr {
             ));
         }
         let mut out = [0u8; 6];
-        for (i, p) in parts.iter().enumerate() {
-            // allow_lint(L1): i < 6 — parts.len() == 6 was checked above
-            out[i] = u8::from_str_radix(p, 16).map_err(|e| format!("octet {i}: {e}"))?;
+        for (i, (o, p)) in out.iter_mut().zip(&parts).enumerate() {
+            *o = u8::from_str_radix(p, 16).map_err(|e| format!("octet {i}: {e}"))?;
         }
         Ok(MacAddr(out))
     }

@@ -151,7 +151,10 @@ impl<'a> PacketView<'a> {
         }
     }
 
-    // allow_lint(L1): every slice offset is validated first — the vlan `need` guard, and the layer parsers (Ipv4Header/Ipv6Header/TcpHeader/UdpHeader::parse) check their lengths before returning offsets
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every slice offset is validated first — the vlan `need` guard, and the layer parsers (Ipv4Header/Ipv6Header/TcpHeader/UdpHeader::parse) check their lengths before returning offsets"
+    )]
     fn parse_inner(frame: &'a [u8]) -> Result<PacketView<'a>> {
         let (mut eth, mut eth_len) = EthernetHeader::parse(frame)?;
         // 802.1Q VLAN tag: 2 bytes TCI + 2 bytes real EtherType.
@@ -283,7 +286,10 @@ pub fn build_udp_v4(
 
 /// Build a complete Ethernet+IPv4+TCP frame carrying `payload`.
 // allow_lint(L8): frame builder; sizes come from the payload the caller already holds, not from a length read off the wire
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per header field of the frame being built"
+)]
 pub fn build_tcp_v4(
     src_mac: MacAddr,
     dst_mac: MacAddr,
@@ -314,7 +320,10 @@ pub fn build_tcp_v4(
 /// Build a complete Ethernet+IPv6+UDP frame carrying `payload`. The simulator
 /// uses this to exercise the v6 code path of the sniffer.
 // allow_lint(L8): frame builder; sizes come from the payload the caller already holds, not from a length read off the wire
-// allow_lint(L1): seg holds 8 header bytes before the checksum is patched at 6..8
+#[expect(
+    clippy::indexing_slicing,
+    reason = "seg holds 8 header bytes before the checksum is patched at 6..8"
+)]
 pub fn build_udp_v6(
     src_mac: MacAddr,
     dst_mac: MacAddr,
@@ -352,7 +361,10 @@ pub fn build_udp_v6(
 
 /// Build a complete Ethernet+IPv6+TCP frame carrying `payload`.
 // allow_lint(L8): frame builder; sizes come from the payload the caller already holds, not from a length read off the wire
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per header field of the frame being built"
+)]
 pub fn build_tcp_v6(
     src_mac: MacAddr,
     dst_mac: MacAddr,
@@ -385,7 +397,7 @@ pub fn build_tcp_v6(
 // allow_lint(L8): copies a frame the caller already holds plus the 4-byte tag; no length is read off the wire
 pub fn insert_vlan_tag(frame: &[u8], vlan_id: u16) -> Vec<u8> {
     // Runt frames (shorter than the two MAC addresses) can't carry a tag;
-    // return them unchanged rather than panic (lint L1).
+    // return them unchanged rather than panic.
     if frame.len() < 12 {
         return frame.to_vec();
     }

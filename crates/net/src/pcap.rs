@@ -95,7 +95,6 @@ pub struct PcapReader<R: Read> {
 
 impl<R: Read> PcapReader<R> {
     /// Read and validate the global header.
-    // allow_lint(L1): constant indices into the fixed [u8; 24] header array cannot be out of bounds
     pub fn new(mut inner: R) -> Result<Self> {
         let mut hdr = [0u8; 24];
         inner
@@ -141,7 +140,6 @@ impl<R: Read> PcapReader<R> {
     /// [`next_record`](Self::next_record) carrying the frame in `frame`'s
     /// allocation (its contents are discarded) — for callers that get
     /// their records back.
-    // allow_lint(L1): constant indices into the fixed [u8; 16] record header cannot be out of bounds
     pub fn next_record_into(&mut self, mut frame: Vec<u8>) -> Result<Option<PcapRecord>> {
         let mut hdr = [0u8; 16];
         match self.inner.read_exact(&mut hdr) {

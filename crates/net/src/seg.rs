@@ -146,7 +146,10 @@ fn flat_generic(frame: &[u8]) -> Result<FlatParse<'_>, FrameFault> {
 /// same order, with the same fault class: Ethernet length guard, IPv4
 /// version/IHL/total-length/checksum, the non-first-fragment reject, TCP
 /// data-offset and option-structure checks, UDP length checks.
-// allow_lint(L1): every fixed offset is guarded by the length checks above it (14-byte Ethernet gate, MIN_IPV4/ihl/total_len guards, tcp data_offset and udp length guards)
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every fixed offset is guarded by the length checks above it (14-byte Ethernet gate, MIN_IPV4/ihl/total_len guards, tcp data_offset and udp length guards)"
+)]
 fn flat_fast(frame: &[u8]) -> Option<Result<FlatParse<'_>, FrameFault>> {
     const ETH: usize = 14;
     const MIN_IPV4: usize = 20;

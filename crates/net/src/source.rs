@@ -142,7 +142,10 @@ impl<R: Read> PcapStreamSource<R> {
         self.end - self.start
     }
 
-    // allow_lint(L1): every caller checks `pending_len()` covers `at + 4`
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every caller checks `pending_len()` covers `at + 4`"
+    )]
     // first (the 24-byte global-header and 16-byte record-header gates)
     fn read_u32(&self, at: usize, swapped: bool) -> u32 {
         let b = [
@@ -185,7 +188,10 @@ impl<R: Read> PcapStreamSource<R> {
     }
 
     /// Parse one record if it's fully buffered.
-    // allow_lint(L1): offsets are guarded by the pending_len() checks
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "offsets are guarded by the pending_len() checks"
+    )]
     fn try_parse_record(&mut self, swapped: bool) -> Result<Option<PcapRecord>> {
         if self.pending_len() < 16 {
             return Ok(None);
@@ -234,7 +240,10 @@ impl<R: Read> PcapStreamSource<R> {
             self.end -= self.start;
             self.start = 0;
         }
-        // allow_lint(L1): at least STREAM_READ_CHUNK bytes are free past `end`, by the move above
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "at least STREAM_READ_CHUNK bytes are free past `end`, by the move above"
+        )]
         let free = &mut self.buf[self.end..self.end + STREAM_READ_CHUNK];
         loop {
             match self.inner.read(free) {

@@ -146,7 +146,10 @@ impl TcpHeader {
     }
 
     /// Decode from `buf`; returns the header and the payload offset.
-    // allow_lint(L1): fixed offsets sit below MIN_HEADER_LEN (first `need` guard); option bytes are below data_offset (second `need` guard plus the per-option i/len range checks); body indices are matched against body.len()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fixed offsets sit below MIN_HEADER_LEN (first `need` guard); option bytes are below data_offset (second `need` guard plus the per-option i/len range checks); body indices are matched against body.len()"
+    )]
     pub fn parse(buf: &[u8]) -> Result<(TcpHeader, usize)> {
         need("tcp", buf, MIN_HEADER_LEN)?;
         let data_offset = usize::from(buf[12] >> 4) * 4;
@@ -213,7 +216,10 @@ impl TcpHeader {
 
     /// Encode a full TCP segment (header + payload) over IPv4 with a valid
     /// checksum; appends to `out`.
-    // allow_lint(L1): the checksum patch at start+16..start+18 lands inside the 20+ header bytes appended above it
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the checksum patch at start+16..start+18 lands inside the 20+ header bytes appended above it"
+    )]
     pub fn write_segment_v4(
         &self,
         payload: &[u8],
@@ -265,7 +271,10 @@ impl TcpHeader {
     }
 
     /// Encode a full TCP segment over IPv6, computing the checksum.
-    // allow_lint(L1): the checksum patch at start+16..start+18 lands inside the header the v4 writer just appended
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the checksum patch at start+16..start+18 lands inside the header the v4 writer just appended"
+    )]
     pub fn write_segment_v6(
         &self,
         payload: &[u8],

@@ -23,7 +23,10 @@ impl UdpHeader {
     /// checksum is *not* validated here because that requires the IP
     /// pseudo-header; use [`UdpHeader::verify_checksum_v4`] /
     /// [`UdpHeader::verify_checksum_v6`] with the full segment.
-    // allow_lint(L1): all fixed offsets sit below HEADER_LEN, checked by the `need` guard on entry
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "all fixed offsets sit below HEADER_LEN, checked by the `need` guard on entry"
+    )]
     pub fn parse(buf: &[u8]) -> Result<(UdpHeader, usize)> {
         need("udp", buf, HEADER_LEN)?;
         let length = u16::from_be_bytes([buf[4], buf[5]]);
@@ -54,8 +57,7 @@ impl UdpHeader {
     /// Validate the checksum of a full UDP segment carried over IPv4.
     /// A zero checksum means "not computed" and is accepted (RFC 768).
     pub fn verify_checksum_v4(segment: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<()> {
-        // allow_lint(L1): indices 6 and 7 are below HEADER_LEN, checked by the length test in the same expression
-        if segment.len() >= HEADER_LEN && segment[6] == 0 && segment[7] == 0 {
+        if segment.get(6..HEADER_LEN) == Some(&[0, 0]) {
             return Ok(());
         }
         let sum = pseudo_header_checksum_v4(src, dst, 17, segment);
@@ -85,7 +87,10 @@ impl UdpHeader {
 
     /// Encode a full UDP segment (header + payload) over IPv4, computing the
     /// checksum. Appends to `out`.
-    // allow_lint(L1): the checksum patch at start+6..start+8 lands inside the 8 header bytes appended above it
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the checksum patch at start+6..start+8 lands inside the 8 header bytes appended above it"
+    )]
     pub fn write_segment_v4(
         src_port: u16,
         dst_port: u16,

@@ -65,7 +65,10 @@ impl<T> CircularList<T> {
     /// Insert at the pointer position, advancing it — the paper's §3.1
     /// FIFO-overwrite policy. Returns the new slot reference and the evicted
     /// value, if the slot was occupied.
-    // allow_lint(L1): index < slots.len() — it is the pre-advance pointer, always reduced modulo slots.len()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "index < slots.len() — it is the pre-advance pointer, always reduced modulo slots.len()"
+    )]
     pub fn push(&mut self, value: T) -> (SlotRef, Option<T>) {
         let index = self.next;
         self.next = (self.next + 1) % self.slots.len();
@@ -86,9 +89,8 @@ impl<T> CircularList<T> {
 
     /// Fetch the value at `slot` if it still holds the same generation
     /// (stale references from §3.1 evictions resolve to `None`).
-    // allow_lint(L1): SlotRef.index was produced by push() modulo slots.len(), and the list never shrinks
     pub fn get(&self, slot: SlotRef) -> Option<&T> {
-        match &self.slots[slot.index] {
+        match self.slots.get(slot.index)? {
             Some((gen, v)) if *gen == slot.generation => Some(v),
             _ => None,
         }
@@ -107,9 +109,8 @@ impl<T> CircularList<T> {
     }
 
     /// Mutable variant of [`CircularList::get`] (same §3.1 staleness rule).
-    // allow_lint(L1): SlotRef.index was produced by push() modulo slots.len(), and the list never shrinks
     pub fn get_mut(&mut self, slot: SlotRef) -> Option<&mut T> {
-        match &mut self.slots[slot.index] {
+        match self.slots.get_mut(slot.index)? {
             Some((gen, v)) if *gen == slot.generation => Some(v),
             _ => None,
         }
@@ -117,12 +118,12 @@ impl<T> CircularList<T> {
 
     /// Remove the value at `slot` if the generation matches (§3.1 eviction
     /// bookkeeping).
-    // allow_lint(L1): SlotRef.index was produced by push() modulo slots.len(), and the list never shrinks
     pub fn remove(&mut self, slot: SlotRef) -> Option<T> {
-        match &self.slots[slot.index] {
+        let entry = self.slots.get_mut(slot.index)?;
+        match entry {
             Some((gen, _)) if *gen == slot.generation => {
                 self.occupied -= 1;
-                self.slots[slot.index].take().map(|(_, v)| v)
+                entry.take().map(|(_, v)| v)
             }
             _ => None,
         }

@@ -4,7 +4,7 @@
 //! The paper concludes that, at EU1-ADSL1's peak rate of ~350k responses per
 //! 10 minutes, `L ≈ 2.1M` emulates one hour of client caching and resolves
 //! ~98% of flows. The same sweep, on synthetic traces, is reproduced by
-//! `bench/clist_sizing` using this harness.
+//! `repro --dimensioning` using this harness.
 
 use std::net::IpAddr;
 

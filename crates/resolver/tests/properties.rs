@@ -1,5 +1,7 @@
 //! Property-based tests for the DNS Resolver (Algorithm 1 invariants).
 
+#![expect(clippy::disallowed_types, reason = "shadow model, not per packet")]
+
 use dnhunter_dns::DomainName;
 use dnhunter_resolver::clist::{CircularList, SlotRef};
 use dnhunter_resolver::{CheckedResolver, DnsResolver, ResolverConfig};

@@ -273,7 +273,10 @@ fn app_payloads(spec: &FlowSpec) -> (Vec<u8>, Vec<u8>) {
 
 /// Synthesize a compact IPv6 flow (dual-stack clients). Handshake, one
 /// request, response bulk, close — same shape as the v4 path, over v6.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per flow parameter the generator draws"
+)]
 pub fn synthesize_v6(
     client: Ipv6Addr,
     server: Ipv6Addr,
@@ -422,7 +425,10 @@ pub fn synthesize_v6(
 }
 
 /// Synthesize a BitTorrent peer-wire flow (no DNS ever precedes these).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per flow parameter the generator draws"
+)]
 pub fn synthesize_peer_flow(
     client: Ipv4Addr,
     peer: Ipv4Addr,

@@ -27,6 +27,7 @@
 //!   case study (Tab. 8, Figs. 10–11).
 
 #![forbid(unsafe_code)]
+#![expect(clippy::disallowed_types, reason = "trace generator, not per packet")]
 
 pub mod address;
 pub mod appspot;

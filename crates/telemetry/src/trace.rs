@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn catalog_is_consistent() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for (i, ev) in TraceEvent::ALL.iter().enumerate() {
             let info = ev.info();
             assert!(!info.name.is_empty());

@@ -17,8 +17,8 @@
 //! plus programmatic seeds built with the crates' own builders, then get
 //! mutated structure-aware-ly (length-field lies, compression pointers,
 //! truncations, splices). Every case runs under `catch_unwind`: the
-//! parsers' contract is *errors, never panics* (lint L1 enforces the same
-//! statically; the fuzzer enforces it dynamically).
+//! parsers' contract is *errors, never panics* (clippy's `deny` list in
+//! each hot crate enforces the same statically; the fuzzer dynamically).
 //!
 //! On a panic the input is shrunk greedily to a minimal reproducer, hex
 //! dumped into `tests/corpus/regressions/`, and the run exits non-zero.

@@ -1,6 +1,7 @@
 //! The xtask static-analysis library: lexical model ([`scan`]), function
-//! spans ([`model`]), the per-file lints L1, L2, L4, L5, L6 and L8
-//! ([`lints`]), and the whole-workspace driver ([`runner`]).
+//! spans ([`model`]), the per-file lints L4, L5, L6 and L8 ([`lints`]),
+//! and the whole-workspace driver ([`runner`]). The packet path's
+//! no-panic and no-SipHash rules are clippy's, not this crate's.
 //!
 //! Split out of the `xtask` binary so the `lint_selftest` integration test
 //! can run every lint against the fixture snippets under

@@ -1,4 +1,4 @@
-//! The DN-Hunter invariant lints (L1, L2, L4, L5, L6, L8).
+//! The DN-Hunter invariant lints (L4, L5, L6, L8).
 //!
 //! Each lint is a pass over a [`SourceFile`] (comments and string bodies
 //! already blanked, test spans marked) and reports [`Violation`]s; L6 reads
@@ -9,12 +9,13 @@
 //!
 //! | id | invariant |
 //! |----|-----------|
-//! | L1 | no `unwrap`/`expect`/panicking macros/unchecked indexing in hot-path crates |
-//! | L2 | no default-hasher `HashMap` in per-packet paths |
 //! | L4 | every public item in `resolver`/`dns` documented with a paper citation |
 //! | L5 | hot-path metric updates use the `tm_*!` macros, with no allocation/locking in the update |
 //! | L6 | property-test corpora are committed and never gitignored |
 //! | L8 | allocation sizes derived from a function's parameters are clamped by a named cap |
+//!
+//! The packet path's no-panic and no-SipHash rules are clippy's: see the
+//! hot crates' `deny` lists and `clippy.toml`.
 
 use std::collections::BTreeSet;
 
@@ -46,7 +47,7 @@ fn violation(
 }
 
 /// Every lint id an `allow_lint` marker may name (M1).
-pub const KNOWN_LINTS: &[&str] = &["L1", "L2", "L4", "L5", "L6", "L8"];
+pub const KNOWN_LINTS: &[&str] = &["L4", "L5", "L6", "L8"];
 
 /// Apply `allow_lint` marker suppression to raw findings: drop the ones a
 /// matching marker covers, and report which marker (by index into
@@ -124,191 +125,8 @@ pub fn check_markers(file: &SourceFile) -> Vec<Violation> {
     out
 }
 
-/// L1: panic-free hot path. Flags `.unwrap()`, `.expect(`, the panicking
-/// macros, and subscript indexing (`x[...]`, which panics out of bounds —
-/// `get`/`get_mut` are the checked alternatives).
-pub fn l1_no_panics(file: &SourceFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.test {
-            continue;
-        }
-        let code = line.code.as_str();
-        if code.trim_start().starts_with("#[") {
-            continue; // attribute, not executable code
-        }
-        if code.contains(".unwrap()") {
-            out.push(violation(file, i, "L1", "`.unwrap()` in hot-path code"));
-        }
-        if code.contains(".expect(") {
-            out.push(violation(file, i, "L1", "`.expect(...)` in hot-path code"));
-        }
-        for mac in ["panic!", "todo!", "unimplemented!", "unreachable!"] {
-            for (pos, _) in code.match_indices(mac) {
-                let before_ok = pos == 0 || !is_ident_char(char_at(code, pos - 1));
-                if before_ok {
-                    out.push(violation(
-                        file,
-                        i,
-                        "L1",
-                        format!("`{mac}` in hot-path code"),
-                    ));
-                }
-            }
-        }
-        for idx in subscript_positions(code) {
-            let snippet: String = code[..idx].chars().rev().take(24).collect::<String>();
-            let snippet: String = snippet.chars().rev().collect();
-            out.push(violation(
-                file,
-                i,
-                "L1",
-                format!("unchecked indexing (`...{}[`); use `get`/`get_mut` or allowlist with the guarding bounds check", snippet.trim_start()),
-            ));
-        }
-    }
-    out
-}
-
-fn char_at(s: &str, byte_idx: usize) -> char {
-    s[byte_idx..].chars().next().unwrap_or(' ')
-}
-
 fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
-}
-
-/// Keywords that may directly precede an array-literal or slice-type `[`;
-/// an identifier ending in one of these is not a subscripted expression.
-const PRE_BRACKET_KEYWORDS: &[&str] = &[
-    "in", "return", "break", "as", "else", "match", "if", "while", "mut", "ref", "move", "dyn",
-    "impl", "where", "yield", "const", "static", "let", "pub",
-];
-
-/// Byte offsets of `[` characters that subscript an expression (previous
-/// non-space char is an identifier char, `)`, or `]` — but not a keyword
-/// and not a lifetime name, which precede array literals and slice types).
-fn subscript_positions(code: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let bytes = code.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'[' {
-            continue;
-        }
-        let mut j = i;
-        let prev = loop {
-            if j == 0 {
-                break None;
-            }
-            j -= 1;
-            let c = bytes[j] as char;
-            if c != ' ' {
-                break Some((j, c));
-            }
-        };
-        match prev {
-            Some((j, c)) if is_ident_char(c) || c == ')' || c == ']' => {
-                if is_ident_char(c) {
-                    // Walk to the start of the word.
-                    let mut w = j;
-                    while w > 0 && is_ident_char(bytes[w - 1] as char) {
-                        w -= 1;
-                    }
-                    let word = &code[w..=j];
-                    if PRE_BRACKET_KEYWORDS.contains(&word) {
-                        continue;
-                    }
-                    if w > 0 && bytes[w - 1] == b'\'' {
-                        continue; // lifetime: `&'a [u8]`
-                    }
-                }
-                out.push(i);
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// L2: per-packet maps must not use SipHash. Flags `HashMap` construction
-/// (`::new`, `::default`, `::with_capacity`) and two-parameter `HashMap<K,
-/// V>` types; a third generic parameter (a custom `BuildHasher`, as in
-/// `resolver::maps::FnvHashMap`) passes.
-pub fn l2_no_siphash_maps(file: &SourceFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.test {
-            continue;
-        }
-        let code = line.code.as_str();
-        let trimmed = code.trim_start();
-        if trimmed.starts_with("use ") || trimmed.starts_with("pub use ") {
-            continue; // imports are fine; usage sites are flagged
-        }
-        for (pos, _) in code.match_indices("HashMap") {
-            if pos > 0 && is_ident_char(char_at(code, pos - 1)) {
-                continue; // part of a longer identifier, e.g. FnvHashMap
-            }
-            let after = &code[pos + "HashMap".len()..];
-            let after_trim = after.trim_start();
-            if let Some(rest) = after_trim.strip_prefix("::") {
-                for ctor in ["new", "default", "with_capacity"] {
-                    if rest.starts_with(ctor) {
-                        out.push(violation(
-                            file,
-                            i,
-                            "L2",
-                            format!(
-                                "`HashMap::{ctor}` uses the default SipHash hasher in a per-packet path; use `resolver::maps::FnvHashMap`"
-                            ),
-                        ));
-                    }
-                }
-            } else if after_trim.starts_with('<') {
-                // Join following lines so multi-line generics parse.
-                let mut generics = after_trim.to_string();
-                let mut j = i + 1;
-                while angle_depth(&generics).is_none() && j < file.lines.len() && j < i + 10 {
-                    generics.push(' ');
-                    generics.push_str(file.lines[j].code.trim());
-                    j += 1;
-                }
-                if let Some(commas) = angle_depth(&generics) {
-                    if commas < 2 {
-                        out.push(violation(
-                            file,
-                            i,
-                            "L2",
-                            "`HashMap<K, V>` defaults to SipHash in a per-packet path; add a hasher parameter or use `resolver::maps::FnvHashMap`",
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Parse a `<...>` group at the start of `s`; return `Some(top_level_commas)`
-/// if it closes within `s`, `None` if unbalanced (caller joins more lines).
-fn angle_depth(s: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut commas = 0usize;
-    for c in s.chars() {
-        match c {
-            '<' => depth += 1,
-            '>' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(commas);
-                }
-            }
-            ',' if depth == 1 => commas += 1,
-            ';' if depth == 0 => return Some(commas),
-            _ => {}
-        }
-    }
-    None
 }
 
 /// Recorder entry points that must not be called directly from hot-path
@@ -465,7 +283,7 @@ pub fn l4_docs_cite_paper(file: &SourceFile) -> Vec<Violation> {
             if above.doc {
                 doc.insert_str(0, above.comment.as_str());
                 doc.insert(0, '\n');
-            } else if t.starts_with("#[") || (t.is_empty() && !above.comment.is_empty()) {
+            } else if above.attr || (t.is_empty() && !above.comment.is_empty()) {
                 continue; // attribute or marker comment between doc and item
             } else {
                 break;
@@ -724,21 +542,10 @@ mod tests {
     }
 
     #[test]
-    fn l1_catches_unwrap_expect_panic_indexing() {
-        let f = file("fn f(v: &[u8]) -> u8 {\n    let a = v.first().unwrap();\n    let b = o.expect(\"x\");\n    panic!(\"boom\");\n    v[0]\n}\n");
-        let v = l1_no_panics(&f);
-        let kinds: Vec<&str> = v
-            .iter()
-            .map(|x| x.message.split(['`', ' ']).nth(1).unwrap_or(""))
-            .collect();
-        assert_eq!(v.len(), 4, "{kinds:?}");
-    }
-
-    #[test]
-    fn l1_ignores_tests_strings_comments_and_allows() {
-        let src = "fn f() {\n    let s = \"don't .unwrap() me\"; // .unwrap() here neither\n    let x = v[0]; // allow_lint(L1): length checked two lines up\n}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
+    fn suppression_ignores_tests_strings_comments_and_consumes_markers() {
+        let src = "fn f() {\n    let s = \"telemetry::span(\"; // telemetry::span( here neither\n    telemetry::span(m); // allow_lint(L5): startup path, not per-packet\n}\n#[cfg(test)]\nmod tests {\n    fn t() { telemetry::span(m); }\n}\n";
         let f = file(src);
-        let raw = l1_no_panics(&f);
+        let raw = l5_telemetry_macros(&f);
         assert_eq!(raw.len(), 1, "the allowed line is still a raw finding");
         let (active, used) = suppress(&f, raw);
         assert!(active.is_empty(), "{active:?}");
@@ -747,28 +554,13 @@ mod tests {
 
     #[test]
     fn m2_flags_markers_that_suppress_nothing() {
-        let src = "fn f() {\n    let x = v.first(); // allow_lint(L1): nothing wrong on this line anymore\n}\n";
+        let src = "fn f() {\n    let x = v.first(); // allow_lint(L5): nothing wrong on this line anymore\n}\n";
         let f = file(src);
-        let (_, used) = suppress(&f, l1_no_panics(&f));
+        let (_, used) = suppress(&f, l5_telemetry_macros(&f));
         let v = m2_stale_markers(&f, &used);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("stale"));
         assert_eq!(v[0].line, 2);
-    }
-
-    #[test]
-    fn l1_does_not_flag_array_types_or_macros() {
-        let src = "fn f() {\n    let a: [u8; 4] = [0; 4];\n    let v = vec![1, 2];\n    let s = &buf;\n}\n";
-        assert!(l1_no_panics(&file(src)).is_empty());
-    }
-
-    #[test]
-    fn l2_flags_default_hasher_only() {
-        let src = "struct S {\n    flows: HashMap<Key, Rec>,\n}\nfn f() {\n    let m: FnvHashMap<u8, u8> = FnvHashMap::default();\n    let bad = HashMap::new();\n    type T = HashMap<K, V, FnvBuildHasher>;\n}\n";
-        let v = l2_no_siphash_maps(&file(src));
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert_eq!(v[0].line, 2);
-        assert_eq!(v[1].line, 6);
     }
 
     #[test]
@@ -782,9 +574,12 @@ mod tests {
 
     #[test]
     fn m1_rejects_reasonless_or_unknown_markers() {
-        let src = "fn f() {\n    let x = v[0]; // allow_lint(L1)\n    let y = v[1]; // allow_lint(L42): what\n}\n";
+        // L1 and L2 are clippy's, so a leftover marker naming one is an
+        // unknown lint: no text marker outlives its lint.
+        let src = "fn f() {\n    let x = v.len(); // allow_lint(L8)\n    let y = v[1]; // allow_lint(L42): what\n    let z = v[2]; // allow_lint(L1): bounds-checked above\n}\n";
         let v = check_markers(&file(src));
-        assert_eq!(v.len(), 2, "{v:?}");
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v[2].message.contains("unknown lint `L1`"), "{v:?}");
     }
 
     #[test]

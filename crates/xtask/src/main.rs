@@ -3,9 +3,9 @@
 //! Subcommands:
 //!
 //! * `lint` — the invariant gate described in DESIGN.md ("Machine-checked
-//!   invariants"): per-file workspace lints (L1, L2, L4, L5, L6, L8) that
-//!   encode properties the paper's hot path depends on and that
-//!   rustc/clippy cannot express. Exits non-zero on any violation, so CI
+//!   invariants"): per-file workspace lints (L4, L5, L6, L8) that encode
+//!   properties the paper's hot path depends on and that rustc/clippy
+//!   cannot express (no panics and no SipHash maps are clippy's). Exits non-zero on any violation, so CI
 //!   can gate on it. `--json` prints machine-readable
 //!   findings; `--github` adds `::error file=…,line=…` annotation lines.
 //! * `ci-check` — the CI coverage gate: every integration test must be
@@ -41,7 +41,7 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: cargo xtask <command>\n\ncommands:\n  lint        run the per-file workspace invariant lints\n              (L1, L2, L4, L5, L6, L8)\n              [--json] [--github]\n  ci-check    verify the CI workflows and the integration-test suite\n              agree (every test wired in; no stale targets)\n  fuzz        seeded corpus fuzzer over the ingest parsers\n              [--smoke] [--cases N] [--seed S] [--max-seconds T]"
+        "usage: cargo xtask <command>\n\ncommands:\n  lint        run the per-file workspace invariant lints\n              (L4, L5, L6, L8)\n              [--json] [--github]\n  ci-check    verify the CI workflows and the integration-test suite\n              agree (every test wired in; no stale targets)\n  fuzz        seeded corpus fuzzer over the ingest parsers\n              [--smoke] [--cases N] [--seed S] [--max-seconds T]"
     );
 }
 

@@ -22,22 +22,23 @@ const LINTED_CRATES: &[&str] = &[
     "telemetry",
 ];
 
-/// Hot-path crates: per-packet code where a panic, a SipHash map or an
-/// allocation sized off the wire is a correctness/performance bug (L1, L2,
-/// L8).
+/// Hot-path crates: per-packet code where an allocation sized off the
+/// wire is a correctness/performance bug (L8). Their panics and SipHash
+/// maps are clippy's to catch (the crate roots' `deny` list, `clippy.toml`).
 const HOT_CRATES: &[&str] = &["net", "dns", "flow", "resolver", "telemetry"];
 /// Crates whose hot paths carry metric updates and must use the `tm_*!`
 /// macros (L5). The `telemetry` crate itself is exempt: it *defines* the
 /// recorder functions the macros expand to.
 const L5_EXEMPT_CRATES: &[&str] = &["telemetry"];
-/// Extra files outside the hot crates whose metric updates L5 checks.
-const L5_EXTRA_FILES: &[&str] = &["crates/core/src/sniffer.rs"];
+/// Per-packet files outside the hot crates whose metric updates L5 checks
+/// (the rest of `core` is reporting/export code).
+const L5_EXTRA_FILES: &[&str] = &[
+    "crates/core/src/engine.rs",
+    "crates/core/src/pipeline.rs",
+    "crates/core/src/sniffer.rs",
+];
 /// Crates whose public API must cite the paper (L4).
 const DOC_CRATES: &[&str] = &["resolver", "dns"];
-/// Individual per-packet files in crates that are otherwise not hot
-/// (the `core` crate also holds reporting/export code where a panic is
-/// acceptable). These get the hot-path treatment (L1, L2, L5).
-const HOT_FILES: &[&str] = &["crates/core/src/engine.rs", "crates/core/src/pipeline.rs"];
 /// `core` files that hold per-record state sized while the trace streams
 /// (L8, on top of the hot crates).
 const L8_EXTRA_FILES: &[&str] = &[
@@ -62,11 +63,7 @@ fn lint_file(krate: &str, file: &SourceFile) -> Vec<Violation> {
     let is = |files: &[&str]| files.contains(&rel.as_str());
     let hot_crate = HOT_CRATES.contains(&krate);
     let mut raw = Vec::new();
-    if hot_crate || is(HOT_FILES) {
-        raw.extend(lints::l1_no_panics(file));
-        raw.extend(lints::l2_no_siphash_maps(file));
-    }
-    if (hot_crate && !L5_EXEMPT_CRATES.contains(&krate)) || is(HOT_FILES) || is(L5_EXTRA_FILES) {
+    if (hot_crate && !L5_EXEMPT_CRATES.contains(&krate)) || is(L5_EXTRA_FILES) {
         raw.extend(lints::l5_telemetry_macros(file));
     }
     if DOC_CRATES.contains(&krate) {

@@ -23,6 +23,9 @@ pub struct Line {
     pub depth: usize,
     /// Line is inside `#[cfg(test)]` / `#[test]` code.
     pub test: bool,
+    /// Line is part of an attribute (`#[…]` / `#![…]`, which rustfmt
+    /// spreads over several lines when its arguments are long).
+    pub attr: bool,
 }
 
 /// A parsed `// allow_lint(Lx): reason` marker.
@@ -30,7 +33,7 @@ pub struct Line {
 pub struct Marker {
     /// Zero-based line index the marker comment sits on.
     pub line: usize,
-    /// The lint id, e.g. `"L1"`.
+    /// The lint id, e.g. `"L8"`.
     pub lint: String,
     /// The justification after the colon.
     pub reason: String,
@@ -87,10 +90,9 @@ impl SourceFile {
             return mask;
         }
         // Find the first following line that is real code.
-        let Some(target) = (m.line + 1..self.lines.len()).find(|&i| {
-            let t = self.lines[i].code.trim();
-            !t.is_empty() && !t.starts_with("#[")
-        }) else {
+        let Some(target) = (m.line + 1..self.lines.len())
+            .find(|&i| !self.lines[i].code.trim().is_empty() && !self.lines[i].attr)
+        else {
             return mask;
         };
         mask[target] = true;
@@ -278,6 +280,7 @@ fn lex_line(raw: &str, mut state: State) -> (Line, State) {
             inner_doc,
             depth: 0,
             test: false,
+            attr: false,
         },
         state,
     )
@@ -303,10 +306,12 @@ fn closes_raw(bytes: &[char], from: usize, hashes: u32) -> bool {
     (0..hashes as usize).all(|k| bytes.get(from + k) == Some(&'#'))
 }
 
-/// Second pass: brace depth at line start, plus test-span marking for
-/// `#[cfg(test)]` and `#[test]` items.
+/// Second pass: brace depth at line start, attribute lines, plus
+/// test-span marking for `#[cfg(test)]` and `#[test]` items.
 fn mark_depth_and_tests(lines: &mut [Line]) {
     let mut depth = 0usize;
+    // Unclosed `[` of the attribute being read, if any.
+    let mut attr_brackets = 0usize;
     // (depth the guarded item's block was opened at) for active test spans.
     let mut test_until_depth: Option<usize> = None;
     let mut pending_attr = false;
@@ -321,6 +326,16 @@ fn mark_depth_and_tests(lines: &mut [Line]) {
         }
         if pending_attr || test_until_depth.is_some() {
             line.test = true;
+        }
+        if attr_brackets > 0 || trimmed.starts_with("#[") || trimmed.starts_with("#![") {
+            line.attr = true;
+            for c in trimmed.chars() {
+                match c {
+                    '[' => attr_brackets += 1,
+                    ']' => attr_brackets = attr_brackets.saturating_sub(1),
+                    _ => {}
+                }
+            }
         }
         for c in code.chars() {
             match c {
@@ -452,17 +467,17 @@ mod tests {
 
     #[test]
     fn standalone_marker_covers_whole_item() {
-        let src =
-            "// allow_lint(L1): fixture\nfn f() {\n    a[0];\n    b[1];\n}\nfn g() { c[2]; }\n";
+        let src = "// allow_lint(L8): fixture\n#[expect(\n    dead_code,\n    reason = \"fixture\"\n)]\nfn f() {\n    a[0];\n    b[1];\n}\nfn g() { c[2]; }\n";
         let f = parse(src);
         let mask = f.marker_mask(&f.markers[0]);
-        assert!(mask[1] && mask[2] && mask[3]);
-        assert!(!mask[5]);
+        assert!(f.lines[1..5].iter().all(|l| l.attr) && !f.lines[5].attr);
+        assert!(mask[5] && mask[6] && mask[7]);
+        assert!(!mask[9]);
     }
 
     #[test]
     fn inline_marker_covers_its_line_only() {
-        let src = "let x = v[0]; // allow_lint(L1): bounds-checked above\nlet y = v[1];\n";
+        let src = "let x = v[0]; // allow_lint(L8): bounds-checked above\nlet y = v[1];\n";
         let f = parse(src);
         let mask = f.marker_mask(&f.markers[0]);
         assert!(mask[0]);

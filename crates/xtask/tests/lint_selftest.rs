@@ -1,4 +1,4 @@
-//! Fixture-based self-tests for every lint (L1, L2, L4, L5, L6, L8).
+//! Fixture-based self-tests for every lint (L4, L5, L6, L8).
 //!
 //! Each lint has a corpus under `tests/fixtures/l<N>/` with at least two
 //! `bad_*` cases (must each produce ≥1 finding, all carrying that lint's
@@ -8,7 +8,7 @@
 //! marker — and a *stale* marker in a fixture fails the clean check.
 //!
 //! Case shapes:
-//! * L1, L2, L4, L5, L8: one `.rs` file per case, linted in isolation.
+//! * L4, L5, L8: one `.rs` file per case, linted in isolation.
 //! * L6: a miniature workspace tree per case; `gitignore` files are named
 //!   without the leading dot in the fixture (so the real repo lint never
 //!   sees them) and renamed during the copy into a temp dir.
@@ -120,16 +120,6 @@ fn l6_case(case: &Path) -> Vec<Violation> {
 }
 
 #[test]
-fn l1_fixture_corpus() {
-    check_fixtures("L1", per_file(lints::l1_no_panics));
-}
-
-#[test]
-fn l2_fixture_corpus() {
-    check_fixtures("L2", per_file(lints::l2_no_siphash_maps));
-}
-
-#[test]
 fn l4_fixture_corpus() {
     check_fixtures("L4", per_file(lints::l4_docs_cite_paper));
 }
@@ -159,7 +149,7 @@ fn l8_catches_each_stripped_codec_clamp() {
     let path = xtask::workspace_root().join("crates/dns/src/codec.rs");
     let text =
         fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    // Suppression only: the file's L1 markers would look stale to an
+    // Suppression only: a marker for another lint would look stale to an
     // L8-only M2 pass.
     let lint = |src: &str| {
         let sf = SourceFile::parse(PathBuf::from("codec.rs"), src);

@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![expect(clippy::disallowed_types, reason = "example code, not per packet")]
+
 use dn_hunter_repro::run_scaled;
 use dnhunter_simnet::profiles;
 

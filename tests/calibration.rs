@@ -2,6 +2,8 @@
 //! profiles. Run explicitly with:
 //! `cargo test --test calibration -- --ignored --nocapture`
 
+#![expect(clippy::disallowed_types, reason = "test harness, not per packet")]
+
 use std::collections::HashMap;
 
 use dn_hunter_repro::run_scaled;

@@ -1,6 +1,8 @@
 //! End-to-end integration: synthetic trace → sniffer → labeled flows.
 //! Asserts the *shape* properties the paper reports.
 
+#![expect(clippy::disallowed_types, reason = "test harness, not per packet")]
+
 use dn_hunter_repro::run_scaled;
 use dnhunter_flow::AppProtocol;
 use dnhunter_simnet::profiles;
