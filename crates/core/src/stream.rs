@@ -1435,4 +1435,91 @@ mod tests {
         view.render_summary_object(&mut from_view);
         assert_eq!(from_absolute, from_view);
     }
+
+    /// Where `max_tracked` bites, pinned at a cap of 2 over more FQDNs,
+    /// ports, tokens, clients and snapshot bins than that: entity keys
+    /// (FQDN, SLD, org, server, token, client) and `tag_counts`' port
+    /// level are capped; `port_flows`, the snapshot bins and each
+    /// entity's birth-bin multiset are not. Pinned fed directly, through
+    /// `fold` of two partials and through `unmerge`, by rendered bytes and
+    /// drop counts.
+    #[test]
+    fn cap_applies_to_entity_keys_and_tag_ports_only() {
+        let cfg = StreamingConfig {
+            snapshot_interval_micros: 100,
+            top_k: 10,
+            max_tracked: 2,
+        };
+        let flows = [
+            flow("10.0.0.1", Some("mail.one.com"), "1.1.1.1", 25, 0),
+            flow("10.0.0.2", Some("video.two.com"), "1.1.1.2", 80, 150),
+            flow("10.0.0.3", Some("chat.three.com"), "1.1.1.3", 443, 250),
+            flow("10.0.0.2", Some("mx-relay.one.com"), "1.1.1.1", 25, 260),
+            flow("10.0.0.3", Some("mail.one.com"), "1.1.1.4", 25, 280),
+            flow("10.0.0.4", Some("mail.one.com"), "1.1.1.5", 25, 360),
+            flow("10.0.0.5", None, "1.1.1.6", 22, 420),
+        ];
+        let mut direct = StreamingAnalytics::new(cfg.clone());
+        feed(&mut direct, &flows);
+        let mut a = StreamingAnalytics::new(cfg.clone());
+        let mut b = StreamingAnalytics::new(cfg.clone());
+        a.on_trace_start(0);
+        b.on_trace_start(0);
+        for (i, f) in flows.iter().enumerate() {
+            if i % 2 == 0 {
+                a.on_flow_finished(f);
+            } else {
+                b.on_flow_finished(f);
+            }
+        }
+        let mut retracted = StreamingAnalytics::new(cfg);
+        retracted.merge_ref(&a);
+        retracted.merge_ref(&b);
+        retracted.unmerge(&a).expect("a was merged whole");
+        let folded = StreamingAnalytics::fold(vec![Box::new(a), Box::new(b)]).unwrap();
+
+        const DIRECT: &str = concat!(
+            "{\"stream\":\"dn-hunter\",\"interval_micros\":100,\"origin\":0}\n",
+            "{\"ts\":100,\"flows\":1,\"labeled\":1,\"answered_responses\":0,\"unique_fqdns\":1,\"unique_slds\":1,\"unique_servers\":1}\n",
+            "{\"ts\":200,\"flows\":2,\"labeled\":2,\"answered_responses\":0,\"unique_fqdns\":2,\"unique_slds\":2,\"unique_servers\":2}\n",
+            "{\"ts\":300,\"flows\":5,\"labeled\":5,\"answered_responses\":0,\"unique_fqdns\":2,\"unique_slds\":2,\"unique_servers\":2}\n",
+            "{\"ts\":400,\"flows\":6,\"labeled\":6,\"answered_responses\":0,\"unique_fqdns\":2,\"unique_slds\":2,\"unique_servers\":2}\n",
+            "{\"ts\":500,\"flows\":7,\"labeled\":6,\"answered_responses\":0,\"unique_fqdns\":2,\"unique_slds\":2,\"unique_servers\":2}\n",
+            "{\"summary\":{\"flows\":7,\"labeled_flows\":6,\"unique_fqdns\":2,\"unique_slds\":2,\"unique_servers\":2,\"answered_responses\":0,\"useless_responses\":0,\"useless_fraction\":0.000000",
+            ",\"first_flow_delay\":{\"count\":0,\"sum\":0,\"buckets\":[]},\"any_flow_delay\":{\"count\":0,\"sum\":0,\"buckets\":[]},\"top_fqdns_by_servers\":[{\"fqdn\":\"mail.one.com\",\"servers\":2},{\"fqdn\":\"video.two.com\",\"servers\":1}]",
+            ",\"top_orgs\":[{\"org\":\"unknown\",\"labeled_flows\":5,\"top_domains\":[{\"domain\":\"one.com\",\"flows\":4},{\"domain\":\"two.com\",\"flows\":1}]}]",
+            ",\"top_ports\":[{\"port\":25,\"labeled_flows\":4,\"tags\":[{\"token\":\"mail\",\"score\":1.386294},{\"token\":\"mx\",\"score\":0.693147}]},{\"port\":80,\"labeled_flows\":1,\"tags\":[{\"token\":\"video\",\"score\":0.693147}]},{\"port\":443,\"labeled_flows\":1,\"tags\":[]}]",
+            ",\"dropped_entities\":15}}\n",
+        );
+        const FOLDED: &str = concat!(
+            "{\"stream\":\"dn-hunter\",\"interval_micros\":100,\"origin\":0}\n",
+            "{\"ts\":100,\"flows\":1,\"labeled\":1,\"answered_responses\":0,\"unique_fqdns\":1,\"unique_slds\":1,\"unique_servers\":1}\n",
+            "{\"ts\":200,\"flows\":2,\"labeled\":2,\"answered_responses\":0,\"unique_fqdns\":1,\"unique_slds\":1,\"unique_servers\":1}\n",
+            "{\"ts\":300,\"flows\":5,\"labeled\":5,\"answered_responses\":0,\"unique_fqdns\":2,\"unique_slds\":2,\"unique_servers\":2}\n",
+            "{\"ts\":400,\"flows\":6,\"labeled\":6,\"answered_responses\":0,\"unique_fqdns\":2,\"unique_slds\":2,\"unique_servers\":2}\n",
+            "{\"ts\":500,\"flows\":7,\"labeled\":6,\"answered_responses\":0,\"unique_fqdns\":2,\"unique_slds\":2,\"unique_servers\":2}\n",
+            "{\"summary\":{\"flows\":7,\"labeled_flows\":6,\"unique_fqdns\":2,\"unique_slds\":2,\"unique_servers\":2,\"answered_responses\":0,\"useless_responses\":0,\"useless_fraction\":0.000000",
+            ",\"first_flow_delay\":{\"count\":0,\"sum\":0,\"buckets\":[]},\"any_flow_delay\":{\"count\":0,\"sum\":0,\"buckets\":[]},\"top_fqdns_by_servers\":[{\"fqdn\":\"mail.one.com\",\"servers\":2},{\"fqdn\":\"chat.three.com\",\"servers\":1}]",
+            ",\"top_orgs\":[{\"org\":\"unknown\",\"labeled_flows\":5,\"top_domains\":[{\"domain\":\"one.com\",\"flows\":4},{\"domain\":\"three.com\",\"flows\":1}]}]",
+            ",\"top_ports\":[{\"port\":25,\"labeled_flows\":4,\"tags\":[{\"token\":\"mail\",\"score\":1.386294},{\"token\":\"mx\",\"score\":0.693147}]},{\"port\":80,\"labeled_flows\":1,\"tags\":[]},{\"port\":443,\"labeled_flows\":1,\"tags\":[{\"token\":\"chat\",\"score\":0.693147}]}]",
+            ",\"dropped_entities\":16}}\n",
+        );
+        const RETRACTED: &str = concat!(
+            "{\"stream\":\"dn-hunter\",\"interval_micros\":100,\"origin\":0}\n",
+            "{\"ts\":200,\"flows\":1,\"labeled\":1,\"answered_responses\":0,\"unique_fqdns\":0,\"unique_slds\":0,\"unique_servers\":0}\n",
+            "{\"ts\":300,\"flows\":2,\"labeled\":2,\"answered_responses\":0,\"unique_fqdns\":0,\"unique_slds\":1,\"unique_servers\":1}\n",
+            "{\"ts\":400,\"flows\":3,\"labeled\":3,\"answered_responses\":0,\"unique_fqdns\":0,\"unique_slds\":1,\"unique_servers\":1}\n",
+            "{\"summary\":{\"flows\":3,\"labeled_flows\":3,\"unique_fqdns\":0,\"unique_slds\":1,\"unique_servers\":1,\"answered_responses\":0,\"useless_responses\":0,\"useless_fraction\":0.000000",
+            ",\"first_flow_delay\":{\"count\":0,\"sum\":0,\"buckets\":[]},\"any_flow_delay\":{\"count\":0,\"sum\":0,\"buckets\":[]},\"top_fqdns_by_servers\":[]",
+            ",\"top_orgs\":[{\"org\":\"unknown\",\"labeled_flows\":2,\"top_domains\":[{\"domain\":\"one.com\",\"flows\":2}]}]",
+            ",\"top_ports\":[{\"port\":25,\"labeled_flows\":2,\"tags\":[{\"token\":\"mx\",\"score\":0.693147}]},{\"port\":80,\"labeled_flows\":1,\"tags\":[]}]",
+            ",\"dropped_entities\":15}}\n",
+        );
+        assert_eq!(direct.render(), DIRECT);
+        assert_eq!(direct.dropped_entities(), 15);
+        assert_eq!(folded.render(), FOLDED);
+        assert_eq!(folded.dropped_entities(), 16);
+        assert_eq!(retracted.render(), RETRACTED);
+        assert_eq!(retracted.dropped_entities(), 15);
+    }
 }
