@@ -36,21 +36,25 @@ use std::sync::Arc;
 use dnhunter::{
     DaemonSniffer, FlowSink, FlowrecConfig, ParallelSniffer, RealTimeSniffer, Rotation,
     SnifferConfig, StreamingAnalytics, StreamingConfig, WindowConfig, WindowedAnalytics,
+    MAX_LIVE_BUCKETS,
 };
 use dnhunter_net::{FlowRecReader, FlowRecSource, FrameSource, PcapFileSource, PcapStreamSource};
 use dnhunter_telemetry as telemetry;
 
-fn usage() -> &'static str {
-    "usage: dn-hunter <capture.pcap|-> [--flows] [--json] [--tstat] [--csv] [--port N] \
+fn usage() -> String {
+    format!(
+        "usage: dn-hunter <capture.pcap|-> [--flows] [--json] [--tstat] [--csv] [--port N] \
      [--warmup SECS] [--workers N] [--metrics FILE] [--metrics-interval SECS] [--metrics-full] \
      [--stream-analytics FILE] [--stream-interval SECS] [--window DUR] [--slide DUR] \
      [--rotate DUR] [--flowrec] [--flowrec-skew DUR] \
      [--trace-out FILE] [--explain FQDN|IP:PORT]\n\
      DUR is seconds, or a number suffixed s/m/h (e.g. --window 1h --slide 5m); --window \
-     switches --stream-analytics to sliding-window JSONL output; '-' reads a pcap byte \
+     switches --stream-analytics to sliding-window JSONL output and may span at most \
+     {MAX_LIVE_BUCKETS} slides (--slide defaults to 5m); '-' reads a pcap byte \
      stream from stdin (FIFO/pipe daemon mode); --rotate retires window state every DUR \
      of packet time; --flowrec reads the input (file or '-') as a DNFR flow-record export \
      stream instead of pcap, with every other flag unchanged"
+    )
 }
 
 /// Print `msg` and the usage text to stderr: the exit of every bad command
@@ -83,6 +87,9 @@ fn parse_secs_micros(s: &str) -> Option<u64> {
 
 /// The largest seconds value [`parse_secs_micros`] accepts.
 const MAX_SECS: u64 = u64::MAX / 1_000_000;
+
+/// `--slide` when only `--window` is given.
+const DEFAULT_SLIDE_MICROS: u64 = 300 * 1_000_000;
 
 /// Which analytics sink `--stream-analytics` installs: the since-start
 /// accumulator, or (with `--window`) the sliding-window sink.
@@ -265,6 +272,15 @@ fn main() -> ExitCode {
         );
     }
     let stdin_input = path == "-";
+    // The sink holds at most MAX_LIVE_BUCKETS buckets, so a window of more
+    // slides than that could never be full.
+    let slide = slide_micros.unwrap_or(DEFAULT_SLIDE_MICROS);
+    if window_micros.is_some_and(|w| w.div_ceil(slide) > MAX_LIVE_BUCKETS as u64) {
+        return usage_error(&format!(
+            "--window may span at most {MAX_LIVE_BUCKETS} slides: the sink keeps no more \
+             buckets, so a longer window is never full"
+        ));
+    }
     if rotate_micros.is_some() && window_micros.is_none() {
         return usage_error("--rotate needs --window: rotation retires sliding-window buckets");
     }
@@ -336,7 +352,7 @@ fn main() -> ExitCode {
         };
         match window_micros {
             Some(w) => {
-                let mut wc = WindowConfig::new(w, slide_micros.unwrap_or(300 * 1_000_000));
+                let mut wc = WindowConfig::new(w, slide);
                 wc.stream = stream;
                 SinkMode::Windowed(wc)
             }

@@ -7,10 +7,10 @@
 //! clock (`clock = max(clock, ts)` — monotone even over jittered capture
 //! stamps), and every `rotate` interval retires every windowed bucket no
 //! future event can touch. Retired buckets flow into the
-//! [`RotationEmitter`], which replays [`WindowedAnalytics::for_each_window`]
-//! *incrementally*: window positions are emitted as soon as every bucket
-//! they cover is final, in exactly the order — and with exactly the bytes —
-//! the batch sweep would produce. Retire-and-emit is what replaces the
+//! [`RotationEmitter`], which advances the window sweep that
+//! [`WindowedAnalytics::render`] runs at finish as far as every bucket a
+//! position covers is final: the same lines, in the same order, with the
+//! same bytes. Retire-and-emit replaces the
 //! [`crate::window::MAX_LIVE_BUCKETS`] overflow drop on an unbounded
 //! stream: live state is bounded by rotation cadence, not by dropping
 //! events.
@@ -42,7 +42,7 @@ use dnhunter_telemetry::{self as telemetry, tm_count, Metric};
 use crate::pipeline::ParallelSniffer;
 use crate::sniffer::{RealTimeSniffer, SnifferReport};
 use crate::stream::{push_u64, FlowSink, StreamingAnalytics};
-use crate::window::{WindowConfig, WindowedAnalytics};
+use crate::window::{push_window_line, Sweep, WindowConfig, WindowedAnalytics};
 
 /// How long the daemon loop sleeps when its source reports `Pending`
 /// (a non-blocking FIFO/socket with nothing buffered). Short enough that
@@ -130,7 +130,7 @@ pub struct Rotation {
     last_rotate: Option<u64>,
     /// Rotations fired so far.
     pub rotations: u64,
-    /// The incremental window renderer fed by each rotation.
+    /// The window renderer fed by each rotation.
     pub emitter: RotationEmitter,
 }
 
@@ -221,50 +221,35 @@ pub fn run_flowrec_daemon<R: Read>(
     Ok(source.stats())
 }
 
-/// Incremental replica of [`WindowedAnalytics`]'s window sweep, fed by
-/// rotations instead of a finish-time pass.
+/// The rotated window renderer: the one window sweep of
+/// [`WindowedAnalytics`], advanced by rotations instead of a finish-time
+/// pass, so it emits exactly the batch render's window lines.
 ///
-/// Correctness rests on the rotation horizon's invariants:
+/// It decides only how far the sweep may go and when a bucket can go:
 ///
-/// * every bucket strictly below the retirement floor is **final** — no
-///   future event can land in it (late arrivals are counted and refused by
-///   the sink), so a window position `e` is emittable once `e < floor`;
+/// * every bucket strictly below the retirement floor (`horizon / slide`
+///   of the last rotation) is **final** — no future event can land in it
+///   (late arrivals are counted and refused by the sink) — so the sweep
+///   advances to the floor, and at `finish` to the end;
 /// * the first non-empty retirement's minimum bucket is the **global**
-///   minimum (`lo` of the batch sweep): rotation retires *every* bucket
+///   minimum the batch sweep starts from: rotation retires *every* bucket
 ///   below the floor, and later events only open buckets at or above it;
-/// * positions are additionally held back until `e ≤ hi + (steps-1)` for
-///   the highest retired bucket `hi` seen so far — the batch sweep ends
-///   there, so emitting further would fabricate trailing empty windows.
-///
-/// The rolling accumulator mirrors the batch sweep exactly: merge bucket
-/// `e` on entry, retract bucket `e − steps` on exit, rebuild from the
-/// surviving range on retraction underflow (counted — the fault matrix
-/// pins it to zero). Retired buckets are dropped as soon as their last
-/// window retires them, so emitter memory is bounded by rotation cadence
-/// plus one window, not by stream length.
+/// * a retired bucket is dropped once the sweep has moved past the last
+///   window holding it, so emitter memory is bounded by rotation cadence
+///   plus one window, not by stream length.
 pub struct RotationEmitter {
     cfg: WindowConfig,
     rotate_micros: u64,
     /// First record timestamp — the rendered header's `origin`.
     origin: Option<u64>,
-    /// Retired-but-still-windowed bucket partials.
+    /// Retired bucket partials a window not yet emitted still reads.
     retired: BTreeMap<u64, StreamingAnalytics>,
-    /// The batch sweep's `lo`: fixed by the first non-empty retirement.
-    lo: Option<u64>,
-    /// Highest retired bucket index seen so far.
-    hi: u64,
-    /// Everything below is final: `horizon / slide` of the last rotation.
-    floor: u64,
-    /// Next window position to emit.
-    next_pos: u64,
-    /// The rolling window aggregate, as of `next_pos`.
-    acc: StreamingAnalytics,
+    sweep: Sweep,
     /// Unique buckets retired into the emitter.
     pub buckets_retired: u64,
-    /// Rendered output: header (lazy), window lines, then one footer line
-    /// appended by [`RotationEmitter::finish`].
+    /// Rendered output: header (written at the first emission), window
+    /// lines, then one footer line appended by [`RotationEmitter::finish`].
     pub out: String,
-    header_written: bool,
 }
 
 impl RotationEmitter {
@@ -272,20 +257,14 @@ impl RotationEmitter {
     /// `rotate_micros` (echoed in the stream header).
     pub fn new(cfg: WindowConfig, rotate_micros: u64) -> Self {
         let cfg = WindowConfig::new(cfg.window_micros, cfg.slide_micros);
-        let acc = StreamingAnalytics::new(cfg.bucket_sink_config());
         RotationEmitter {
+            sweep: Sweep::new(&cfg),
             cfg,
             rotate_micros,
             origin: None,
             retired: BTreeMap::new(),
-            lo: None,
-            hi: 0,
-            floor: 0,
-            next_pos: 0,
-            acc,
             buckets_retired: 0,
             out: String::new(),
-            header_written: false,
         }
     }
 
@@ -295,11 +274,10 @@ impl RotationEmitter {
     }
 
     /// Fold one rotation's retired partials in and emit every window
-    /// position that became final.
+    /// position that became final: every bucket below `horizon` is.
     pub fn on_rotation(&mut self, horizon: u64, retired: Vec<(u64, StreamingAnalytics)>) {
         self.absorb(retired);
-        self.floor = self.floor.max(horizon / self.cfg.slide_micros);
-        self.emit_ready(false);
+        self.emit(horizon / self.cfg.slide_micros);
     }
 
     /// Fold retired pairs (shard lists concatenated in shard order; the
@@ -307,7 +285,6 @@ impl RotationEmitter {
     /// partial) and account unique buckets.
     fn absorb(&mut self, retired: Vec<(u64, StreamingAnalytics)>) {
         for (idx, part) in retired {
-            self.hi = self.hi.max(idx);
             match self.retired.get_mut(&idx) {
                 Some(existing) => existing.merge(part),
                 None => {
@@ -319,65 +296,21 @@ impl RotationEmitter {
         }
     }
 
-    /// Emit every position the batch sweep would have reached by now: all
-    /// buckets `≤ e` final (`e < floor`, waived at `finish`) and inside
-    /// the sweep's range (`e ≤ hi + steps − 1`).
-    fn emit_ready(&mut self, at_finish: bool) {
-        let n = self.cfg.steps();
-        let slide = self.cfg.slide_micros;
-        let Some(lo) = self.lo.or_else(|| {
-            let first = self.retired.keys().next().copied();
-            self.lo = first;
-            first
-        }) else {
-            return;
-        };
-        if self.next_pos < lo {
-            self.next_pos = lo;
+    /// Sweep every window position below `end`, then drop the buckets no
+    /// later position reads.
+    fn emit(&mut self, end: u64) {
+        if self.out.is_empty() {
+            self.write_header();
         }
-        while (at_finish || self.next_pos < self.floor) && self.next_pos <= self.hi + (n - 1) {
-            let e = self.next_pos;
-            if let Some(part) = self.retired.get(&e) {
-                self.acc.merge_ref(part);
-            }
-            if e >= lo + n {
-                if let Some(expired) = self.retired.get(&(e - n)) {
-                    if self.acc.unmerge(expired).is_err() {
-                        // Same observable-not-fatal contract as the batch
-                        // sweep: count the breach, rebuild from surviving
-                        // buckets, keep the output correct.
-                        tm_count!(Metric::WindowRetractUnderflow);
-                        self.acc = StreamingAnalytics::new(self.cfg.bucket_sink_config());
-                        for (_, part) in self.retired.range(e + 1 - n..=e) {
-                            self.acc.merge_ref(part);
-                        }
-                    }
-                }
-                // Bucket e−n left the window; no later position needs it.
-                self.retired.remove(&(e - n));
-            }
-            let first_bucket = (e + 1).saturating_sub(n);
-            let start = first_bucket * slide;
-            self.write_header_once();
-            self.out.push_str("{\"window_start\":");
-            push_u64(&mut self.out, start);
-            self.out.push_str(",\"window_end\":");
-            push_u64(&mut self.out, (e + 1) * slide);
-            self.out.push_str(",\"seq\":");
-            push_u64(&mut self.out, e - lo);
-            self.out.push_str(",\"summary\":");
-            // No rebased view: the summary reads no bin key.
-            self.acc.render_summary_object(&mut self.out);
-            self.out.push_str("}\n");
-            self.next_pos += 1;
-        }
+        let out = &mut self.out;
+        self.sweep.advance(&self.retired, end, |span, acc| {
+            push_window_line(out, span, acc)
+        });
+        let keep = self.sweep.needs_from();
+        self.retired.retain(|&idx, _| idx >= keep);
     }
 
-    fn write_header_once(&mut self) {
-        if self.header_written {
-            return;
-        }
-        self.header_written = true;
+    fn write_header(&mut self) {
         self.out
             .push_str("{\"stream\":\"dn-hunter-rotated\",\"window_micros\":");
         push_u64(&mut self.out, self.cfg.window_micros);
@@ -406,8 +339,7 @@ impl RotationEmitter {
                 dropped_bucket_events += w.dropped_bucket_events();
             }
         }
-        self.emit_ready(true);
-        self.write_header_once();
+        self.emit(u64::MAX);
         self.out.push_str("{\"rotations\":");
         push_u64(&mut self.out, rotations);
         self.out.push_str(",\"buckets_retired\":");

@@ -37,12 +37,13 @@
 //! every merge has an exact inverse: [`StreamingAnalytics::unmerge`]
 //! subtracts a previously merged partial with checked arithmetic, deleting
 //! entries whose count reaches zero so the result is indistinguishable from
-//! never having merged. This is what lets `dnhunter::stream::windowed`
-//! maintain sliding windows by retiring whole time buckets (DESIGN.md
-//! "Windowed analytics and retraction"). The two run anchors
-//! (`trace_start`, `last_ts`) are deliberately excluded: they are monotone
-//! extremes a subtraction cannot restore, and nothing rendered reads them
-//! (`last_ts` is write-only; windowed views override `trace_start`).
+//! never having merged. One trait walks each field in both directions, so
+//! merge and retraction cannot disagree on where the entity cap applies.
+//! This is what lets `dnhunter::stream::windowed` maintain sliding windows
+//! by retiring whole time buckets (DESIGN.md "Windowed analytics and
+//! retraction"). The run anchor `trace_start` (a min over shards that no
+//! subtraction restores) sits outside the data, beside the config;
+//! windowed views set it to the window's start.
 //!
 //! **Memory bounds.** State grows with distinct entities (times active
 //! snapshot bins for the birth multisets), not flows. A configurable cap
@@ -142,9 +143,8 @@ impl Default for StreamingConfig {
 
 /// A retraction failed because the subtracted partial was not contained
 /// in the receiver. `field` names the first [`StreamState`] field whose
-/// checked subtraction underflowed, so every sink field is accounted for
-/// in diagnostics (and `unmerge`'s exhaustive destructuring keeps the
-/// coverage complete). The receiver may be left partially retracted; callers
+/// checked subtraction underflowed (`unmerge`'s exhaustive destructuring
+/// names every field). The receiver may be left partially retracted; callers
 /// rebuild from the surviving buckets (see `window.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetractError {
@@ -162,20 +162,33 @@ impl std::fmt::Display for RetractError {
     }
 }
 
-/// Checked subtraction every piece of retractable sink state implements.
+/// Map width passed where `max_tracked` does not apply.
+const UNCAPPED: usize = usize::MAX;
+
+/// Counted sink state: every field of [`StreamState`] is a sum, so one
+/// trait carries both directions of the walk.
 ///
-/// `retract` removes `other`'s contribution exactly or fails without a
-/// silent wrap; `is_void` tells a parent container the value carries no
-/// information left and must be deleted, so a retracted map is
-/// byte-identical to one that never saw the merged entries.
-trait Retract {
-    fn retract(&mut self, other: &Self) -> Result<(), ()>;
+/// `add` folds `other` in, creating a map key only while the map holds
+/// fewer than `cap` entries (each refused key is one drop, its whole value
+/// with it); `retract` removes `other`'s contribution exactly or fails
+/// without a silent wrap, naming the [`StreamState`] `field` it walks;
+/// `is_void` marks a value that carries nothing. A void value is never
+/// stored — `add` skips it and `retract` deletes a key whose value empties
+/// — so a retracted map is byte-identical to one that never saw the merged
+/// entries, and no key is held only by a void value another partial could
+/// not retract.
+trait Counted {
+    fn add(&mut self, other: &Self, cap: usize, dropped: &mut u64);
+    fn retract(&mut self, other: &Self, field: &'static str) -> Result<(), RetractError>;
     fn is_void(&self) -> bool;
 }
 
-impl Retract for u64 {
-    fn retract(&mut self, other: &Self) -> Result<(), ()> {
-        *self = self.checked_sub(*other).ok_or(())?;
+impl Counted for u64 {
+    fn add(&mut self, other: &Self, _cap: usize, _dropped: &mut u64) {
+        *self += other;
+    }
+    fn retract(&mut self, other: &Self, field: &'static str) -> Result<(), RetractError> {
+        *self = self.checked_sub(*other).ok_or(RetractError { field })?;
         Ok(())
     }
     fn is_void(&self) -> bool {
@@ -183,11 +196,19 @@ impl Retract for u64 {
     }
 }
 
-impl<K: Ord + Clone, V: Retract> Retract for BTreeMap<K, V> {
-    fn retract(&mut self, other: &Self) -> Result<(), ()> {
+/// `cap` bounds this map's keys and, passed down, every nested map's.
+impl<K: Ord + Clone, V: Counted + Default> Counted for BTreeMap<K, V> {
+    fn add(&mut self, other: &Self, cap: usize, dropped: &mut u64) {
+        for (k, v) in other.iter().filter(|(_, v)| !v.is_void()) {
+            if let Some(slot) = capped(self, k.clone(), cap, dropped) {
+                slot.add(v, cap, dropped);
+            }
+        }
+    }
+    fn retract(&mut self, other: &Self, field: &'static str) -> Result<(), RetractError> {
         for (k, v) in other {
-            let slot = self.get_mut(k).ok_or(())?;
-            slot.retract(v)?;
+            let slot = self.get_mut(k).ok_or(RetractError { field })?;
+            slot.retract(v, field)?;
             if slot.is_void() {
                 self.remove(k);
             }
@@ -199,6 +220,18 @@ impl<K: Ord + Clone, V: Retract> Retract for BTreeMap<K, V> {
     }
 }
 
+impl Counted for Log2Hist {
+    fn add(&mut self, other: &Self, _cap: usize, _dropped: &mut u64) {
+        self.merge(other);
+    }
+    fn retract(&mut self, other: &Self, field: &'static str) -> Result<(), RetractError> {
+        self.sub_merge(other).map_err(|_| RetractError { field })
+    }
+    fn is_void(&self) -> bool {
+        self.count() == 0
+    }
+}
+
 /// Per-snapshot-bin counters (packet clock, relative to trace start).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct BinCounters {
@@ -207,12 +240,16 @@ struct BinCounters {
     responses: u64,
 }
 
-impl Retract for BinCounters {
-    fn retract(&mut self, other: &Self) -> Result<(), ()> {
-        self.flows.retract(&other.flows)?;
-        self.labeled.retract(&other.labeled)?;
-        self.responses.retract(&other.responses)?;
-        Ok(())
+impl Counted for BinCounters {
+    fn add(&mut self, other: &Self, _cap: usize, _dropped: &mut u64) {
+        self.flows += other.flows;
+        self.labeled += other.labeled;
+        self.responses += other.responses;
+    }
+    fn retract(&mut self, other: &Self, field: &'static str) -> Result<(), RetractError> {
+        self.flows.retract(&other.flows, field)?;
+        self.labeled.retract(&other.labeled, field)?;
+        self.responses.retract(&other.responses, field)
     }
     fn is_void(&self) -> bool {
         self.flows == 0 && self.labeled == 0 && self.responses == 0
@@ -223,18 +260,30 @@ impl Retract for BinCounters {
 /// `first_ts` fell in that bin. The entity's birth bin is the minimum key,
 /// which survives retraction exactly (removing one bucket's flows deletes
 /// its bins when their count reaches zero, re-exposing the next-oldest).
-type BirthBins = BTreeMap<u64, u64>;
+/// The entity map above it is capped; the bins inside are not.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct BirthBins(BTreeMap<u64, u64>);
 
-/// The mergeable aggregate state. Separated from [`StreamingAnalytics`] so
-/// equality (used by the determinism tests) covers exactly the data, not
-/// the suffix/org lookup tables. Every field is either subtractive state
-/// covered by `unmerge` or a run anchor it waives by name: `unmerge` and
-/// `data_eq` destructure the struct exhaustively, so a field added without
-/// an inverse is a compile error.
+impl Counted for BirthBins {
+    fn add(&mut self, other: &Self, _cap: usize, dropped: &mut u64) {
+        self.0.add(&other.0, UNCAPPED, dropped);
+    }
+    fn retract(&mut self, other: &Self, field: &'static str) -> Result<(), RetractError> {
+        self.0.retract(&other.0, field)
+    }
+    fn is_void(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// The mergeable aggregate state: the data only, so its derived equality
+/// is the one [`StreamingAnalytics::unmerge`] restores. The lookup tables
+/// and the run anchor (`trace_start`, a min over shards that subtraction
+/// cannot restore) live in [`StreamingAnalytics`]. `merge_ref` and
+/// `unmerge` destructure the struct exhaustively, so a field added without
+/// both directions of the walk is a compile error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct StreamState {
-    trace_start: Option<u64>,
-    last_ts: Option<u64>,
     flows: u64,
     labeled_flows: u64,
     answered_responses: u64,
@@ -267,8 +316,6 @@ struct StreamState {
 impl StreamState {
     fn new() -> Self {
         StreamState {
-            trace_start: None,
-            last_ts: None,
             flows: 0,
             labeled_flows: 0,
             answered_responses: 0,
@@ -291,7 +338,7 @@ impl StreamState {
 
 /// Reconstructed Fig. 6 growth curves (mirrors
 /// `dnhunter-analytics`' `GrowthCurves` field-for-field).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamGrowth {
     pub bin_starts: Vec<u64>,
     pub unique_fqdns: Vec<u64>,
@@ -319,11 +366,27 @@ fn capped<'m, K: Ord, V: Default>(
 fn birth_bin_counts<K>(map: &BTreeMap<K, BirthBins>) -> BTreeMap<u64, u64> {
     let mut out: BTreeMap<u64, u64> = BTreeMap::new();
     for bins in map.values() {
-        if let Some((&bin, _)) = bins.iter().next() {
+        if let Some((&bin, _)) = bins.0.first_key_value() {
             *out.entry(bin).or_default() += 1;
         }
     }
     out
+}
+
+/// Downcast per-worker sinks (in shard order) to `T` and fold them with
+/// `merge`; `None` when `sinks` is empty or holds a foreign sink type.
+pub(crate) fn fold_sinks<T: 'static>(
+    sinks: Vec<Box<dyn FlowSink>>,
+    merge: fn(&mut T, T),
+) -> Option<T> {
+    let mut parts = sinks
+        .into_iter()
+        .map(|s| s.as_any_box().downcast::<T>().ok());
+    let mut acc = *parts.next()??;
+    for part in parts {
+        merge(&mut acc, *part?);
+    }
+    Some(acc)
 }
 
 /// The suffix set and organization database every sink reads: built once
@@ -336,6 +399,9 @@ fn lookup_tables() -> &'static (SuffixSet, OrgDb) {
 /// The streaming analytics sink (see the module docs).
 pub struct StreamingAnalytics {
     cfg: StreamingConfig,
+    /// The run anchor snapshot bins count from: the first frame of the
+    /// trace (min over shards), or a window's start in a rebased view.
+    trace_start: Option<u64>,
     state: StreamState,
 }
 
@@ -347,6 +413,7 @@ impl StreamingAnalytics {
         cfg.max_tracked = cfg.max_tracked.max(1);
         StreamingAnalytics {
             cfg,
+            trace_start: None,
             state: StreamState::new(),
         }
     }
@@ -357,21 +424,13 @@ impl StreamingAnalytics {
     }
 
     fn bin_of(&self, ts: u64) -> u64 {
-        ts.saturating_sub(self.state.trace_start.unwrap_or(ts)) / self.cfg.snapshot_interval_micros
+        ts.saturating_sub(self.trace_start.unwrap_or(ts)) / self.cfg.snapshot_interval_micros
     }
 
     /// Fold per-worker partials (in shard order) back into one aggregate.
     /// Returns `None` when `sinks` is empty or holds a foreign sink type.
     pub fn fold(sinks: Vec<Box<dyn FlowSink>>) -> Option<StreamingAnalytics> {
-        let mut acc: Option<StreamingAnalytics> = None;
-        for sink in sinks {
-            let part = *sink.as_any_box().downcast::<StreamingAnalytics>().ok()?;
-            match &mut acc {
-                None => acc = Some(part),
-                Some(a) => a.merge(part),
-            }
-        }
-        acc
+        fold_sinks(sinks, StreamingAnalytics::merge)
     }
 
     /// Commutative, associative merge of another partial into this one.
@@ -383,102 +442,46 @@ impl StreamingAnalytics {
     /// same bucket partial into many window positions, so the source must
     /// survive the call.
     pub fn merge_ref(&mut self, other: &StreamingAnalytics) {
-        let cap = self.cfg.max_tracked;
+        self.trace_start = self.trace_start.into_iter().chain(other.trace_start).min();
+        let (cap, mut dropped) = (self.cfg.max_tracked, 0u64);
+        let d = &mut dropped;
+        // Exhaustive on purpose (no `..`), like `unmerge`: a new field
+        // fails to compile here until it is merged.
+        let StreamState {
+            flows,
+            labeled_flows,
+            answered_responses,
+            first_flow_count,
+            fqdn_servers,
+            sld_servers,
+            org_content,
+            tag_counts,
+            port_flows,
+            fqdn_birth,
+            sld_birth,
+            server_birth,
+            bins,
+            first_flow_hist,
+            any_flow_hist,
+            dropped_entities,
+        } = &other.state;
         let s = &mut self.state;
-        let o = &other.state;
-        s.trace_start = match (s.trace_start, o.trace_start) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        s.last_ts = match (s.last_ts, o.last_ts) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        s.flows += o.flows;
-        s.labeled_flows += o.labeled_flows;
-        s.answered_responses += o.answered_responses;
-        s.first_flow_count += o.first_flow_count;
-        s.dropped_entities += o.dropped_entities;
-        let mut dropped = 0u64;
-        for (fqdn, servers) in &o.fqdn_servers {
-            if let Some(m) = capped(&mut s.fqdn_servers, fqdn.clone(), cap, &mut dropped) {
-                for (ip, n) in servers {
-                    if let Some(c) = capped(m, *ip, cap, &mut dropped) {
-                        *c += n;
-                    }
-                }
-            }
-        }
-        for (sld, servers) in &o.sld_servers {
-            if let Some(m) = capped(&mut s.sld_servers, sld.clone(), cap, &mut dropped) {
-                for (ip, n) in servers {
-                    if let Some(c) = capped(m, *ip, cap, &mut dropped) {
-                        *c += n;
-                    }
-                }
-            }
-        }
-        for (org, domains) in &o.org_content {
-            if let Some(m) = capped(&mut s.org_content, org.clone(), cap, &mut dropped) {
-                for (sld, n) in domains {
-                    if let Some(c) = capped(m, sld.clone(), cap, &mut dropped) {
-                        *c += n;
-                    }
-                }
-            }
-        }
-        for (port, tokens) in &o.tag_counts {
-            // Never materialise a void entry: retraction removes keys when
-            // their value empties, so a key held only by empty values would
-            // vanish while another partial still "owns" it, and retracting
-            // that partial would underflow.
-            if tokens.is_empty() {
-                continue;
-            }
-            if let Some(m) = capped(&mut s.tag_counts, *port, cap, &mut dropped) {
-                for (token, clients) in tokens {
-                    if let Some(cm) = capped(m, token.clone(), cap, &mut dropped) {
-                        for (client, n) in clients {
-                            if let Some(c) = capped(cm, *client, cap, &mut dropped) {
-                                *c += n;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for (port, n) in &o.port_flows {
-            *s.port_flows.entry(*port).or_default() += n;
-        }
-        for (fqdn, bins) in &o.fqdn_birth {
-            if let Some(m) = capped(&mut s.fqdn_birth, fqdn.clone(), cap, &mut dropped) {
-                for (bin, n) in bins {
-                    *m.entry(*bin).or_default() += n;
-                }
-            }
-        }
-        for (sld, bins) in &o.sld_birth {
-            if let Some(m) = capped(&mut s.sld_birth, sld.clone(), cap, &mut dropped) {
-                for (bin, n) in bins {
-                    *m.entry(*bin).or_default() += n;
-                }
-            }
-        }
-        for (ip, bins) in &o.server_birth {
-            if let Some(m) = capped(&mut s.server_birth, *ip, cap, &mut dropped) {
-                for (bin, n) in bins {
-                    *m.entry(*bin).or_default() += n;
-                }
-            }
-        }
-        for (bin, counters) in &o.bins {
-            let c = s.bins.entry(*bin).or_default();
-            c.flows += counters.flows;
-            c.labeled += counters.labeled;
-            c.responses += counters.responses;
-        }
-        s.first_flow_hist.merge(&o.first_flow_hist);
-        s.any_flow_hist.merge(&o.any_flow_hist);
+        s.flows.add(flows, cap, d);
+        s.labeled_flows.add(labeled_flows, cap, d);
+        s.answered_responses.add(answered_responses, cap, d);
+        s.first_flow_count.add(first_flow_count, cap, d);
+        s.fqdn_servers.add(fqdn_servers, cap, d);
+        s.sld_servers.add(sld_servers, cap, d);
+        s.org_content.add(org_content, cap, d);
+        s.tag_counts.add(tag_counts, cap, d);
+        s.port_flows.add(port_flows, UNCAPPED, d);
+        s.fqdn_birth.add(fqdn_birth, cap, d);
+        s.sld_birth.add(sld_birth, cap, d);
+        s.server_birth.add(server_birth, cap, d);
+        s.bins.add(bins, UNCAPPED, d);
+        s.first_flow_hist.add(first_flow_hist, cap, d);
+        s.any_flow_hist.add(any_flow_hist, cap, d);
+        s.dropped_entities.add(dropped_entities, cap, d);
         s.dropped_entities += dropped;
     }
 
@@ -489,8 +492,8 @@ impl StreamingAnalytics {
     /// After `a.merge_ref(&b); a.unmerge(&b)` every data field of `a` —
     /// maps, sums, histograms, and everything rendered from them — equals
     /// the state before the merge ([`data_eq`](Self::data_eq) holds and
-    /// renders are byte-identical). The two run anchors (`trace_start`,
-    /// `last_ts`) are not retracted; see the module docs.
+    /// renders are byte-identical). The run anchor `trace_start` is not
+    /// data and is not retracted; see the module docs.
     ///
     /// Fails with the first underflowing field when `other` was not
     /// contained in `self` (e.g. it was never merged, or was merged into a
@@ -499,14 +502,9 @@ impl StreamingAnalytics {
     /// `dnh_window_retract_underflow_total` metric and rebuilds from its
     /// surviving buckets instead.
     pub fn unmerge(&mut self, other: &StreamingAnalytics) -> Result<(), RetractError> {
-        let err = |field: &'static str| RetractError { field };
         // Exhaustive on purpose (no `..`): a new field fails to compile
-        // here until it is retracted or waived with a reason.
+        // here until it is retracted.
         let StreamState {
-            // Monotone run anchor (min over shards); windowed views override it.
-            trace_start: _,
-            // Monotone run anchor (max over shards); write-only, nothing rendered reads it.
-            last_ts: _,
             flows,
             labeled_flows,
             answered_responses,
@@ -525,97 +523,33 @@ impl StreamingAnalytics {
             dropped_entities,
         } = &other.state;
         let s = &mut self.state;
-        s.flows.retract(flows).map_err(|()| err("flows"))?;
-        s.labeled_flows
-            .retract(labeled_flows)
-            .map_err(|()| err("labeled_flows"))?;
+        s.flows.retract(flows, "flows")?;
+        s.labeled_flows.retract(labeled_flows, "labeled_flows")?;
         s.answered_responses
-            .retract(answered_responses)
-            .map_err(|()| err("answered_responses"))?;
+            .retract(answered_responses, "answered_responses")?;
         s.first_flow_count
-            .retract(first_flow_count)
-            .map_err(|()| err("first_flow_count"))?;
-        s.fqdn_servers
-            .retract(fqdn_servers)
-            .map_err(|()| err("fqdn_servers"))?;
-        s.sld_servers
-            .retract(sld_servers)
-            .map_err(|()| err("sld_servers"))?;
-        s.org_content
-            .retract(org_content)
-            .map_err(|()| err("org_content"))?;
-        s.tag_counts
-            .retract(tag_counts)
-            .map_err(|()| err("tag_counts"))?;
-        s.port_flows
-            .retract(port_flows)
-            .map_err(|()| err("port_flows"))?;
-        s.fqdn_birth
-            .retract(fqdn_birth)
-            .map_err(|()| err("fqdn_birth"))?;
-        s.sld_birth
-            .retract(sld_birth)
-            .map_err(|()| err("sld_birth"))?;
-        s.server_birth
-            .retract(server_birth)
-            .map_err(|()| err("server_birth"))?;
-        s.bins.retract(bins).map_err(|()| err("bins"))?;
+            .retract(first_flow_count, "first_flow_count")?;
+        s.fqdn_servers.retract(fqdn_servers, "fqdn_servers")?;
+        s.sld_servers.retract(sld_servers, "sld_servers")?;
+        s.org_content.retract(org_content, "org_content")?;
+        s.tag_counts.retract(tag_counts, "tag_counts")?;
+        s.port_flows.retract(port_flows, "port_flows")?;
+        s.fqdn_birth.retract(fqdn_birth, "fqdn_birth")?;
+        s.sld_birth.retract(sld_birth, "sld_birth")?;
+        s.server_birth.retract(server_birth, "server_birth")?;
+        s.bins.retract(bins, "bins")?;
         s.first_flow_hist
-            .sub_merge(first_flow_hist)
-            .map_err(|_| err("first_flow_hist"))?;
-        s.any_flow_hist
-            .sub_merge(any_flow_hist)
-            .map_err(|_| err("any_flow_hist"))?;
+            .retract(first_flow_hist, "first_flow_hist")?;
+        s.any_flow_hist.retract(any_flow_hist, "any_flow_hist")?;
         s.dropped_entities
-            .retract(dropped_entities)
-            .map_err(|()| err("dropped_entities"))?;
+            .retract(dropped_entities, "dropped_entities")?;
         Ok(())
     }
 
-    /// Equality over every data field, ignoring the two run anchors
-    /// (`trace_start`, `last_ts`) that retraction deliberately leaves
-    /// alone. This is the equality [`unmerge`](Self::unmerge) restores.
+    /// Equality over every data field — the equality
+    /// [`unmerge`](Self::unmerge) restores. The run anchor is not data.
     pub fn data_eq(&self, other: &StreamingAnalytics) -> bool {
-        // Exhaustive like `unmerge`'s, so the two stay in step.
-        let StreamState {
-            // Monotone run anchor (min over shards); windowed views override it.
-            trace_start: _,
-            // Monotone run anchor (max over shards); write-only, nothing rendered reads it.
-            last_ts: _,
-            flows,
-            labeled_flows,
-            answered_responses,
-            first_flow_count,
-            fqdn_servers,
-            sld_servers,
-            org_content,
-            tag_counts,
-            port_flows,
-            fqdn_birth,
-            sld_birth,
-            server_birth,
-            bins,
-            first_flow_hist,
-            any_flow_hist,
-            dropped_entities,
-        } = &other.state;
-        let s = &self.state;
-        s.flows == *flows
-            && s.labeled_flows == *labeled_flows
-            && s.answered_responses == *answered_responses
-            && s.first_flow_count == *first_flow_count
-            && s.fqdn_servers == *fqdn_servers
-            && s.sld_servers == *sld_servers
-            && s.org_content == *org_content
-            && s.tag_counts == *tag_counts
-            && s.port_flows == *port_flows
-            && s.fqdn_birth == *fqdn_birth
-            && s.sld_birth == *sld_birth
-            && s.server_birth == *server_birth
-            && s.bins == *bins
-            && s.first_flow_hist == *first_flow_hist
-            && s.any_flow_hist == *any_flow_hist
-            && s.dropped_entities == *dropped_entities
+        self.state == other.state
     }
 
     /// A window's-eye view of this aggregate: same data, anchored at
@@ -626,39 +560,26 @@ impl StreamingAnalytics {
     /// and therefore byte-identical in render — to a fresh sink that only
     /// ever saw the events of `[t0, t1)` with `on_trace_start(t0)`.
     pub(crate) fn rebased_view(&self, origin: u64, bin_offset: u64) -> StreamingAnalytics {
-        let mut view = self.clone_data();
-        let s = &mut view.state;
-        s.trace_start = Some(origin);
-        s.last_ts = None;
-        let shift = |bins: &mut BirthBins| {
-            let shifted: BirthBins = bins
+        fn shift<V: Copy>(bins: &mut BTreeMap<u64, V>, by: u64) {
+            *bins = bins
                 .iter()
-                .map(|(&b, &n)| (b.saturating_sub(bin_offset), n))
+                .map(|(&b, &v)| (b.saturating_sub(by), v))
                 .collect();
-            *bins = shifted;
-        };
-        s.bins = s
-            .bins
-            .iter()
-            .map(|(&b, &c)| (b.saturating_sub(bin_offset), c))
-            .collect();
-        for b in s.fqdn_birth.values_mut() {
-            shift(b);
         }
-        for b in s.sld_birth.values_mut() {
-            shift(b);
+        let mut state = self.state.clone();
+        shift(&mut state.bins, bin_offset);
+        let births = [state.fqdn_birth.values_mut(), state.sld_birth.values_mut()];
+        for b in births
+            .into_iter()
+            .flatten()
+            .chain(state.server_birth.values_mut())
+        {
+            shift(&mut b.0, bin_offset);
         }
-        for b in s.server_birth.values_mut() {
-            shift(b);
-        }
-        view
-    }
-
-    /// Clone configuration and state into a new sink.
-    fn clone_data(&self) -> StreamingAnalytics {
         StreamingAnalytics {
             cfg: self.cfg.clone(),
-            state: self.state.clone(),
+            trace_start: Some(origin),
+            state,
         }
     }
 
@@ -744,19 +665,12 @@ impl StreamingAnalytics {
     /// bin containing a flow, each sample counting entities born up to
     /// that bin.
     pub fn growth(&self) -> StreamGrowth {
-        let mut out = StreamGrowth {
-            bin_starts: Vec::new(),
-            unique_fqdns: Vec::new(),
-            unique_second_levels: Vec::new(),
-            unique_servers: Vec::new(),
-        };
-        let (Some(origin), Some(first), Some(last)) = (
-            self.state.trace_start,
-            self.flow_bin_edge(true),
-            self.flow_bin_edge(false),
-        ) else {
+        let mut out = StreamGrowth::default();
+        let mut flow_bins = self.state.bins.iter().filter(|(_, c)| c.flows > 0);
+        let (Some(origin), Some((&first, _))) = (self.trace_start, flow_bins.next()) else {
             return out;
         };
+        let last = flow_bins.next_back().map_or(first, |(&b, _)| b);
         let interval = self.cfg.snapshot_interval_micros;
         let fqdn_bins = birth_bin_counts(&self.state.fqdn_birth);
         let sld_bins = birth_bin_counts(&self.state.sld_birth);
@@ -779,21 +693,6 @@ impl StreamingAnalytics {
         out
     }
 
-    /// First (`true`) or last (`false`) snapshot bin containing a flow.
-    fn flow_bin_edge(&self, first: bool) -> Option<u64> {
-        let mut it = self
-            .state
-            .bins
-            .iter()
-            .filter(|(_, c)| c.flows > 0)
-            .map(|(&b, _)| b);
-        if first {
-            it.next()
-        } else {
-            it.next_back()
-        }
-    }
-
     // ---- rendering -------------------------------------------------------
 
     /// Render the full deterministic output: a header line, one JSONL
@@ -805,7 +704,7 @@ impl StreamingAnalytics {
         out.push_str("{\"stream\":\"dn-hunter\",\"interval_micros\":");
         push_u64(&mut out, self.cfg.snapshot_interval_micros);
         out.push_str(",\"origin\":");
-        match self.state.trace_start {
+        match self.trace_start {
             Some(t) => push_u64(&mut out, t),
             None => out.push_str("null"),
         }
@@ -818,7 +717,7 @@ impl StreamingAnalytics {
     /// The periodic packet-clock snapshot lines: cumulative totals at the
     /// end of every active bin (first to last bin with any activity).
     fn render_snapshots(&self, out: &mut String) {
-        let Some(origin) = self.state.trace_start else {
+        let Some(origin) = self.trace_start else {
             return;
         };
         let (Some(&first), Some(&last)) = (
@@ -993,15 +892,13 @@ impl StreamingAnalytics {
 
 impl FlowSink for StreamingAnalytics {
     fn on_trace_start(&mut self, ts: u64) {
-        let s = &mut self.state;
-        s.trace_start = Some(s.trace_start.map_or(ts, |t| t.min(ts)));
+        self.trace_start = Some(self.trace_start.map_or(ts, |t| t.min(ts)));
     }
 
     fn on_answered_response(&mut self, ts: u64) {
         let bin = self.bin_of(ts);
         let s = &mut self.state;
         s.answered_responses += 1;
-        s.last_ts = Some(s.last_ts.map_or(ts, |t| t.max(ts)));
         s.bins.entry(bin).or_default().responses += 1;
     }
 
@@ -1026,7 +923,6 @@ impl FlowSink for StreamingAnalytics {
         {
             let s = &mut self.state;
             s.flows += 1;
-            s.last_ts = Some(s.last_ts.map_or(flow.last_ts, |t| t.max(flow.last_ts)));
             let c = s.bins.entry(bin).or_default();
             c.flows += 1;
             if flow.fqdn.is_some() {
@@ -1060,7 +956,7 @@ impl FlowSink for StreamingAnalytics {
             *s.port_flows.entry(port).or_default() += 1;
             // Apex names tokenize to nothing; creating the port entry for
             // them would store a void value, which breaks retraction's
-            // remove-when-empty key accounting (see `merge_ref`).
+            // remove-when-empty key accounting (see `Counted`).
             let port_tokens = tokenize_fqdn(fqdn, suffixes);
             if !port_tokens.is_empty() {
                 if let Some(tokens) = capped(&mut s.tag_counts, port, cap, &mut dropped) {
@@ -1074,13 +970,13 @@ impl FlowSink for StreamingAnalytics {
                 }
             }
             if let Some(m) = capped(&mut s.fqdn_birth, fqdn.clone(), cap, &mut dropped) {
-                *m.entry(bin).or_default() += 1;
+                *m.0.entry(bin).or_default() += 1;
             }
             if let Some(m) = capped(&mut s.sld_birth, sld, cap, &mut dropped) {
-                *m.entry(bin).or_default() += 1;
+                *m.0.entry(bin).or_default() += 1;
             }
             if let Some(m) = capped(&mut s.server_birth, server, cap, &mut dropped) {
-                *m.entry(bin).or_default() += 1;
+                *m.0.entry(bin).or_default() += 1;
             }
         }
         self.state.dropped_entities += dropped;
@@ -1240,6 +1136,7 @@ mod tests {
         ab.merge(a);
         ab.merge(b);
         assert_eq!(ab.state, seq.state);
+        assert_eq!(ab.trace_start, seq.trace_start);
         assert_eq!(ab.render(), seq.render());
         assert_eq!(ab.dropped_entities(), 0);
     }
@@ -1282,7 +1179,8 @@ mod tests {
         b.on_any_flow_delay(500, 44);
 
         let before_render = a.render();
-        let mut merged = a.clone_data();
+        let mut merged = StreamingAnalytics::new(cfg.clone());
+        merged.merge_ref(&a);
         merged.merge_ref(&b);
         assert!(!merged.data_eq(&a), "merge must change the state");
         merged.unmerge(&b).expect("merged partial retracts");

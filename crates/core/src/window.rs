@@ -7,10 +7,13 @@
 //! with bounded state. This module borrows the differential-dataflow idea
 //! of timestamped deltas: sink events are routed into **time buckets**
 //! (one per `slide` interval of the packet clock), each bucket owning a
-//! partial `StreamingAnalytics`, and a sliding window is maintained by
-//! *merging* each newly-sealed bucket and **retracting** each expired one
-//! via [`StreamingAnalytics::unmerge`] — the exact subtractive inverse of
-//! merge that PR 9 gave every piece of sink state.
+//! partial `StreamingAnalytics`, and one window sweep (`Sweep`) derives
+//! every window position by *merging* the bucket that enters the window
+//! and **retracting** the one that leaves it via
+//! [`StreamingAnalytics::unmerge`], the exact inverse of merge. The batch
+//! renderers run the sweep once at finish; the daemon's
+//! [`crate::RotationEmitter`] advances the same sweep as rotation makes
+//! buckets final.
 //!
 //! **The bucket trick.** Every bucket partial is anchored at packet-clock
 //! origin 0 with a snapshot interval equal to `slide`, so its internal
@@ -23,19 +26,19 @@
 //! byte-identical to running a fresh sink over the trace sliced to
 //! `[window_start, window_end)`.
 //!
-//! **Retraction failure is observable, not fatal.** `unmerge` of a bucket
-//! that was merged earlier cannot underflow; if it ever does, that is an
-//! invariant breach — the sweep counts it on the Runtime metric
-//! `dnh_window_retract_underflow_total` and falls back to rebuilding the
-//! window by merging its surviving buckets, so output stays correct even
-//! then. The fault matrix asserts the counter is zero everywhere.
+//! **Retraction failure is observable, not fatal**: the sweep counts an
+//! underflow on `dnh_window_retract_underflow_total` and rebuilds the
+//! window from its surviving buckets. The fault matrix asserts the counter
+//! is zero everywhere.
 //!
 //! **Memory bound.** Live bucket state is capped by [`MAX_LIVE_BUCKETS`]:
 //! events whose timestamp would open a bucket beyond the cap are dropped
 //! and counted (`dropped_bucket_events`, reported in the render header and
 //! pinned to zero by the equivalence tests). Within the cap, state grows
 //! with distinct entities per bucket, not flows — the same bound the
-//! underlying sink provides.
+//! underlying sink provides. No window longer than the cap can ever be
+//! full, which is why `dn-hunter` refuses `--window` above
+//! `MAX_LIVE_BUCKETS` slides.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -43,7 +46,7 @@ use std::collections::BTreeMap;
 use dnhunter_telemetry::{tm_count, Metric};
 
 use crate::db::TaggedFlow;
-use crate::stream::{push_u64, FlowSink, StreamingAnalytics, StreamingConfig};
+use crate::stream::{fold_sinks, push_u64, FlowSink, StreamingAnalytics, StreamingConfig};
 
 /// Cap on simultaneously-live bucket partials. At the default
 /// `--slide 5m` this is over two weeks of stream; a hostile trace whose
@@ -66,10 +69,11 @@ pub struct WindowConfig {
 
 impl WindowConfig {
     /// Validated config: `slide` is clamped to ≥ 1 µs and `window` is
-    /// rounded up to the nearest non-zero multiple of `slide`.
+    /// rounded up to the nearest non-zero multiple of `slide` (down, where
+    /// rounding up would overflow `u64`).
     pub fn new(window_micros: u64, slide_micros: u64) -> Self {
         let slide = slide_micros.max(1);
-        let steps = window_micros.div_ceil(slide).max(1);
+        let steps = window_micros.div_ceil(slide).min(u64::MAX / slide).max(1);
         WindowConfig {
             window_micros: steps * slide,
             slide_micros: slide,
@@ -126,7 +130,10 @@ pub struct WindowedAnalytics {
 
 impl WindowedAnalytics {
     pub fn new(cfg: WindowConfig) -> Self {
-        let cfg = WindowConfig::new(cfg.window_micros, cfg.slide_micros).with_stream(cfg.stream);
+        let cfg = WindowConfig {
+            stream: cfg.stream,
+            ..WindowConfig::new(cfg.window_micros, cfg.slide_micros)
+        };
         WindowedAnalytics {
             cfg,
             buckets: BTreeMap::new(),
@@ -163,14 +170,10 @@ impl WindowedAnalytics {
         self.retired_floor
     }
 
-    fn bucket_of(&self, ts: u64) -> u64 {
-        ts / self.cfg.slide_micros
-    }
-
     /// The bucket partial for `ts`, or `None` (counted) when the bucket
     /// was already retired by rotation or would exceed the cap.
     fn bucket_mut(&mut self, ts: u64) -> Option<&mut StreamingAnalytics> {
-        let idx = self.bucket_of(ts);
+        let idx = ts / self.cfg.slide_micros;
         if idx < self.retired_floor {
             self.late_bucket_events += 1;
             tm_count!(Metric::WindowLateEvents);
@@ -193,24 +196,13 @@ impl WindowedAnalytics {
     /// Fold per-worker partials (in shard order) back into one aggregate.
     /// Returns `None` when `sinks` is empty or holds a foreign sink type.
     pub fn fold(sinks: Vec<Box<dyn FlowSink>>) -> Option<WindowedAnalytics> {
-        let mut acc: Option<WindowedAnalytics> = None;
-        for sink in sinks {
-            let part = *sink.as_any_box().downcast::<WindowedAnalytics>().ok()?;
-            match &mut acc {
-                None => acc = Some(part),
-                Some(a) => a.merge(part),
-            }
-        }
-        acc
+        fold_sinks(sinks, WindowedAnalytics::merge)
     }
 
     /// Commutative, associative merge of another windowed partial:
     /// bucket-wise merge of the underlying sinks.
     pub fn merge(&mut self, other: WindowedAnalytics) {
-        self.trace_start = match (self.trace_start, other.trace_start) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        self.trace_start = self.trace_start.into_iter().chain(other.trace_start).min();
         self.dropped_bucket_events += other.dropped_bucket_events;
         self.late_bucket_events += other.late_bucket_events;
         // Shards rotate at the same global horizons, so floors agree; max
@@ -241,11 +233,10 @@ impl WindowedAnalytics {
         acc.rebased_view(origin_bucket * self.cfg.slide_micros, origin_bucket)
     }
 
-    /// Walk every window position in time order, maintaining the window
-    /// aggregate incrementally: merge the bucket entering the window,
-    /// retract the bucket leaving it. `f` receives the window span and a
-    /// re-anchored view whose render is byte-identical to a fresh sink
-    /// over the slice `[span.start, span.end)`.
+    /// Walk every window position in time order through the [`Sweep`].
+    /// `f` receives the window span and a re-anchored view whose render is
+    /// byte-identical to a fresh sink over the slice `[span.start,
+    /// span.end)`.
     ///
     /// Emitted positions run from the first window containing the first
     /// non-empty bucket to the last window containing the last one, so
@@ -253,58 +244,13 @@ impl WindowedAnalytics {
     /// slice of the trace over those spans would be.
     pub fn for_each_window(&self, mut f: impl FnMut(WindowSpan, &StreamingAnalytics)) {
         let slide = self.cfg.slide_micros;
-        self.sweep(|span, acc| f(span, &acc.rebased_view(span.start, span.start / slide)));
+        Sweep::new(&self.cfg).advance(&self.buckets, u64::MAX, |span, acc| {
+            f(span, &acc.rebased_view(span.start, span.start / slide));
+        });
     }
 
-    /// The sweep behind [`for_each_window`](Self::for_each_window): `f`
-    /// receives the window aggregate as accumulated, still on the absolute
-    /// bucket clock — enough for everything that reads no bin key.
-    fn sweep(&self, mut f: impl FnMut(WindowSpan, &StreamingAnalytics)) {
-        let n = self.cfg.steps();
-        let (Some(&lo), Some(&hi)) = (self.buckets.keys().next(), self.buckets.keys().next_back())
-        else {
-            return;
-        };
-        let slide = self.cfg.slide_micros;
-        let mut acc = StreamingAnalytics::new(self.cfg.bucket_sink_config());
-        // Window `e` covers buckets [e + 1 - n, e]; sweeping e over
-        // lo..=hi+n-1 visits every position overlapping the data.
-        for (seq, e) in (lo..=hi + (n - 1)).enumerate() {
-            let seq = seq as u64;
-            if e <= hi {
-                if let Some(part) = self.buckets.get(&e) {
-                    acc.merge_ref(part);
-                }
-            }
-            if e >= lo + n {
-                if let Some(expired) = self.buckets.get(&(e - n)) {
-                    if acc.unmerge(expired).is_err() {
-                        // Invariant breach: a bucket merged above failed to
-                        // retract. Count it and rebuild from scratch so the
-                        // emitted windows stay correct regardless.
-                        tm_count!(Metric::WindowRetractUnderflow);
-                        acc = StreamingAnalytics::new(self.cfg.bucket_sink_config());
-                        for (_, part) in self.buckets.range(e + 1 - n..=e.min(hi)) {
-                            acc.merge_ref(part);
-                        }
-                    }
-                }
-            }
-            // Saturating: windows overlapping the origin of the packet
-            // clock are clipped at 0 rather than reaching before it.
-            let first_bucket = (e + 1).saturating_sub(n);
-            let span = WindowSpan {
-                start: first_bucket * slide,
-                end: (e + 1) * slide,
-                seq,
-            };
-            f(span, &acc);
-        }
-    }
-
-    /// Render the windowed JSONL stream: a header line, then one line per
-    /// window position carrying `window_start`/`window_end`/`seq` and the
-    /// same summary object the plain stream renderer emits. Derived
+    /// Render the windowed JSONL stream: a header line, then one
+    /// [window line](push_window_line) per window position. Derived
     /// entirely from merged state — byte-identical at any worker count.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -320,28 +266,103 @@ impl WindowedAnalytics {
         out.push_str(",\"dropped_bucket_events\":");
         push_u64(&mut out, self.dropped_bucket_events);
         out.push_str("}\n");
-        // The summary reads no bin key, so it renders straight off the
-        // sweep's accumulator: no per-window clone and rebase.
-        self.sweep(|span, acc| {
-            out.push_str("{\"window_start\":");
-            push_u64(&mut out, span.start);
-            out.push_str(",\"window_end\":");
-            push_u64(&mut out, span.end);
-            out.push_str(",\"seq\":");
-            push_u64(&mut out, span.seq);
-            out.push_str(",\"summary\":");
-            acc.render_summary_object(&mut out);
-            out.push_str("}\n");
+        Sweep::new(&self.cfg).advance(&self.buckets, u64::MAX, |span, acc| {
+            push_window_line(&mut out, span, acc);
         });
         out
     }
 }
 
-impl WindowConfig {
-    fn with_stream(mut self, stream: StreamingConfig) -> Self {
-        self.stream = stream;
-        self
+/// The one sliding-window sweep: window position `e` covers buckets
+/// `[e + 1 − steps, e]`, and the aggregate moves to the next position by
+/// merging bucket `e` and retracting bucket `e − steps`. The batch
+/// renderers advance it once over a finished bucket map; the rotation
+/// emitter advances it as far as rotation has made buckets final.
+pub(crate) struct Sweep {
+    steps: u64,
+    slide: u64,
+    /// First non-empty bucket: position `seq` 0. Fixed by the first
+    /// advance that sees a bucket, so later buckets may not lie below it.
+    lo: Option<u64>,
+    /// Next window position to visit.
+    next: u64,
+    /// The window aggregate, on the absolute bucket clock.
+    acc: StreamingAnalytics,
+}
+
+impl Sweep {
+    pub(crate) fn new(cfg: &WindowConfig) -> Self {
+        Sweep {
+            steps: cfg.steps(),
+            slide: cfg.slide_micros,
+            lo: None,
+            next: 0,
+            acc: StreamingAnalytics::new(cfg.bucket_sink_config()),
+        }
     }
+
+    /// Visit, in order, every position below `end` up to the last window
+    /// holding the highest bucket; `f` gets the span and the aggregate on
+    /// the absolute bucket clock. A retraction underflow (an invariant
+    /// breach) is counted and repaired from the window's buckets.
+    pub(crate) fn advance(
+        &mut self,
+        buckets: &BTreeMap<u64, StreamingAnalytics>,
+        end: u64,
+        mut f: impl FnMut(WindowSpan, &StreamingAnalytics),
+    ) {
+        let (Some(&first), Some(&hi)) = (buckets.keys().next(), buckets.keys().next_back()) else {
+            return;
+        };
+        let (n, lo) = (self.steps, *self.lo.get_or_insert(first));
+        self.next = self.next.max(lo);
+        while self.next < end && self.next <= hi.saturating_add(n - 1) {
+            let e = self.next;
+            if let Some(part) = buckets.get(&e) {
+                self.acc.merge_ref(part);
+            }
+            if let Some(expired) = e.checked_sub(n).and_then(|x| buckets.get(&x)) {
+                if self.acc.unmerge(expired).is_err() {
+                    tm_count!(Metric::WindowRetractUnderflow);
+                    self.acc = StreamingAnalytics::new(self.acc.config().clone());
+                    for (_, part) in buckets.range(e + 1 - n..=e) {
+                        self.acc.merge_ref(part);
+                    }
+                }
+            }
+            self.next += 1;
+            // Saturating: windows overlapping the origin of the packet
+            // clock are clipped at 0 rather than reaching before it.
+            let span = WindowSpan {
+                start: (e + 1).saturating_sub(n) * self.slide,
+                end: (e + 1) * self.slide,
+                seq: e - lo,
+            };
+            f(span, &self.acc);
+        }
+    }
+
+    /// The first bucket a position not yet visited can read: everything
+    /// below has left the window for good.
+    pub(crate) fn needs_from(&self) -> u64 {
+        self.next.saturating_sub(self.steps)
+    }
+}
+
+/// One window line of the windowed and rotated streams: the span, `seq`,
+/// and the same summary object the plain stream renderer emits. The
+/// summary reads no bin key, so it renders straight off the sweep's
+/// accumulator: no per-window clone and rebase.
+pub(crate) fn push_window_line(out: &mut String, span: WindowSpan, acc: &StreamingAnalytics) {
+    out.push_str("{\"window_start\":");
+    push_u64(out, span.start);
+    out.push_str(",\"window_end\":");
+    push_u64(out, span.end);
+    out.push_str(",\"seq\":");
+    push_u64(out, span.seq);
+    out.push_str(",\"summary\":");
+    acc.render_summary_object(out);
+    out.push_str("}\n");
 }
 
 impl FlowSink for WindowedAnalytics {
@@ -469,6 +490,63 @@ mod tests {
         let degenerate = WindowConfig::new(0, 0);
         assert_eq!(degenerate.slide_micros, 1);
         assert_eq!(degenerate.steps(), 1);
+    }
+
+    /// Rounding the window up to a whole number of slides may not overflow
+    /// `u64`: where it would, the window rounds down instead.
+    #[test]
+    fn config_rounds_down_where_rounding_up_would_overflow() {
+        let c = WindowConfig::new(u64::MAX, 7_000_000);
+        assert_eq!(c.slide_micros, 7_000_000);
+        assert_eq!(c.steps(), u64::MAX / 7_000_000);
+        assert_eq!(c.window_micros, c.steps() * 7_000_000);
+    }
+
+    /// A bucket that changed after the sweep merged it cannot be retracted
+    /// from the window: the sweep counts the underflow and rebuilds, so the
+    /// window line is still a fresh merge of the buckets it covers.
+    #[test]
+    fn retract_underflow_is_counted_and_rebuilt_from_the_surviving_buckets() {
+        let registry = std::sync::Arc::new(dnhunter_telemetry::Registry::new());
+        let _bound = dnhunter_telemetry::bind(registry.clone());
+        let cfg = cfg();
+        let (steps, slide) = (cfg.steps(), cfg.slide_micros);
+        let mut w = WindowedAnalytics::new(cfg.clone());
+        feed(&mut w, &sample_flows());
+        let mut buckets = std::mem::take(&mut w.buckets);
+        let lo = *buckets.keys().next().unwrap();
+        let mut sweep = Sweep::new(&cfg);
+        // Positions lo .. lo + steps merge bucket lo and never retract it.
+        sweep.advance(&buckets, lo + steps, |_, _| {});
+        assert_eq!(registry.snapshot().get(Metric::WindowRetractUnderflow), 0);
+        // Tamper with bucket lo: it gains an FQDN the window never merged.
+        let tamper = flow(
+            "10.0.0.9",
+            Some("late.tamper.net"),
+            "9.9.9.9",
+            443,
+            lo * slide,
+        );
+        buckets.get_mut(&lo).unwrap().on_flow_finished(&tamper);
+        // Position lo + steps retracts bucket lo.
+        let mut line = String::new();
+        sweep.advance(&buckets, lo + steps + 1, |span, acc| {
+            push_window_line(&mut line, span, acc);
+        });
+        assert_eq!(registry.snapshot().get(Metric::WindowRetractUnderflow), 1);
+        let mut fresh = StreamingAnalytics::new(cfg.bucket_sink_config());
+        for (_, part) in buckets.range(lo + 1..=lo + steps) {
+            fresh.merge_ref(part);
+        }
+        let span = WindowSpan {
+            start: (lo + 1) * slide,
+            end: (lo + steps + 1) * slide,
+            seq: steps,
+        };
+        let mut expected = String::new();
+        push_window_line(&mut expected, span, &fresh);
+        assert_eq!(line, expected);
+        assert!(!line.contains("late.tamper.net"), "{line}");
     }
 
     #[test]

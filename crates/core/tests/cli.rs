@@ -69,6 +69,48 @@ fn seconds_flags_reject_values_that_overflow_microseconds() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot open"));
 }
 
+/// The windowed sink keeps at most `MAX_LIVE_BUCKETS` buckets, so a window
+/// of more slides than that could never be full: it is a usage error that
+/// names the limit, not a run that renders thousands of trailing windows.
+/// Exactly the limit is accepted (the run then fails on the missing input).
+#[test]
+fn window_longer_than_the_bucket_cap_is_a_usage_error() {
+    let missing = temp_path("missing-window.pcap");
+    let missing = missing.to_str().expect("utf-8 temp path");
+    let jsonl = temp_path("window.jsonl");
+    let jsonl = jsonl.to_str().expect("utf-8 temp path");
+    let limit = format!("{}s", dnhunter::MAX_LIVE_BUCKETS);
+    let window = |window: &str, slide: Option<&str>| {
+        let mut args = vec![missing, "--stream-analytics", jsonl, "--window", window];
+        args.extend(slide.map(|s| ["--slide", s]).into_iter().flatten());
+        dn_hunter(&args)
+    };
+    for (w, slide) in [
+        ("20000s", Some("1s")),
+        ("18446744073709s", Some("7s")),
+        ("1000000m", None),
+    ] {
+        let out = window(w, slide);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--window {w}: expected a usage error"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let expected = format!(
+            "--window may span at most {} slides",
+            dnhunter::MAX_LIVE_BUCKETS
+        );
+        assert!(
+            stderr.contains(&expected),
+            "--window {w}: unexpected stderr: {stderr}"
+        );
+    }
+    let out = window(&limit, Some("1s"));
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot open"));
+}
+
 /// A small EU1-FTTH trace written to a pcap at `temp_path(name)`, and the
 /// database the library's sequential sniffer builds from it under the
 /// binary's default configuration (300 s warm-up, all else default).
