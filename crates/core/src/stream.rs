@@ -142,7 +142,7 @@ impl Default for StreamingConfig {
 }
 
 /// A retraction failed because the subtracted partial was not contained
-/// in the receiver. `field` names the first [`StreamState`] field whose
+/// in the receiver. `field` names the first `StreamState` field whose
 /// checked subtraction underflowed (`unmerge`'s exhaustive destructuring
 /// names every field). The receiver may be left partially retracted; callers
 /// rebuild from the surviving buckets (see `window.rs`).

@@ -233,7 +233,7 @@ impl WindowedAnalytics {
         acc.rebased_view(origin_bucket * self.cfg.slide_micros, origin_bucket)
     }
 
-    /// Walk every window position in time order through the [`Sweep`].
+    /// Walk every window position in time order through the window sweep.
     /// `f` receives the window span and a re-anchored view whose render is
     /// byte-identical to a fresh sink over the slice `[span.start,
     /// span.end)`.
@@ -249,8 +249,9 @@ impl WindowedAnalytics {
         });
     }
 
-    /// Render the windowed JSONL stream: a header line, then one
-    /// [window line](push_window_line) per window position. Derived
+    /// Render the windowed JSONL stream: a header line, then one line per
+    /// window position carrying `window_start`/`window_end`/`seq` and the
+    /// same summary object the plain stream renderer emits. Derived
     /// entirely from merged state — byte-identical at any worker count.
     pub fn render(&self) -> String {
         let mut out = String::new();
