@@ -70,7 +70,7 @@ mod tests {
     use super::*;
     use crate::db::TaggedFlow;
     use dnhunter_dns::suffix::SuffixSet;
-    use dnhunter_flow::{AppProtocol, FlowKey};
+    use dnhunter_flow::{tls::TlsInfo, AppProtocol, FlowKey};
     use dnhunter_net::IpProtocol;
 
     fn sample_db() -> FlowDatabase {
@@ -157,6 +157,77 @@ mod tests {
         assert_eq!(lines[0], TSTAT_COLUMNS.join(","));
         assert!(lines[1].ends_with(",tls,\"www.example.com\""));
         assert!(lines[2].ends_with(",p2p,\"\""));
+    }
+
+    /// Rows covering every shape a `--json` row takes: IPv4 and IPv6
+    /// keys, absent label and delay, empty and non-empty `alt_labels`,
+    /// absent `tls` and `tls` whose strings need escaping.
+    fn json_db() -> FlowDatabase {
+        let name = |n: &str| n.parse().unwrap();
+        let mut rows = sample_db().flows().to_vec();
+        rows[0].tls = Some(TlsInfo {
+            sni: Some("a\"b\\c\u{1}".into()),
+            certificate_cn: Some("cn\u{1}\"\\".into()),
+            server_hello: true,
+            certificate_seen: false,
+        });
+        rows.push(TaggedFlow {
+            key: FlowKey::from_initiator(
+                "2001:db8::1".parse().unwrap(),
+                "2001:db8::2".parse().unwrap(),
+                40000,
+                53,
+                IpProtocol::Udp,
+            ),
+            fqdn: None,
+            second_level: None,
+            alt_labels: Vec::new(),
+            tag_delay_micros: None,
+            first_ts: 8_000_000,
+            last_ts: 8_000_100,
+            packets_c2s: 1,
+            packets_s2c: 1,
+            bytes_c2s: 60,
+            bytes_s2c: 120,
+            protocol: AppProtocol::Dns,
+            tls: None,
+            in_warmup: true,
+        });
+        rows.push(TaggedFlow {
+            key: FlowKey::from_initiator(
+                "10.0.0.3".parse().unwrap(),
+                "198.51.100.7".parse().unwrap(),
+                52000,
+                80,
+                IpProtocol::Tcp,
+            ),
+            fqdn: Some(name("cdn.example.net")),
+            second_level: None,
+            alt_labels: vec![name("old.example.net"), name("older.example.org")],
+            tag_delay_micros: Some(0),
+            first_ts: 9_000_000,
+            last_ts: 9_000_500,
+            packets_c2s: 4,
+            packets_s2c: 5,
+            bytes_c2s: 400,
+            bytes_s2c: 5_000,
+            protocol: AppProtocol::Http,
+            tls: Some(TlsInfo::default()),
+            in_warmup: false,
+        });
+        FlowDatabase::from_rows(rows, &SuffixSet::builtin())
+    }
+
+    #[test]
+    fn json_rows_are_pinned_byte_for_byte() {
+        let expected = [
+            r#"{"key":{"client":"10.0.0.1","server":"93.184.216.34","client_port":51000,"server_port":443,"protocol":6},"fqdn":"www.example.com","second_level":"example.com","tag_delay_micros":1000,"first_ts":5000000,"last_ts":6500000,"packets_c2s":7,"packets_s2c":9,"bytes_c2s":800,"bytes_s2c":40000,"protocol":"Tls","tls":{"sni":"a\"b\\c\u0001","certificate_cn":"cn\u0001\"\\","server_hello":true,"certificate_seen":false},"in_warmup":false}"#,
+            r#"{"key":{"client":"10.0.0.2","server":"171.4.4.4","client_port":40000,"server_port":6881,"protocol":6},"fqdn":null,"second_level":null,"tag_delay_micros":null,"first_ts":7000000,"last_ts":7100000,"packets_c2s":3,"packets_s2c":3,"bytes_c2s":300,"bytes_s2c":9000,"protocol":"P2p","in_warmup":false}"#,
+            r#"{"key":{"client":"2001:db8::1","server":"2001:db8::2","client_port":40000,"server_port":53,"protocol":17},"fqdn":null,"second_level":null,"tag_delay_micros":null,"first_ts":8000000,"last_ts":8000100,"packets_c2s":1,"packets_s2c":1,"bytes_c2s":60,"bytes_s2c":120,"protocol":"Dns","in_warmup":true}"#,
+            r#"{"key":{"client":"10.0.0.3","server":"198.51.100.7","client_port":52000,"server_port":80,"protocol":6},"fqdn":"cdn.example.net","second_level":"example.net","alt_labels":["old.example.net","older.example.org"],"tag_delay_micros":0,"first_ts":9000000,"last_ts":9000500,"packets_c2s":4,"packets_s2c":5,"bytes_c2s":400,"bytes_s2c":5000,"protocol":"Http","tls":{"sni":null,"certificate_cn":null,"server_hello":false,"certificate_seen":false},"in_warmup":false}"#,
+        ];
+        let text = json_db().to_json_lines();
+        assert_eq!(text, expected.map(|l| format!("{l}\n")).concat());
     }
 
     #[test]
