@@ -13,10 +13,9 @@ use std::net::IpAddr;
 
 use dnhunter_dns::DomainName;
 use dnhunter_orgdb::OrgDb;
-use serde::{Deserialize, Serialize};
 
 /// One flagged resolution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Anomaly {
     pub fqdn: DomainName,
     pub server: IpAddr,

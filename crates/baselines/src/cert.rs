@@ -8,10 +8,9 @@ use dnhunter::FlowDatabase;
 use dnhunter_dns::suffix::SuffixSet;
 use dnhunter_dns::DomainName;
 use dnhunter_flow::AppProtocol;
-use serde::{Deserialize, Serialize};
 
 /// Outcome for one TLS flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CertMatch {
     /// CN equals the FQDN.
     Equal,
@@ -24,7 +23,7 @@ pub enum CertMatch {
 }
 
 /// Tab. 4 counts over the TLS flows of a trace.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CertMatchCounts {
     pub equal: usize,
     pub generic: usize,

@@ -14,10 +14,9 @@ use dnhunter_simnet::PtrZone;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of comparing one PTR answer with the sniffer's label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReverseMatch {
     /// PTR equals the FQDN the client actually used.
     SameFqdn,
@@ -30,7 +29,7 @@ pub enum ReverseMatch {
 }
 
 /// Tab. 3 counts.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReverseMatchCounts {
     pub same_fqdn: usize,
     pub same_second_level: usize,

@@ -1,24 +1,18 @@
-//! Offline JSON serialization/deserialization over the serde shim.
-//!
-//! Provides the `serde_json` API surface the workspace uses: `to_string`,
-//! `from_str`, and an indexable [`Value`] tree. Values round-trip through
-//! the shim's self-describing `Content` representation.
+//! Offline JSON for the DN-Hunter workspace: [`from_str`] parses a
+//! document into an indexable [`Value`] tree, and `Value`'s `Display`
+//! writes it back as compact JSON. It keeps the `serde_json` names the
+//! benchmark and the tests call; nothing else is provided.
 
 #![forbid(unsafe_code)]
 
 use std::fmt;
 
-use serde::de::{self, Deserialize, Deserializer};
-use serde::ser::{self, Serialize};
-use serde::Content;
-
 mod parse;
 mod value;
-mod write;
 
 pub use value::{Number, Value};
 
-/// Error raised by JSON encoding or decoding.
+/// Error raised by JSON decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
     message: String,
@@ -40,169 +34,9 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl ser::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error::new(msg.to_string())
-    }
-}
-
-impl de::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error::new(msg.to_string())
-    }
-}
-
-/// Serialize `value` to a compact JSON string.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let content = value.serialize(ContentSerializer)?;
-    let mut out = String::new();
-    write::write_content(&mut out, &content);
-    Ok(out)
-}
-
-/// Deserialize a `T` from a JSON string.
-pub fn from_str<'de, T: Deserialize<'de>>(input: &str) -> Result<T, Error> {
-    let content = parse::parse(input)?;
-    T::deserialize(ContentDeserializer { content })
-}
-
-/// A [`serde::Serializer`] that lowers any `Serialize` type to `Content`.
-struct ContentSerializer;
-
-struct SeqBuilder {
-    items: Vec<Content>,
-}
-
-struct MapBuilder {
-    entries: Vec<(String, Content)>,
-}
-
-impl ser::Serializer for ContentSerializer {
-    type Ok = Content;
-    type Error = Error;
-    type SerializeSeq = SeqBuilder;
-    type SerializeStruct = MapBuilder;
-    type SerializeMap = MapBuilder;
-
-    fn serialize_bool(self, v: bool) -> Result<Content, Error> {
-        Ok(Content::Bool(v))
-    }
-    fn serialize_i64(self, v: i64) -> Result<Content, Error> {
-        Ok(Content::I64(v))
-    }
-    fn serialize_u64(self, v: u64) -> Result<Content, Error> {
-        Ok(Content::U64(v))
-    }
-    fn serialize_f64(self, v: f64) -> Result<Content, Error> {
-        Ok(Content::F64(v))
-    }
-    fn serialize_str(self, v: &str) -> Result<Content, Error> {
-        Ok(Content::Str(v.to_string()))
-    }
-    fn serialize_none(self) -> Result<Content, Error> {
-        Ok(Content::Null)
-    }
-    fn serialize_unit(self) -> Result<Content, Error> {
-        Ok(Content::Null)
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-    ) -> Result<Content, Error> {
-        Ok(Content::Str(variant.to_string()))
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<Content, Error> {
-        // serde_json's externally-tagged representation: {"Variant": value}.
-        Ok(Content::Map(vec![(
-            variant.to_string(),
-            value.serialize(ContentSerializer)?,
-        )]))
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<SeqBuilder, Error> {
-        Ok(SeqBuilder {
-            items: Vec::with_capacity(len.unwrap_or(0)),
-        })
-    }
-    fn serialize_struct(self, _name: &'static str, len: usize) -> Result<MapBuilder, Error> {
-        Ok(MapBuilder {
-            entries: Vec::with_capacity(len),
-        })
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<MapBuilder, Error> {
-        Ok(MapBuilder {
-            entries: Vec::with_capacity(len.unwrap_or(0)),
-        })
-    }
-}
-
-impl ser::SerializeSeq for SeqBuilder {
-    type Ok = Content;
-    type Error = Error;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
-        self.items.push(value.serialize(ContentSerializer)?);
-        Ok(())
-    }
-    fn end(self) -> Result<Content, Error> {
-        Ok(Content::Seq(self.items))
-    }
-}
-
-impl ser::SerializeStruct for MapBuilder {
-    type Ok = Content;
-    type Error = Error;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), Error> {
-        self.entries
-            .push((key.to_string(), value.serialize(ContentSerializer)?));
-        Ok(())
-    }
-    fn end(self) -> Result<Content, Error> {
-        Ok(Content::Map(self.entries))
-    }
-}
-
-impl ser::SerializeMap for MapBuilder {
-    type Ok = Content;
-    type Error = Error;
-    fn serialize_entry<K: Serialize + ?Sized, V: Serialize + ?Sized>(
-        &mut self,
-        key: &K,
-        value: &V,
-    ) -> Result<(), Error> {
-        let key = match key.serialize(ContentSerializer)? {
-            Content::Str(s) => s,
-            other => return Err(Error::new(format!("non-string map key: {other:?}"))),
-        };
-        self.entries
-            .push((key, value.serialize(ContentSerializer)?));
-        Ok(())
-    }
-    fn end(self) -> Result<Content, Error> {
-        Ok(Content::Map(self.entries))
-    }
-}
-
-/// A [`serde::Deserializer`] over parsed JSON.
-struct ContentDeserializer {
-    content: Content,
-}
-
-impl<'de> Deserializer<'de> for ContentDeserializer {
-    type Error = Error;
-    fn into_content(self) -> Result<Content, Error> {
-        Ok(self.content)
-    }
+/// Parse a JSON document into a [`Value`].
+pub fn from_str<T: From<Value>>(input: &str) -> Result<T, Error> {
+    parse::parse(input).map(T::from)
 }
 
 #[cfg(test)]
@@ -210,13 +44,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn primitives_round_trip() {
-        assert_eq!(to_string(&true).unwrap(), "true");
-        assert_eq!(to_string(&42u32).unwrap(), "42");
-        assert_eq!(to_string(&-7i64).unwrap(), "-7");
-        assert_eq!(to_string("hi\"there").unwrap(), "\"hi\\\"there\"");
-        assert_eq!(to_string(&vec![1u8, 2, 3]).unwrap(), "[1,2,3]");
-        assert_eq!(to_string(&Option::<u8>::None).unwrap(), "null");
+    fn display_writes_compact_json() {
+        let v: Value =
+            from_str(r#"{"b": true, "n": [42, -7, 0.5, null], "s": "hi\"there\n"}"#).unwrap();
+        assert_eq!(
+            v.to_string(),
+            r#"{"b":true,"n":[42,-7,0.5,null],"s":"hi\"there\n"}"#
+        );
+        assert_eq!(from_str::<Value>(&v.to_string()).unwrap(), v);
     }
 
     #[test]
@@ -228,17 +63,9 @@ mod tests {
     }
 
     #[test]
-    fn typed_round_trip() {
-        let v: Vec<u64> = from_str("[1, 2, 3]").unwrap();
-        assert_eq!(v, vec![1, 2, 3]);
-        let s: String = from_str("\"dn-hunter\"").unwrap();
-        assert_eq!(s, "dn-hunter");
-    }
-
-    #[test]
     fn parse_errors_are_reported() {
         assert!(from_str::<Value>("{oops").is_err());
         assert!(from_str::<Value>("[1,]").is_err());
-        assert!(from_str::<u64>("\"nope\"").is_err());
+        assert!(from_str::<Value>("\"open").is_err());
     }
 }

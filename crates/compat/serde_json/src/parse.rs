@@ -1,11 +1,9 @@
-//! Recursive-descent JSON parser producing the shim's `Content` tree.
+//! Recursive-descent JSON parser producing a [`Value`] tree.
 
-use serde::Content;
-
-use crate::Error;
+use crate::{Error, Number, Value};
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
-pub(crate) fn parse(input: &str) -> Result<Content, Error> {
+pub(crate) fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
@@ -50,7 +48,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &str, value: Content) -> Result<Content, Error> {
+    fn literal(&mut self, lit: &str, value: Value) -> Result<Value, Error> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
@@ -62,12 +60,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Content, Error> {
+    fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Content::Null),
-            Some(b't') => self.literal("true", Content::Bool(true)),
-            Some(b'f') => self.literal("false", Content::Bool(false)),
-            Some(b'"') => self.string().map(Content::Str),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'"') => self.string().map(Value::String),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
@@ -79,13 +77,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Content, Error> {
+    fn array(&mut self) -> Result<Value, Error> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Content::Seq(items));
+            return Ok(Value::Array(items));
         }
         loop {
             self.skip_ws();
@@ -95,20 +93,20 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Content::Seq(items));
+                    return Ok(Value::Array(items));
                 }
                 _ => return Err(Error::new(format!("bad array at offset {}", self.pos))),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Content, Error> {
+    fn object(&mut self) -> Result<Value, Error> {
         self.expect(b'{')?;
         let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Content::Map(entries));
+            return Ok(Value::Object(entries));
         }
         loop {
             self.skip_ws();
@@ -123,7 +121,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Content::Map(entries));
+                    return Ok(Value::Object(entries));
                 }
                 _ => return Err(Error::new(format!("bad object at offset {}", self.pos))),
             }
@@ -212,7 +210,7 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Content, Error> {
+    fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -232,14 +230,14 @@ impl<'a> Parser<'a> {
             .map_err(|_| Error::new("bad number".to_string()))?;
         if !is_float {
             if let Ok(v) = text.parse::<u64>() {
-                return Ok(Content::U64(v));
+                return Ok(Value::Number(Number::U64(v)));
             }
             if let Ok(v) = text.parse::<i64>() {
-                return Ok(Content::I64(v));
+                return Ok(Value::Number(Number::I64(v)));
             }
         }
         text.parse::<f64>()
-            .map(Content::F64)
+            .map(|v| Value::Number(Number::F64(v)))
             .map_err(|_| Error::new(format!("bad number `{text}` at offset {start}")))
     }
 }

@@ -3,10 +3,6 @@
 use std::fmt;
 use std::ops::Index;
 
-use serde::de::{Deserialize, Deserializer};
-use serde::ser::{self, Serialize, Serializer};
-use serde::Content;
-
 /// A JSON number — integer-preserving, unlike a bare `f64`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Number {
@@ -104,46 +100,6 @@ impl Value {
             _ => None,
         }
     }
-
-    pub(crate) fn from_content(content: Content) -> Value {
-        match content {
-            Content::Null => Value::Null,
-            Content::Bool(b) => Value::Bool(b),
-            Content::U64(v) => Value::Number(Number::U64(v)),
-            Content::I64(v) => Value::Number(Number::I64(v)),
-            Content::F64(v) => Value::Number(Number::F64(v)),
-            Content::Str(s) => Value::String(s),
-            Content::Seq(items) => {
-                Value::Array(items.into_iter().map(Value::from_content).collect())
-            }
-            Content::Map(entries) => Value::Object(
-                entries
-                    .into_iter()
-                    .map(|(k, v)| (k, Value::from_content(v)))
-                    .collect(),
-            ),
-        }
-    }
-
-    pub(crate) fn into_content(self) -> Content {
-        match self {
-            Value::Null => Content::Null,
-            Value::Bool(b) => Content::Bool(b),
-            Value::Number(Number::U64(v)) => Content::U64(v),
-            Value::Number(Number::I64(v)) => Content::I64(v),
-            Value::Number(Number::F64(v)) => Content::F64(v),
-            Value::String(s) => Content::Str(s),
-            Value::Array(items) => {
-                Content::Seq(items.into_iter().map(Value::into_content).collect())
-            }
-            Value::Object(entries) => Content::Map(
-                entries
-                    .into_iter()
-                    .map(|(k, v)| (k, v.into_content()))
-                    .collect(),
-            ),
-        }
-    }
 }
 
 impl Index<&str> for Value {
@@ -166,11 +122,53 @@ impl Index<usize> for Value {
 }
 
 impl fmt::Display for Value {
+    /// Compact JSON: no whitespace, members in their stored order.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        crate::write::write_content(&mut out, &self.clone().into_content());
-        f.write_str(&out)
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Number(n) => write!(f, "{n}"),
+            Value::String(s) => write_escaped(f, s),
+            Value::Array(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_str("]")
+            }
+            Value::Object(entries) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write_escaped(f, k)?;
+                    write!(f, ":{v}")?;
+                }
+                f.write_str("}")
+            }
+        }
     }
+}
+
+/// Write a JSON string literal with the required escapes.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
 }
 
 macro_rules! impl_value_eq_int {
@@ -208,38 +206,5 @@ impl PartialEq<&str> for Value {
 impl PartialEq<bool> for Value {
     fn eq(&self, other: &bool) -> bool {
         self.as_bool() == Some(*other)
-    }
-}
-
-impl Serialize for Value {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        match self {
-            Value::Null => serializer.serialize_none(),
-            Value::Bool(b) => serializer.serialize_bool(*b),
-            Value::Number(Number::U64(v)) => serializer.serialize_u64(*v),
-            Value::Number(Number::I64(v)) => serializer.serialize_i64(*v),
-            Value::Number(Number::F64(v)) => serializer.serialize_f64(*v),
-            Value::String(s) => serializer.serialize_str(s),
-            Value::Array(items) => {
-                let mut seq = serializer.serialize_seq(Some(items.len()))?;
-                for item in items {
-                    ser::SerializeSeq::serialize_element(&mut seq, item)?;
-                }
-                ser::SerializeSeq::end(seq)
-            }
-            Value::Object(entries) => {
-                let mut map = serializer.serialize_map(Some(entries.len()))?;
-                for (k, v) in entries {
-                    ser::SerializeMap::serialize_entry(&mut map, k, v)?;
-                }
-                ser::SerializeMap::end(map)
-            }
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for Value {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Ok(Value::from_content(deserializer.into_content()?))
     }
 }

@@ -533,15 +533,14 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if json {
-        print!("{}", report.database.to_json_lines());
-        return ExitCode::SUCCESS;
-    }
-    if tstat || csv {
-        let result = if tstat {
-            dnhunter::write_tstat_log(&report.database, std::io::stdout().lock())
+    if json || tstat || csv {
+        let out = std::io::stdout().lock();
+        let result = if json {
+            dnhunter::write_json_lines(&report.database, out)
+        } else if tstat {
+            dnhunter::write_tstat_log(&report.database, out)
         } else {
-            dnhunter::write_csv(&report.database, std::io::stdout().lock())
+            dnhunter::write_csv(&report.database, out)
         };
         return match result {
             Ok(()) => ExitCode::SUCCESS,

@@ -39,9 +39,10 @@ use dnhunter_net::{FlowRecReader, FlowRecSource, FrameSource, NetError, SourcePo
 pub use dnhunter_net::{FlowrecConfig, FlowrecStats};
 use dnhunter_telemetry::{self as telemetry, tm_count, Metric};
 
+use crate::json::{push_opt, push_u64};
 use crate::pipeline::ParallelSniffer;
 use crate::sniffer::{RealTimeSniffer, SnifferReport};
-use crate::stream::{push_u64, FlowSink, StreamingAnalytics};
+use crate::stream::{FlowSink, StreamingAnalytics};
 use crate::window::{push_window_line, Sweep, WindowConfig, WindowedAnalytics};
 
 /// How long the daemon loop sleeps when its source reports `Pending`
@@ -319,10 +320,7 @@ impl RotationEmitter {
         self.out.push_str(",\"rotate_micros\":");
         push_u64(&mut self.out, self.rotate_micros);
         self.out.push_str(",\"origin\":");
-        match self.origin {
-            Some(t) => push_u64(&mut self.out, t),
-            None => self.out.push_str("null"),
-        }
+        push_opt(&mut self.out, self.origin, push_u64);
         self.out.push_str("}\n");
     }
 

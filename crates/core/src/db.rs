@@ -8,10 +8,9 @@ use std::net::IpAddr;
 
 use dnhunter_dns::{suffix::SuffixSet, tokenize_fqdn, DomainName};
 use dnhunter_flow::{tls::TlsInfo, AppProtocol, FlowKey};
-use serde::{Deserialize, Serialize};
 
 /// One finished, labelled flow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaggedFlow {
     pub key: FlowKey,
     /// The label: the FQDN the client resolved for the server, if any.
@@ -20,7 +19,6 @@ pub struct TaggedFlow {
     pub second_level: Option<DomainName>,
     /// Older live labels of the same (client, server) pair, newest first (§6
     /// "return all possible labels"); empty unless `labels_per_server > 1`.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub alt_labels: Vec<DomainName>,
     /// µs from the tagging DNS response to the flow's first packet.
     pub tag_delay_micros: Option<u64>,
@@ -34,7 +32,6 @@ pub struct TaggedFlow {
     /// DPI ground-truth protocol.
     pub protocol: AppProtocol,
     /// TLS observations (SNI / certificate CN), when the flow was TLS.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub tls: Option<TlsInfo>,
     /// The flow began in the warm-up window: no hit-ratio accounting.
     pub in_warmup: bool,
@@ -53,7 +50,7 @@ impl TaggedFlow {
 }
 
 /// The labeled-flow database: its rows, in merge order.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct FlowDatabase {
     flows: Vec<TaggedFlow>,
 }
@@ -131,12 +128,6 @@ impl FlowDatabase {
     /// Every distinct server address, in address order.
     pub fn servers(&self) -> impl Iterator<Item = IpAddr> {
         BTreeSet::from_iter(self.flows.iter().map(|f| f.key.server)).into_iter()
-    }
-
-    /// Export all rows as JSON lines (one row per line).
-    pub fn to_json_lines(&self) -> String {
-        let row = |f| serde_json::to_string(f).expect("row serializes") + "\n";
-        self.flows.iter().map(row).collect()
     }
 }
 
@@ -280,16 +271,6 @@ mod tests {
         assert_eq!(db.distinct_fqdns(), 0);
         assert!(!db.flows()[0].is_tagged());
         assert_eq!(db.flows()[0].bytes(), 2100);
-    }
-
-    #[test]
-    fn json_export_round_trips_basic_fields() {
-        let mut db = FlowDatabase::new();
-        db.push(flow(Some("a.example.com"), "1.2.3.4", 443), &suffixes());
-        let json = db.to_json_lines();
-        assert!(json.contains("a.example.com"));
-        let v: serde_json::Value = serde_json::from_str(json.lines().next().unwrap()).unwrap();
-        assert_eq!(v["key"]["server_port"], 443);
     }
 
     #[test]

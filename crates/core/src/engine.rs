@@ -680,9 +680,7 @@ mod tests {
             ShardEngine::new(config.clone(), config.resolver)
         };
         let rows = |outputs: Vec<ShardOutput>| {
-            assemble_report(outputs, SnifferStats::default(), None, None, 0)
-                .database
-                .to_json_lines()
+            assemble_report(outputs, SnifferStats::default(), None, None, 0).database
         };
         let mut one = engine();
         // Clients 1 and 3 on one shard, client 2 on the other.
@@ -693,7 +691,7 @@ mod tests {
             finish(shard, at, client, port, first_ts);
         }
         let expected = rows(vec![one.finish_shard()]);
-        assert_eq!(expected.lines().count(), events.len());
+        assert_eq!(expected.len(), events.len());
         assert_eq!(
             rows(vec![even.finish_shard(), odd.finish_shard()]),
             expected

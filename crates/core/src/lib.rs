@@ -54,6 +54,8 @@ pub mod db;
 /// Per-shard sniffer engine shared by the sequential and parallel drivers.
 mod engine;
 pub mod export;
+/// The JSON writer shared by the `--json` rows and the sink renders.
+mod json;
 /// Multi-core ingest: sharded parallel sniffer over §3.1.1 client shards.
 pub mod pipeline;
 pub mod policy;
@@ -71,7 +73,7 @@ pub use daemon::{
     Rotation, RotationEmitter,
 };
 pub use db::{FlowDatabase, TaggedFlow};
-pub use export::{write_csv, write_tstat_log};
+pub use export::{write_csv, write_json_lines, write_tstat_log};
 pub use pipeline::{ParallelSniffer, PipelineTimings};
 pub use policy::{PolicyAction, PolicyDecision, PolicyEnforcer, PolicyRule, RuleEnforcer};
 pub use sniffer::{DelaySamples, RealTimeSniffer, SnifferConfig, SnifferReport, SnifferStats};

@@ -11,10 +11,9 @@ use std::fmt;
 
 use dnhunter_dns::DomainName;
 use dnhunter_flow::FlowKey;
-use serde::{Deserialize, Serialize};
 
 /// What to do with a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyAction {
     /// Forward normally.
     #[default]
@@ -42,7 +41,7 @@ impl fmt::Display for PolicyAction {
 }
 
 /// A rule: a domain pattern and the action for flows whose label matches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyRule {
     /// Matches the FQDN itself or any subdomain of it: the pattern
     /// `zynga.com` matches `farm.zynga.com`.
@@ -66,7 +65,7 @@ impl PolicyRule {
 }
 
 /// A decision taken for one flow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyDecision {
     pub key: FlowKey,
     pub fqdn: Option<DomainName>,

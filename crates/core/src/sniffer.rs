@@ -8,7 +8,6 @@ use dnhunter_net::seg::{parse_flat, FlatParse, FrameFault};
 use dnhunter_net::{ExportRecord, FlowExportRecord, IpProtocol, PcapRecord, SourcePoll};
 use dnhunter_resolver::{DnsResolver, ResolverConfig, ResolverStats};
 use dnhunter_telemetry::{self as telemetry, tm_count, tm_trace, Metric as Tm, TraceEvent as Te};
-use serde::{Deserialize, Serialize};
 
 use crate::daemon::DaemonDriver;
 use crate::db::FlowDatabase;
@@ -41,7 +40,7 @@ impl Default for SnifferConfig {
 }
 
 /// Frame/packet-level counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SnifferStats {
     pub frames: u64,
     pub parse_errors: u64,
@@ -83,7 +82,7 @@ impl SnifferStats {
 }
 
 /// Timing samples for Figs. 12–13 and the useless-DNS fraction (Tab. 9).
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct DelaySamples {
     /// Per DNS response: µs until the *first* flow to any answered server.
     pub first_flow_delays: Vec<u64>,
@@ -108,6 +107,7 @@ impl DelaySamples {
 
 /// Everything the offline analyzer needs, produced by
 /// [`RealTimeSniffer::finish`].
+#[derive(Debug, PartialEq)]
 pub struct SnifferReport {
     pub database: FlowDatabase,
     pub sniffer_stats: SnifferStats,

@@ -68,6 +68,7 @@ use dnhunter_orgdb::{builtin_registry, OrgDb};
 use dnhunter_telemetry::{self as telemetry, tm_trace, Log2Hist, TraceEvent as Te};
 
 use crate::db::TaggedFlow;
+use crate::json::{push_f64, push_opt, push_str, push_u64};
 
 /// Windowed sibling of this module: time-bucketed partial sinks with
 /// merge/retract window maintenance (`dnhunter::stream::windowed`).
@@ -704,10 +705,7 @@ impl StreamingAnalytics {
         out.push_str("{\"stream\":\"dn-hunter\",\"interval_micros\":");
         push_u64(&mut out, self.cfg.snapshot_interval_micros);
         out.push_str(",\"origin\":");
-        match self.trace_start {
-            Some(t) => push_u64(&mut out, t),
-            None => out.push_str("null"),
-        }
+        push_opt(&mut out, self.trace_start, push_u64);
         out.push_str("}\n");
         self.render_snapshots(&mut out);
         self.render_summary(&mut out);
@@ -987,46 +985,6 @@ impl FlowSink for StreamingAnalytics {
     }
 }
 
-// ---- JSON helpers (hand-rolled, zero-dependency, deterministic) ----------
-
-pub(crate) fn push_u64(out: &mut String, v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    let mut v = v;
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    for &b in &buf[i..] {
-        out.push(b as char);
-    }
-}
-
-fn push_f64(out: &mut String, v: f64) {
-    // Fixed 6-decimal formatting: deterministic across platforms, enough
-    // precision for fractions and Eq. 1 scores.
-    out.push_str(&format!("{v:.6}"));
-}
-
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn push_hist(out: &mut String, h: &Log2Hist) {
     out.push_str("{\"count\":");
     push_u64(out, h.count());
@@ -1047,12 +1005,20 @@ fn push_hist(out: &mut String, h: &Log2Hist) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dnhunter_flow::{AppProtocol, FlowKey};
     use dnhunter_net::IpProtocol;
 
-    fn flow(client: &str, fqdn: Option<&str>, server: &str, port: u16, ts: u64) -> TaggedFlow {
+    /// A labelled HTTP flow `client → server:port` first seen at `ts`;
+    /// the window tests build their flows here too.
+    pub(crate) fn flow(
+        client: &str,
+        fqdn: Option<&str>,
+        server: &str,
+        port: u16,
+        ts: u64,
+    ) -> TaggedFlow {
         TaggedFlow {
             key: FlowKey::from_initiator(
                 client.parse().unwrap(),

@@ -46,7 +46,8 @@ use std::collections::BTreeMap;
 use dnhunter_telemetry::{tm_count, Metric};
 
 use crate::db::TaggedFlow;
-use crate::stream::{fold_sinks, push_u64, FlowSink, StreamingAnalytics, StreamingConfig};
+use crate::json::{push_opt, push_u64};
+use crate::stream::{fold_sinks, FlowSink, StreamingAnalytics, StreamingConfig};
 
 /// Cap on simultaneously-live bucket partials. At the default
 /// `--slide 5m` this is over two weeks of stream; a hostile trace whose
@@ -260,10 +261,7 @@ impl WindowedAnalytics {
         out.push_str(",\"slide_micros\":");
         push_u64(&mut out, self.cfg.slide_micros);
         out.push_str(",\"origin\":");
-        match self.trace_start {
-            Some(t) => push_u64(&mut out, t),
-            None => out.push_str("null"),
-        }
+        push_opt(&mut out, self.trace_start, push_u64);
         out.push_str(",\"dropped_bucket_events\":");
         push_u64(&mut out, self.dropped_bucket_events);
         out.push_str("}\n");
@@ -419,33 +417,7 @@ impl FlowSink for WindowedAnalytics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnhunter_flow::{AppProtocol, FlowKey};
-    use dnhunter_net::IpProtocol;
-
-    fn flow(client: &str, fqdn: Option<&str>, server: &str, port: u16, ts: u64) -> TaggedFlow {
-        TaggedFlow {
-            key: FlowKey::from_initiator(
-                client.parse().unwrap(),
-                server.parse().unwrap(),
-                50000,
-                port,
-                IpProtocol::Tcp,
-            ),
-            fqdn: fqdn.map(|f| f.parse().unwrap()),
-            second_level: None,
-            alt_labels: Vec::new(),
-            tag_delay_micros: Some(1000),
-            first_ts: ts,
-            last_ts: ts + 10,
-            packets_c2s: 1,
-            packets_s2c: 1,
-            bytes_c2s: 10,
-            bytes_s2c: 10,
-            protocol: AppProtocol::Http,
-            tls: None,
-            in_warmup: false,
-        }
-    }
+    use crate::stream::tests::flow;
 
     fn sample_flows() -> Vec<TaggedFlow> {
         (0u64..30)

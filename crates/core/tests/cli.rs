@@ -6,7 +6,8 @@
 //! for microseconds must be a usage error. A flow-record stream runs the
 //! same loop, so it takes `--workers` and `--metrics` like a pcap does.
 //! The default summary and `--port` tags print the library's own counts
-//! and Eq. 1 ranking at any `--workers`.
+//! and Eq. 1 ranking at any `--workers`, and an export whose reader closes
+//! the pipe early still exits 0.
 
 use std::collections::BTreeSet;
 use std::io::{Cursor, Write};
@@ -16,7 +17,8 @@ use std::process::{Command, Output, Stdio};
 
 use dnhunter::db::token_scores;
 use dnhunter::{
-    write_csv, write_tstat_log, FlowDatabase, FlowrecConfig, RealTimeSniffer, SnifferConfig,
+    write_csv, write_json_lines, write_tstat_log, FlowDatabase, FlowrecConfig, RealTimeSniffer,
+    SnifferConfig,
 };
 use dnhunter_dns::suffix::SuffixSet;
 use dnhunter_net::flowrec::encode_stream;
@@ -134,15 +136,13 @@ fn replay_fixture(name: &str) -> (PathBuf, FlowDatabase) {
 #[test]
 fn file_replay_prints_the_library_exports_at_one_and_two_workers() {
     let (pcap, db) = replay_fixture("replay.pcap");
+    let mut json = Vec::new();
+    write_json_lines(&db, &mut json).expect("json rows render");
     let mut csv = Vec::new();
     write_csv(&db, &mut csv).expect("csv renders");
     let mut tstat = Vec::new();
     write_tstat_log(&db, &mut tstat).expect("tstat log renders");
-    let expected = [
-        ("--json", db.to_json_lines().into_bytes()),
-        ("--csv", csv),
-        ("--tstat", tstat),
-    ];
+    let expected = [("--json", json), ("--csv", csv), ("--tstat", tstat)];
 
     let path = pcap.to_str().expect("utf-8 temp path");
     for workers in ["1", "2"] {
@@ -154,6 +154,28 @@ fn file_replay_prints_the_library_exports_at_one_and_two_workers() {
                 "{flag} --workers {workers} diverged from the library export"
             );
         }
+    }
+    let _ = std::fs::remove_file(&pcap);
+}
+
+/// A reader that stops early (`| head -1`) closes the pipe under the
+/// export: every format treats that as a normal end, exit 0, no panic.
+#[test]
+fn exports_into_a_closed_pipe_exit_cleanly() {
+    let (pcap, _) = replay_fixture("closed-pipe.pcap");
+    let path = pcap.to_str().expect("utf-8 temp path");
+    for flag in ["--json", "--csv"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_dn-hunter"))
+            .args([path, flag])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("dn-hunter binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("dn-hunter finishes");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{flag} into a closed pipe: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
     }
     let _ = std::fs::remove_file(&pcap);
 }
@@ -271,11 +293,10 @@ fn flowrec_replay_composes_with_workers_and_metrics() {
     let mut reader = FlowRecReader::new(Cursor::new(&bytes)).expect("valid header");
     dnhunter::run_flowrec_daemon(&mut reader, &mut sniffer, &FlowrecConfig::default(), None)
         .expect("flow-record stream ingests");
-    let want = sniffer.finish().database.to_json_lines();
-    assert!(
-        want.lines().count() > 50,
-        "stream too small to mean anything"
-    );
+    let db = sniffer.finish().database;
+    assert!(db.len() > 50, "stream too small to mean anything");
+    let mut want = Vec::new();
+    write_json_lines(&db, &mut want).expect("json rows render");
 
     let path = dnfr.to_str().expect("utf-8 temp path");
     for workers in ["1", "2"] {
@@ -285,7 +306,7 @@ fn flowrec_replay_composes_with_workers_and_metrics() {
         for (input, out) in [("file", from_file), ("stdin", from_stdin)] {
             assert!(out.status.success(), "{input} --workers {workers} failed");
             assert!(
-                out.stdout == want.as_bytes(),
+                out.stdout == want,
                 "{input} --workers {workers} diverged from the library export"
             );
         }

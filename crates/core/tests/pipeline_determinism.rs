@@ -25,27 +25,6 @@ use dnhunter_resolver::shard_of;
 use dnhunter_simnet::{profiles, TraceGenerator};
 use dnhunter_telemetry::{self as telemetry, Metric};
 
-/// Canonical serialization of everything a report contains. Two reports
-/// with equal digests are equal field-for-field, including database row
-/// order and every delay/time-series sample.
-fn digest(report: &SnifferReport) -> String {
-    let mut out = String::new();
-    let mut push = |part: Result<String, serde_json::Error>| {
-        out.push_str(&part.expect("report part serializes"));
-        out.push('\n');
-    };
-    push(serde_json::to_string(report.database.flows()));
-    push(serde_json::to_string(&report.sniffer_stats));
-    push(serde_json::to_string(&report.resolver_stats));
-    push(serde_json::to_string(&report.delays));
-    push(serde_json::to_string(&report.dns_response_times));
-    push(serde_json::to_string(&report.answers_per_response));
-    push(serde_json::to_string(&report.trace_start));
-    push(serde_json::to_string(&report.trace_end));
-    push(serde_json::to_string(&report.warmup_micros));
-    out
-}
-
 /// Feed `frames` to the sequential sniffer and to the pipeline at 1, 2
 /// and 8 workers, rotating at packet clock `clock` before frame `index`
 /// for each `(index, clock)` of `rotations`. Asserts byte-identical reports
@@ -66,7 +45,6 @@ fn assert_pipeline_matches_sequential(
         sequential.process_frame(ts, frame);
     }
     let reference = sequential.finish();
-    let reference_digest = digest(&reference);
 
     let mut timings = Vec::new();
     for workers in [1usize, 2, 8] {
@@ -85,8 +63,7 @@ fn assert_pipeline_matches_sequential(
         let (report, run) = parallel.finish_with_timings();
         assert_eq!(run.workers, workers);
         assert_eq!(
-            digest(&report),
-            reference_digest,
+            report, reference,
             "{workers}-worker report diverged from the sequential report"
         );
         timings.push(run);
@@ -255,12 +232,12 @@ fn parallel_sniffer_with_empty_input_matches_sequential() {
     let config = SnifferConfig::default();
     let reference = RealTimeSniffer::new(config.clone()).finish();
     let parallel = ParallelSniffer::new(config.clone(), 4).finish();
-    assert_eq!(digest(&parallel), digest(&reference));
+    assert_eq!(parallel, reference);
     // An absurd worker count clamps to the pipeline's fan-out cap instead
     // of spawning a thousand threads, and still merges to the empty report.
     let clamped = ParallelSniffer::new(config, 1000);
     assert_eq!(clamped.workers(), 64);
-    assert_eq!(digest(&clamped.finish()), digest(&reference));
+    assert_eq!(clamped.finish(), reference);
 }
 
 /// A sink that reacts to finished flows only — the hook the channel tests
@@ -295,7 +272,7 @@ fn backpressure_stalls_the_dispatcher_without_changing_the_report() {
     for rec in &records {
         sequential.process_record(rec);
     }
-    let reference_digest = digest(&sequential.finish());
+    let reference = sequential.finish();
 
     let registry = Arc::new(telemetry::Registry::new());
     let _guard = telemetry::bind(Arc::clone(&registry));
@@ -321,7 +298,7 @@ fn backpressure_stalls_the_dispatcher_without_changing_the_report() {
     for rec in &records {
         parallel.process_record(rec);
     }
-    assert_eq!(digest(&parallel.finish()), reference_digest);
+    assert_eq!(parallel.finish(), reference);
 
     let snap = registry.snapshot();
     assert!(

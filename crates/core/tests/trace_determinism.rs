@@ -14,25 +14,6 @@ use dnhunter::{
 use dnhunter_simnet::{profiles, TraceGenerator};
 use dnhunter_telemetry as telemetry;
 
-/// The `pipeline_determinism` digest: equal strings mean equal reports.
-fn digest(report: &SnifferReport) -> String {
-    let mut out = String::new();
-    let mut push = |part: Result<String, serde_json::Error>| {
-        out.push_str(&part.expect("report part serializes"));
-        out.push('\n');
-    };
-    push(serde_json::to_string(report.database.flows()));
-    push(serde_json::to_string(&report.sniffer_stats));
-    push(serde_json::to_string(&report.resolver_stats));
-    push(serde_json::to_string(&report.delays));
-    push(serde_json::to_string(&report.dns_response_times));
-    push(serde_json::to_string(&report.answers_per_response));
-    push(serde_json::to_string(&report.trace_start));
-    push(serde_json::to_string(&report.trace_end));
-    push(serde_json::to_string(&report.warmup_micros));
-    out
-}
-
 /// The busiest FQDN of a report, ties broken by name — a deterministic
 /// pick of a provenance target that every grid cell resolves identically.
 fn busiest_fqdn(report: &SnifferReport) -> String {
@@ -60,7 +41,7 @@ fn tracing_changes_nothing_and_explains_identically_across_the_grid() {
     // grid must reproduce *and* the explain chain (stable events are
     // packet-timestamped, so one reference covers both traced and
     // untraced cells).
-    let (reference_digest, reference_prom, reference_stream, reference_explain, target) = {
+    let (reference, reference_prom, reference_stream, reference_explain, target) = {
         let registry = Arc::new(telemetry::Registry::new());
         let _guard = telemetry::bind(registry.clone());
         let trace_set = telemetry::TraceSet::new();
@@ -82,7 +63,7 @@ fn tracing_changes_nothing_and_explains_identically_across_the_grid() {
         assert!(explain.contains("dns_response"), "{explain}");
         assert!(explain.contains("flow_open"), "{explain}");
         (
-            digest(&report),
+            report,
             telemetry::prometheus(&registry.snapshot(), false),
             streaming.render(),
             explain,
@@ -106,7 +87,7 @@ fn tracing_changes_nothing_and_explains_identically_across_the_grid() {
             }
             let (report, sinks) = sniffer.finish_with_sinks();
             let cell = format!("traced={traced} workers={workers}");
-            assert_eq!(digest(&report), reference_digest, "{cell}: report diverged");
+            assert_eq!(report, reference, "{cell}: report diverged");
             assert_eq!(
                 telemetry::prometheus(&registry.snapshot(), false),
                 reference_prom,

@@ -60,24 +60,6 @@ fn entry_len(hi: u8, lo: u8) -> usize {
     usize::from(hi) << 7 | usize::from(lo)
 }
 
-impl serde::Serialize for DomainName {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        serializer.serialize_str(self.dotted())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for DomainName {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        s.parse().map_err(serde::de::Error::custom)
-    }
-}
-
 /// Iterator over a name's labels, most-specific first (RFC 1035 §3.1
 /// wire order).
 #[derive(Debug, Clone)]

@@ -4,14 +4,12 @@
 //! direction. This plays the role Tstat's DPI plays in the paper: a ground
 //! truth for the protocol mix (Tab. 2) and the "GT" column of Tables 6–7.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bittorrent;
 use crate::http;
 use crate::tls;
 
 /// Application protocol classes the paper's evaluation distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppProtocol {
     /// Plain HTTP.
     Http,

@@ -1,14 +1,12 @@
 //! Per-flow accounting records.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dpi::{self, AppProtocol};
 use crate::tcp_state::{TcpConnState, TcpTracker};
 use crate::tls::{self, TlsInfo};
 use crate::tuple::FlowKey;
 
 /// Packet direction relative to the flow's client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowDirection {
     ClientToServer,
     ServerToClient,

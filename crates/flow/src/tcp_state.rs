@@ -5,12 +5,10 @@
 //! is all the paper's flow accounting needs (flow start/end times, and
 //! whether a flow ever carried data).
 
-use serde::{Deserialize, Serialize};
-
 use dnhunter_net::TcpFlags;
 
 /// Connection state from the passive observer's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TcpConnState {
     /// Nothing seen yet.
     #[default]
@@ -45,7 +43,7 @@ impl TcpConnState {
 }
 
 /// Tracks per-flow TCP state across observed segments.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TcpTracker {
     state: TcpConnState,
     client_fin: bool,

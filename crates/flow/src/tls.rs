@@ -16,7 +16,7 @@ pub const HS_SERVER_HELLO: u8 = 2;
 pub const HS_CERTIFICATE: u8 = 11;
 
 /// What a passive observer learned from one direction of a TLS flow.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TlsInfo {
     /// Server name from the ClientHello SNI extension.
     pub sni: Option<String>,

@@ -4,11 +4,10 @@ use std::fmt;
 use std::net::IpAddr;
 
 use dnhunter_net::IpProtocol;
-use serde::{Deserialize, Serialize};
 
 /// The oriented 5-tuple `Fid = (clientIP, serverIP, sPort, dPort, protocol)`
 /// of paper §3.1. "Client" is the flow initiator (first packet seen).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey {
     pub client: IpAddr,
     pub server: IpAddr,

@@ -3,13 +3,11 @@
 use std::collections::HashMap;
 use std::net::IpAddr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::prefix::Prefix;
 use crate::registry::OrgKind;
 
 /// One organization entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrgRecord {
     /// Canonical lowercase name, e.g. `akamai`, `amazon`.
     pub name: String,

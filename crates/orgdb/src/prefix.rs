@@ -4,10 +4,8 @@ use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// An IP prefix (`10.0.0.0/8`, `2001:db8::/32`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Prefix {
     addr: IpAddr,
     len: u8,

@@ -7,13 +7,11 @@
 //! same way it does in the paper. Names follow the organizations that appear
 //! in the paper's figures (Fig. 5, 7, 8, 9; Tab. 5).
 
-use serde::{Deserialize, Serialize};
-
 use crate::db::OrgDb;
 use crate::prefix::Prefix;
 
 /// What kind of operator an organization is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OrgKind {
     /// Content delivery network (Akamai, EdgeCast, …).
     Cdn,

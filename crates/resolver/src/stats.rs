@@ -1,11 +1,9 @@
 //! Resolver counters used by the hit-ratio and dimensioning experiments
 //! of the paper's §6.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by a [`crate::DnsResolver`] — the raw numbers
 /// behind the paper's §6 efficiency and confusion results.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ResolverStats {
     /// DNS responses fed to `insert` (one per response message).
     pub responses: u64,

@@ -1,9 +1,7 @@
 //! Trace profiles: the knobs that differentiate the five paper traces.
 
-use serde::{Deserialize, Serialize};
-
 /// Access technology at the vantage point — drives RTT and delay spreads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessTech {
     Ftth,
     Adsl,
@@ -32,7 +30,7 @@ impl AccessTech {
 
 /// Vantage-point geography — selects per-service hosting weights
 /// (Fig. 9, Tab. 5 differ between US and EU viewpoints).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Geography {
     Us,
     Eu,
@@ -43,7 +41,7 @@ pub enum Geography {
 /// Rates are scaled down from the paper's multi-million-flow traces
 /// (see DESIGN.md §2); the `scale` factor multiplies the client population
 /// if a larger run is wanted.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceProfile {
     /// Trace name as reported in tables (e.g. "EU1-ADSL1").
     pub name: String,
@@ -91,7 +89,6 @@ pub struct TraceProfile {
     /// browsing samplers draw from rotates every epoch of trace time, so
     /// sliding-window aggregates provably differ from the global ones
     /// (0 = stationary mix, the paper-trace default).
-    #[serde(default)]
     pub mix_epoch_hours: f64,
     /// Warm-up window (µs) the evaluation excludes, as in the paper (5 min).
     pub warmup_micros: u64,

@@ -9,7 +9,6 @@ use dnhunter_dns::{codec, DnsMessage, DomainName, QClass, QType, RData, Resource
 use dnhunter_net::{build_udp_v4, MacAddr, PcapRecord, PcapWriter};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::address::PtrZone;
 use crate::appspot::{self, TrackerInstance};
@@ -38,7 +37,7 @@ fn fnv6(bytes: &[u8]) -> u32 {
 }
 
 /// Counters of what was generated — ground truth for tests.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct GenStats {
     pub page_views: u64,
     pub accesses: u64,

@@ -33,27 +33,6 @@ fn scaled(base: f64) -> f64 {
     }
 }
 
-/// Canonical serialization of everything a report contains (the
-/// `pipeline_determinism` digest): equal digests mean equal reports,
-/// field for field.
-fn digest(report: &SnifferReport) -> String {
-    let mut out = String::new();
-    let mut push = |part: Result<String, serde_json::Error>| {
-        out.push_str(&part.expect("report part serializes"));
-        out.push('\n');
-    };
-    push(serde_json::to_string(report.database.flows()));
-    push(serde_json::to_string(&report.sniffer_stats));
-    push(serde_json::to_string(&report.resolver_stats));
-    push(serde_json::to_string(&report.delays));
-    push(serde_json::to_string(&report.dns_response_times));
-    push(serde_json::to_string(&report.answers_per_response));
-    push(serde_json::to_string(&report.trace_start));
-    push(serde_json::to_string(&report.trace_end));
-    push(serde_json::to_string(&report.warmup_micros));
-    out
-}
-
 /// Run the sequential sniffer under a fresh telemetry registry *and* a
 /// fresh flight recorder: every matrix cell also proves that, at the
 /// default `TRACE_RING_CAP`, no fault class records fast enough to wrap a
@@ -218,14 +197,12 @@ fn every_fault_cell_is_counted_and_deterministic() {
             assert_eq!(report.sniffer_stats.frames, records.len() as u64);
             assert!(report.sniffer_stats.tag_attempts >= report.sniffer_stats.tag_hits);
 
-            // Same digest and same stable exposition for any worker count.
-            let reference_digest = digest(&report);
+            // Same report and same stable exposition for any worker count.
             let reference_prom = telemetry::prometheus(&snap, false);
             for workers in [1usize, 2, 8] {
                 let (preport, psnap) = run_parallel(&records, workers);
                 assert_eq!(
-                    digest(&preport),
-                    reference_digest,
+                    preport, report,
                     "{} @ {intensity}: {workers}-worker report diverged",
                     class.name
                 );
