@@ -127,6 +127,7 @@ fn push_json_row(out: &mut String, f: &TaggedFlow) {
         out.push_str("\":");
         push_u64(out, v);
     }
+    // The variant name (`Tls`, `P2p`, …), not the Tstat `label()`.
     out.push_str(",\"protocol\":");
     push_str(out, &format!("{:?}", f.protocol));
     if let Some(tls) = &f.tls {

@@ -1,5 +1,5 @@
 //! The parallel pipeline's headline guarantee: for any worker count the
-//! merged [`SnifferReport`] is **byte-identical** to the sequential
+//! merged [`SnifferReport`] is **equal**, field for field, to the sequential
 //! sniffer's. Determinism is by construction — the dispatcher runs the
 //! sequential sniffer's own front end and flow table, stamps every event
 //! with its frame's global sequence number, and the merge sorts on
@@ -27,7 +27,7 @@ use dnhunter_telemetry::{self as telemetry, Metric};
 
 /// Feed `frames` to the sequential sniffer and to the pipeline at 1, 2
 /// and 8 workers, rotating at packet clock `clock` before frame `index`
-/// for each `(index, clock)` of `rotations`. Asserts byte-identical reports
+/// for each `(index, clock)` of `rotations`. Asserts equal reports
 /// and equal rotation horizons; returns the sequential report, its
 /// horizons, and each pipeline run's timings.
 fn assert_pipeline_matches_sequential(
