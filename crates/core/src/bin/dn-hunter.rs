@@ -35,10 +35,10 @@ use std::sync::Arc;
 
 use dnhunter::{
     DaemonSniffer, FlowSink, FlowrecConfig, ParallelSniffer, RealTimeSniffer, Rotation,
-    SnifferConfig, StreamingAnalytics, StreamingConfig, WindowConfig, WindowedAnalytics,
-    MAX_LIVE_BUCKETS,
+    SnifferConfig, SnifferReport, StreamingAnalytics, StreamingConfig, WindowConfig,
+    WindowedAnalytics, MAX_LIVE_BUCKETS,
 };
-use dnhunter_net::{FlowRecReader, FlowRecSource, FrameSource, PcapFileSource, PcapStreamSource};
+use dnhunter_net::{FlowRecReader, FlowRecSource, FrameSource, PcapStreamSource};
 use dnhunter_telemetry as telemetry;
 
 fn usage() -> String {
@@ -387,7 +387,7 @@ fn main() -> ExitCode {
         Box::new(std::io::stdin().lock())
     } else {
         match File::open(&path) {
-            Ok(f) => Box::new(BufReader::new(f)),
+            Ok(f) => Box::new(f),
             Err(e) => {
                 eprintln!("cannot open {path}: {e}");
                 return ExitCode::FAILURE;
@@ -400,36 +400,24 @@ fn main() -> ExitCode {
         "pcap"
     };
     let mut flowrec_source = None;
-    let mut pcap_source: Box<dyn FrameSource>;
-    let source: &mut dyn FrameSource = match (flowrec, stdin_input) {
-        (true, _) => match FlowRecReader::new(input) {
-            Ok(reader) => flowrec_source.insert(FlowRecSource::new(
-                reader,
-                FlowrecConfig {
-                    skew_micros: flowrec_skew_micros
-                        .unwrap_or(FlowrecConfig::default().skew_micros),
-                    ..FlowrecConfig::default()
-                },
-            )),
+    let mut pcap_source = None;
+    let source: &mut dyn FrameSource = if flowrec {
+        let cfg = FlowrecConfig {
+            skew_micros: flowrec_skew_micros.unwrap_or(FlowrecConfig::default().skew_micros),
+            ..FlowrecConfig::default()
+        };
+        // The DNFR reader reads a record header at a time.
+        match FlowRecReader::new(BufReader::new(input)) {
+            Ok(reader) => flowrec_source.insert(FlowRecSource::new(reader, cfg)),
             Err(e) => {
                 eprintln!("not a readable {kind}: {e}");
                 return ExitCode::FAILURE;
             }
-        },
-        (false, true) => {
-            pcap_source = Box::new(PcapStreamSource::new(input));
-            pcap_source.as_mut()
         }
-        (false, false) => match PcapFileSource::new(input) {
-            Ok(s) => {
-                pcap_source = Box::new(s);
-                pcap_source.as_mut()
-            }
-            Err(e) => {
-                eprintln!("not a readable {kind}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    } else {
+        // The one pcap decoder, for a path and `-` alike: a bad header is
+        // the run's first error.
+        pcap_source.insert(PcapStreamSource::new(input))
     };
     let live_snapshot = sniffer.live_snapshot();
     let mut last_ts = 0u64;
@@ -526,48 +514,54 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Provenance mode: print the causal chain and stop — the summary would
-    // only bury it.
-    if let (Some(set), Some(target)) = (&trace_set, &explain_target) {
-        print!("{}", telemetry::explain(set, target));
-        return ExitCode::SUCCESS;
+    // Every stdout block goes through one writer, and a closed pipe
+    // (`| head`) is a normal way to stop reading.
+    let mut out = std::io::stdout().lock();
+    let written = match (&trace_set, &explain_target) {
+        // Provenance mode: print the causal chain and stop — the summary
+        // would only bury it.
+        (Some(set), Some(target)) => write!(out, "{}", telemetry::explain(set, target)),
+        _ if json => dnhunter::write_json_lines(&report.database, &mut out),
+        _ if tstat => dnhunter::write_tstat_log(&report.database, &mut out),
+        _ if csv => dnhunter::write_csv(&report.database, &mut out),
+        _ => write_report(&mut out, &report, port, flows, warmup_micros),
+    };
+    match written.and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("write failed: {e}");
+            ExitCode::FAILURE
+        }
     }
+}
 
-    if json || tstat || csv {
-        let out = std::io::stdout().lock();
-        let result = if json {
-            dnhunter::write_json_lines(&report.database, out)
-        } else if tstat {
-            dnhunter::write_tstat_log(&report.database, out)
-        } else {
-            dnhunter::write_csv(&report.database, out)
-        };
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            // A closed pipe (`| head`) is a normal way to stop reading.
-            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("write failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
+/// The text outputs: `--port` service tags, `--flows` lines, or by default
+/// the summary.
+fn write_report(
+    out: &mut impl Write,
+    report: &SnifferReport,
+    port: Option<u16>,
+    flows: bool,
+    warmup_micros: u64,
+) -> std::io::Result<()> {
+    let (stats, db) = (&report.sniffer_stats, &report.database);
     if let Some(port) = port {
         let suffixes = dnhunter_dns::suffix::SuffixSet::builtin();
-        let mut ranked = dnhunter::db::token_scores(report.database.by_port(port), &suffixes);
+        let mut ranked = dnhunter::db::token_scores(db.by_port(port), &suffixes);
         // `extract_tags`' order: score descending, ties by token.
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        println!("service tags for port {port}:");
+        writeln!(out, "service tags for port {port}:")?;
         for (token, score) in ranked.into_iter().take(10) {
-            println!("  ({score:.0}) {token}");
+            writeln!(out, "  ({score:.0}) {token}")?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     if flows {
-        for f in report.database.flows() {
-            println!(
+        for f in db.flows() {
+            writeln!(
+                out,
                 "{}\t{}\t{}:{}\t{}\t{}B",
                 f.fqdn
                     .as_ref()
@@ -578,27 +572,28 @@ fn main() -> ExitCode {
                 f.key.server_port,
                 f.protocol.label(),
                 f.bytes(),
-            );
+            )?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     // Default: summary.
-    println!("frames          : {}", report.sniffer_stats.frames);
-    println!("parse errors    : {}", report.sniffer_stats.parse_errors);
-    println!("dns responses   : {}", report.sniffer_stats.dns_responses);
-    println!("flows           : {}", report.database.len());
-    println!("distinct FQDNs  : {}", report.database.distinct_fqdns());
-    println!("distinct servers: {}", report.database.distinct_servers());
-    println!(
+    writeln!(out, "frames          : {}", stats.frames)?;
+    writeln!(out, "parse errors    : {}", stats.parse_errors)?;
+    writeln!(out, "dns responses   : {}", stats.dns_responses)?;
+    writeln!(out, "flows           : {}", db.len())?;
+    writeln!(out, "distinct FQDNs  : {}", db.distinct_fqdns())?;
+    writeln!(out, "distinct servers: {}", db.distinct_servers())?;
+    writeln!(
+        out,
         "hit ratio       : {:.1}% (post {}s warm-up)",
         report.hit_ratio() * 100.0,
         warmup_micros / 1_000_000
-    );
+    )?;
     // Per-protocol hit ratios, the paper's Tab. 2 framing (P2P never
     // resolves names, so the overall number understates coverage).
     let mut per_proto: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for f in report.database.flows() {
+    for f in db.flows() {
         if f.in_warmup {
             continue;
         }
@@ -607,18 +602,23 @@ fn main() -> ExitCode {
         e.1 += u64::from(f.is_tagged());
     }
     for (k, (n, h)) in per_proto {
-        println!("  {k:<6}: {:>5.1}% of {n}", 100.0 * h as f64 / n as f64);
+        writeln!(
+            out,
+            "  {k:<6}: {:>5.1}% of {n}",
+            100.0 * h as f64 / n as f64
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "useless DNS     : {:.1}%",
         report.delays.useless_fraction() * 100.0
-    );
-    println!("\ntop labels by flows:");
-    let mut counts: Vec<_> = report.database.fqdn_flow_counts().collect();
+    )?;
+    writeln!(out, "\ntop labels by flows:")?;
+    let mut counts: Vec<_> = db.fqdn_flow_counts().collect();
     // Most flows first, ties by name, so tied counts cut off alike.
     counts.sort_by_cached_key(|&(fqdn, n)| (std::cmp::Reverse(n), fqdn.to_string()));
     for (fqdn, n) in counts.into_iter().take(15) {
-        println!("  {n:>6}  {fqdn}");
+        writeln!(out, "  {n:>6}  {fqdn}")?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

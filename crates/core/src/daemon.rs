@@ -45,8 +45,9 @@ use crate::sniffer::{RealTimeSniffer, SnifferReport};
 use crate::stream::{FlowSink, StreamingAnalytics};
 use crate::window::{push_window_line, Sweep, WindowConfig, WindowedAnalytics};
 
-/// How long the daemon loop sleeps when its source reports `Pending`
-/// (a non-blocking FIFO/socket with nothing buffered). Short enough that
+/// How long the daemon loop sleeps when its source reports `Pending`:
+/// its reader returned `WouldBlock` (a non-blocking FIFO/socket with
+/// nothing buffered; a blocking reader never gets here). Short enough that
 /// replay latency stays sub-millisecond, long enough not to spin.
 const PENDING_BACKOFF_MICROS: u64 = 200;
 
@@ -168,7 +169,8 @@ impl Rotation {
 
 /// Drive `sniffer` from `source` until `Eof`: the daemon's event loop.
 /// Each record — a frame, or an export record at its event time —
-/// advances the packet clock and may fire a rotation; `Pending` sleeps
+/// advances the packet clock and may fire a rotation; `Pending`, which
+/// only a non-blocking reader with nothing buffered yields, sleeps
 /// briefly (bounded backpressure — the pipeline's channels already bound
 /// in-flight work); `on_record(ts)` runs after every record for
 /// driver-side polling (metric snapshots). Returns the record count.

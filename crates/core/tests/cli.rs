@@ -6,8 +6,9 @@
 //! for microseconds must be a usage error. A flow-record stream runs the
 //! same loop, so it takes `--workers` and `--metrics` like a pcap does.
 //! The default summary and `--port` tags print the library's own counts
-//! and Eq. 1 ranking at any `--workers`, and an export whose reader closes
-//! the pipe early still exits 0.
+//! and Eq. 1 ranking at any `--workers`, and every output mode whose
+//! reader closes the pipe early still exits 0. A truncated capture fails
+//! the same way by path and on stdin.
 
 use std::collections::BTreeSet;
 use std::io::{Cursor, Write};
@@ -159,14 +160,31 @@ fn file_replay_prints_the_library_exports_at_one_and_two_workers() {
 }
 
 /// A reader that stops early (`| head -1`) closes the pipe under the
-/// export: every format treats that as a normal end, exit 0, no panic.
+/// output: every export and text mode treats that as a normal end, exit 0,
+/// no panic.
 #[test]
 fn exports_into_a_closed_pipe_exit_cleanly() {
-    let (pcap, _) = replay_fixture("closed-pipe.pcap");
+    let (pcap, db) = replay_fixture("closed-pipe.pcap");
     let path = pcap.to_str().expect("utf-8 temp path");
-    for flag in ["--json", "--csv"] {
+    let fqdn = db
+        .flows()
+        .iter()
+        .find_map(|f| f.fqdn.as_ref())
+        .expect("a tagged flow")
+        .to_string();
+    let modes: [&[&str]; 7] = [
+        &["--json"],
+        &["--csv"],
+        &[],
+        &["--flows"],
+        &["--tstat"],
+        &["--port", "80"],
+        &["--explain", &fqdn],
+    ];
+    for flags in modes {
         let mut child = Command::new(env!("CARGO_BIN_EXE_dn-hunter"))
-            .args([path, flag])
+            .arg(path)
+            .args(flags)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -174,10 +192,42 @@ fn exports_into_a_closed_pipe_exit_cleanly() {
         drop(child.stdout.take());
         let out = child.wait_with_output().expect("dn-hunter finishes");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "{flag} into a closed pipe: {stderr}");
-        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+        assert!(
+            out.status.success(),
+            "{flags:?} into a closed pipe: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
     }
     let _ = std::fs::remove_file(&pcap);
+}
+
+/// A capture that ends anywhere but on a record boundary — stray bytes
+/// after the last record, or a cut inside a record header — is an error
+/// read by path and on stdin alike: exit 1, with the same stderr line.
+#[test]
+fn truncated_capture_fails_alike_by_path_and_on_stdin() {
+    let (pcap, _) = replay_fixture("truncated.pcap");
+    let whole = std::fs::read(&pcap).expect("pcap reads");
+    let first_len = u32::from_le_bytes(whole[32..36].try_into().expect("4 bytes"));
+    let first_end = 24 + 16 + first_len as usize;
+    let cut = temp_path("truncated-cut.pcap");
+    let cut_path = cut.to_str().expect("utf-8 temp path");
+    for bytes in [
+        [&whole[..], &[0u8; 7]].concat(),
+        whole[..first_end + 7].to_vec(),
+    ] {
+        std::fs::write(&cut, &bytes).expect("pcap writes");
+        let by_path = dn_hunter(&[cut_path]);
+        let on_stdin = dn_hunter_stdin(&["-"], &bytes);
+        let len = bytes.len();
+        assert_eq!(by_path.status.code(), Some(1), "by path, {len} bytes");
+        assert_eq!(on_stdin.status.code(), Some(1), "on stdin, {len} bytes");
+        let stderr = String::from_utf8_lossy(&by_path.stderr);
+        assert!(stderr.starts_with("pcap error:"), "{stderr}");
+        assert_eq!(by_path.stderr, on_stdin.stderr, "{len} bytes");
+    }
+    let _ = std::fs::remove_file(&pcap);
+    let _ = std::fs::remove_file(&cut);
 }
 
 /// The default summary at one and two workers: its flow, FQDN and server

@@ -1,17 +1,17 @@
 //! Pluggable ingest: the [`FrameSource`] abstraction the daemon event loop
 //! polls instead of iterating a capture directly.
 //!
-//! Three backends live here, and the one loop drives all of them:
+//! Two sources live here, and the one loop drives both:
 //!
-//! * [`PcapFileSource`] — the batch path: a seekable capture file, which is
-//!   always either `Ready` or `Eof`.
-//! * [`PcapStreamSource`] — a pcap byte stream arriving incrementally
-//!   over a pipe/FIFO/socket. Reads are partial and records can straddle
-//!   read boundaries, so the source buffers bytes and reports `Pending`
-//!   until a whole record is available. This is what makes daemon mode
-//!   testable offline: `mkfifo` + `cat trace.pcap > fifo` replays a
-//!   capture with real pipe semantics, and tests drive it with a
-//!   deliberately dribbling reader.
+//! * [`PcapStreamSource`] — the one pcap decoder, for a capture file and a
+//!   byte stream arriving over a pipe/FIFO/socket alike. Reads are partial
+//!   and records can straddle read boundaries, so the source buffers bytes
+//!   and keeps reading until a whole record is there. It reports `Pending`
+//!   only when a non-blocking reader has nothing more to give. This is what
+//!   makes daemon mode testable offline: `mkfifo` + `cat trace.pcap > fifo`
+//!   replays a capture with real pipe semantics, and tests drive it with a
+//!   deliberately dribbling reader. [`PcapReader`] (alias
+//!   [`PcapFileSource`]) is its blocking face.
 //! * [`FlowRecSource`] — the NetFlow/IPFIX-style regime: a DNFR export
 //!   stream ([`crate::flowrec`]) of mirrored DNS payloads and
 //!   pre-aggregated flow summaries, yielded as `Export` records. Export
@@ -39,19 +39,21 @@ pub enum SourcePoll {
     Ready(PcapRecord),
     /// A flow-export record is available, released in event-time order.
     Export(ExportRecord),
-    /// No complete record yet, but the stream is still open — poll again.
+    /// No complete record yet, and the reader would block (a non-blocking
+    /// fd with nothing buffered) — poll again. A blocking reader never
+    /// yields it.
     Pending,
     /// The stream ended cleanly on a record boundary.
     Eof,
 }
 
 /// A pollable supplier of captured frames. Unlike an `Iterator`, a source
-/// can be `Pending`: mid-record on a live pipe with the writer still
-/// attached. The daemon loop turns `Pending` into bounded waiting, which
-/// is where backpressure lives.
+/// can be `Pending`: mid-record on a non-blocking pipe with the writer
+/// still attached. The daemon loop turns `Pending` into bounded waiting,
+/// which is where backpressure lives.
 pub trait FrameSource {
-    /// Try to produce the next record without blocking longer than one
-    /// underlying read.
+    /// Produce the next record, reading until one is whole, the stream
+    /// ends, or the reader would block.
     fn poll_next(&mut self) -> Result<SourcePoll>;
 
     /// Hand back a record the caller is done with, so that its frame
@@ -60,56 +62,27 @@ pub trait FrameSource {
     fn recycle(&mut self, _rec: PcapRecord) {}
 }
 
-/// The batch backend: a capture file (or any blocking reader holding a
-/// complete stream). Never `Pending` — a file either has the next record
-/// or has ended.
-pub struct PcapFileSource<R: Read> {
-    reader: PcapReader<R>,
-    /// The last recycled frame buffer, for the next record.
-    spare: Vec<u8>,
-}
+/// The batch name for a capture read through [`PcapReader`]: the same
+/// decoder, with the global header checked at construction.
+pub type PcapFileSource<R> = PcapReader<R>;
 
-impl<R: Read> PcapFileSource<R> {
-    /// Validate the global header and wrap the reader.
-    pub fn new(inner: R) -> Result<Self> {
-        Ok(PcapFileSource {
-            reader: PcapReader::new(inner)?,
-            spare: Vec::new(),
-        })
-    }
-}
-
-impl<R: Read> FrameSource for PcapFileSource<R> {
-    fn poll_next(&mut self) -> Result<SourcePoll> {
-        let spare = std::mem::take(&mut self.spare);
-        match self.reader.next_record_into(spare)? {
-            Some(rec) => Ok(SourcePoll::Ready(rec)),
-            None => Ok(SourcePoll::Eof),
-        }
-    }
-
-    fn recycle(&mut self, rec: PcapRecord) {
-        self.spare = rec.frame;
-    }
-}
-
-/// How much to ask the underlying reader for per poll. One pipe buffer's
+/// How much to ask the underlying reader for per read. One pipe buffer's
 /// worth: large enough to amortize syscalls, small enough to bound the
-/// per-poll latency contribution.
+/// per-read latency contribution.
 const STREAM_READ_CHUNK: usize = 64 * 1024;
 /// The stream buffer: the largest record that can be pending plus one
 /// read, so that after moving the pending bytes to the front there is
 /// always room to ask for a whole chunk.
 const STREAM_BUF: usize = 16 + SNAPLEN as usize + STREAM_READ_CHUNK;
 
-/// The live backend: an incrementally-arriving pcap byte stream.
+/// The pcap decoder: a capture arriving over any [`Read`], a file or an
+/// incrementally-filled pipe, in either byte order.
 ///
-/// Each `poll_next` does **at most one** `read()` on the inner reader, so
-/// a slow writer can never wedge the event loop for more than one
-/// blocking read; everything else is cursor arithmetic over one
-/// fixed-size buffer. A zero-byte read is end-of-stream (the FIFO writer
-/// closed); ending inside a record is an error, exactly like a truncated
-/// capture file.
+/// `poll_next` reads until a whole record is buffered, the reader returns
+/// `WouldBlock` (`Pending`), or the stream ends; everything else is cursor
+/// arithmetic over one fixed-size buffer. A zero-byte read is
+/// end-of-stream (the FIFO writer closed); ending anywhere but on a record
+/// boundary is an error, whether the input is a file or a pipe.
 pub struct PcapStreamSource<R: Read> {
     inner: R,
     /// `STREAM_BUF` bytes, allocated once; `start..end` is unparsed input.
@@ -117,7 +90,7 @@ pub struct PcapStreamSource<R: Read> {
     start: usize,
     end: usize,
     /// The last recycled frame buffer, for the next record.
-    spare: Vec<u8>,
+    pub(crate) spare: Vec<u8>,
     /// Byte-order flag from the global header, once parsed.
     swapped: Option<bool>,
     eof: bool,
@@ -144,9 +117,8 @@ impl<R: Read> PcapStreamSource<R> {
 
     #[expect(
         clippy::indexing_slicing,
-        reason = "every caller checks `pending_len()` covers `at + 4`"
+        reason = "every caller first checks `pending_len()` covers `at + 4`"
     )]
-    // first (the 24-byte global-header and 16-byte record-header gates)
     fn read_u32(&self, at: usize, swapped: bool) -> u32 {
         let b = [
             self.buf[self.start + at],
@@ -161,30 +133,30 @@ impl<R: Read> PcapStreamSource<R> {
         }
     }
 
-    /// Parse the 24-byte global header if it's fully buffered.
-    fn try_parse_header(&mut self) -> Result<bool> {
-        if self.pending_len() < 24 {
-            return Ok(false);
+    /// The byte-order flag, parsing the 24-byte global header first once
+    /// it is buffered.
+    pub(crate) fn header(&mut self) -> Result<Option<bool>> {
+        if self.swapped.is_some() || self.pending_len() < 24 {
+            return Ok(self.swapped);
         }
-        let magic = self.read_u32(0, false);
-        let swapped = match magic {
+        let swapped = match self.read_u32(0, false) {
             MAGIC => false,
             m if m == MAGIC.swap_bytes() => true,
             other => {
                 return Err(NetError::BadPcap(format!(
-                "bad magic {other:#010x} on stream (nanosecond pcap and pcapng are not supported)"
-            )))
+                    "bad magic {other:#010x} (nanosecond pcap and pcapng are not supported)"
+                )))
             }
         };
         let linktype = self.read_u32(20, swapped);
         if linktype != LINKTYPE_ETHERNET {
             return Err(NetError::BadPcap(format!(
-                "unsupported linktype {linktype} on stream (only Ethernet)"
+                "unsupported linktype {linktype} (only Ethernet)"
             )));
         }
         self.start += 24;
         self.swapped = Some(swapped);
-        Ok(true)
+        Ok(self.swapped)
     }
 
     /// Parse one record if it's fully buffered.
@@ -192,14 +164,17 @@ impl<R: Read> PcapStreamSource<R> {
         clippy::indexing_slicing,
         reason = "offsets are guarded by the pending_len() checks"
     )]
-    fn try_parse_record(&mut self, swapped: bool) -> Result<Option<PcapRecord>> {
+    fn record(&mut self) -> Result<Option<PcapRecord>> {
+        let Some(swapped) = self.header()? else {
+            return Ok(None);
+        };
         if self.pending_len() < 16 {
             return Ok(None);
         }
         let incl_len = self.read_u32(8, swapped) as usize;
         if incl_len > SNAPLEN as usize {
             return Err(NetError::BadPcap(format!(
-                "stream record claims {incl_len} bytes, above snaplen"
+                "record claims {incl_len} bytes, above snaplen"
             )));
         }
         if self.pending_len() < 16 + incl_len {
@@ -219,19 +194,24 @@ impl<R: Read> PcapStreamSource<R> {
         }))
     }
 
-    /// A complete record from the buffer, if one is there.
-    fn drain_buffered(&mut self) -> Result<Option<PcapRecord>> {
-        if self.swapped.is_none() && !self.try_parse_header()? {
-            return Ok(None);
+    /// Read until `parse` yields; `None` once the stream ended (`eof`) or
+    /// the reader would block.
+    pub(crate) fn read_until<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Option<T>>,
+    ) -> Result<Option<T>> {
+        loop {
+            if let Some(t) = parse(self)? {
+                return Ok(Some(t));
+            }
+            if self.eof || !self.fill()? {
+                return Ok(None);
+            }
         }
-        // swapped is Some after a successful header parse.
-        let Some(swapped) = self.swapped else {
-            return Ok(None);
-        };
-        self.try_parse_record(swapped)
     }
 
-    /// One read into the buffer; returns false at end-of-stream.
+    /// One read into the buffer, setting `eof` on a zero-byte read;
+    /// `false` when the reader would block.
     fn fill(&mut self) -> Result<bool> {
         if self.buf.len() - self.end < STREAM_READ_CHUNK {
             // Called only with no complete record buffered, so what moves
@@ -247,15 +227,15 @@ impl<R: Read> PcapStreamSource<R> {
         let free = &mut self.buf[self.end..self.end + STREAM_READ_CHUNK];
         loop {
             match self.inner.read(free) {
-                Ok(0) => return Ok(false),
                 Ok(n) => {
                     self.end += n;
+                    self.eof = n == 0;
                     return Ok(true);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 // Non-blocking fd with nothing buffered: genuinely
                 // pending, not end-of-stream.
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(true),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) => return Err(NetError::Io(e.to_string())),
             }
         }
@@ -264,24 +244,15 @@ impl<R: Read> PcapStreamSource<R> {
 
 impl<R: Read> FrameSource for PcapStreamSource<R> {
     fn poll_next(&mut self) -> Result<SourcePoll> {
-        if let Some(rec) = self.drain_buffered()? {
-            return Ok(SourcePoll::Ready(rec));
+        match self.read_until(Self::record)? {
+            Some(rec) => Ok(SourcePoll::Ready(rec)),
+            None if !self.eof => Ok(SourcePoll::Pending),
+            None if self.pending_len() > 0 || self.swapped.is_none() => Err(NetError::BadPcap(
+                "capture ended inside a header or record (file truncated or writer closed early)"
+                    .into(),
+            )),
+            None => Ok(SourcePoll::Eof),
         }
-        if !self.eof {
-            self.eof = !self.fill()?;
-            if let Some(rec) = self.drain_buffered()? {
-                return Ok(SourcePoll::Ready(rec));
-            }
-        }
-        if self.eof {
-            if self.pending_len() > 0 || self.swapped.is_none() {
-                return Err(NetError::BadPcap(
-                    "stream ended mid-record (writer closed early)".into(),
-                ));
-            }
-            return Ok(SourcePoll::Eof);
-        }
-        Ok(SourcePoll::Pending)
     }
 
     fn recycle(&mut self, rec: PcapRecord) {
@@ -488,44 +459,33 @@ mod tests {
         }
     }
 
-    fn drain<S: FrameSource>(mut src: S) -> Result<Vec<PcapRecord>> {
+    /// What a decoder made of a capture: its records, and whether it ended
+    /// cleanly.
+    type Outcome = (Vec<PcapRecord>, bool);
+
+    fn read_all(bytes: &[u8]) -> Outcome {
         let mut out = Vec::new();
-        loop {
-            match src.poll_next()? {
-                SourcePoll::Ready(rec) => out.push(rec),
-                SourcePoll::Pending => {}
-                SourcePoll::Eof => return Ok(out),
-                SourcePoll::Export(rec) => panic!("a pcap source yielded {rec:?}"),
+        let Ok(reader) = PcapReader::new(bytes) else {
+            return (out, false);
+        };
+        for rec in reader {
+            match rec {
+                Ok(rec) => out.push(rec),
+                Err(_) => return (out, false),
             }
         }
+        (out, true)
     }
 
-    #[test]
-    fn file_source_reads_everything() {
-        let bytes = sample_capture();
-        let src = PcapFileSource::new(Cursor::new(bytes.clone())).unwrap();
-        let via_source = drain(src).unwrap();
-        let direct: Vec<PcapRecord> = PcapReader::new(Cursor::new(bytes))
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(via_source, direct);
-    }
-
-    #[test]
-    fn stream_source_matches_file_source_at_every_dribble_size() {
-        let bytes = sample_capture();
-        let expect: Vec<PcapRecord> = PcapReader::new(Cursor::new(bytes.clone()))
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        for chunk in [1usize, 2, 3, 7, 16, 64, 1024] {
-            let src = PcapStreamSource::new(Dribble {
-                bytes: bytes.clone(),
-                pos: 0,
-                chunk,
-            });
-            assert_eq!(drain(src).unwrap(), expect, "chunk={chunk}");
+    fn poll_all(mut src: impl FrameSource) -> Outcome {
+        let mut out = Vec::new();
+        loop {
+            match src.poll_next() {
+                Ok(SourcePoll::Ready(rec)) => out.push(rec),
+                Ok(SourcePoll::Eof) => return (out, true),
+                Ok(other) => panic!("a reader that never blocks yielded {other:?}"),
+                Err(_) => return (out, false),
+            }
         }
     }
 
@@ -578,7 +538,7 @@ mod tests {
     #[test]
     fn file_source_reuses_recycled_frames() {
         let bytes = sample_capture();
-        let expect = drain(PcapFileSource::new(Cursor::new(bytes.clone())).unwrap()).unwrap();
+        let (expect, _) = poll_all(PcapFileSource::new(Cursor::new(bytes.clone())).unwrap());
         let mut src = PcapFileSource::new(Cursor::new(bytes)).unwrap();
         // Hand every record back: later, shorter or longer frames must
         // come out exact from the reused buffer.
@@ -624,10 +584,41 @@ mod tests {
         });
         assert!(matches!(open.poll_next().unwrap(), SourcePoll::Pending));
         assert!(matches!(open.poll_next().unwrap(), SourcePoll::Pending));
-        // The closed variant errors out (writer hung up mid-record): first
-        // poll buffers the partial record, the next poll sees EOF.
-        assert!(matches!(src.poll_next().unwrap(), SourcePoll::Pending));
+        // The closed variant errors out (writer hung up mid-record): the
+        // first poll reads on past the partial record to EOF.
         assert!(src.poll_next().is_err());
+    }
+
+    #[test]
+    fn file_and_stream_agree_on_every_cut_and_on_stray_bytes() {
+        let whole = sample_capture();
+        let (records, _) = poll_all(PcapStreamSource::new(Cursor::new(whole.clone())));
+        assert_eq!(records.len(), 5);
+        // Where the global header and each record end: the only places a
+        // capture may end cleanly.
+        let mut boundaries = vec![24];
+        for rec in &records {
+            boundaries.push(boundaries[boundaries.len() - 1] + 16 + rec.frame.len());
+        }
+        assert_eq!(boundaries[5], whole.len());
+        let cuts = (0..=whole.len()).map(|n| whole[..n].to_vec());
+        let stray = (1..=15).map(|n| [&whole[..], &vec![0x5a; n][..]].concat());
+        for bytes in cuts.chain(stray) {
+            let len = bytes.len();
+            let whole_records = boundaries[1..].iter().filter(|&&b| b <= len).count();
+            let want = (records[..whole_records].to_vec(), boundaries.contains(&len));
+            assert_eq!(read_all(&bytes), want, "reader, len={len}");
+            let file = PcapFileSource::new(&bytes[..]).map_or((Vec::new(), false), poll_all);
+            assert_eq!(file, want, "file source, len={len}");
+            for chunk in [1, 2, 3, 7, 16, 64, 997, 1024, usize::MAX] {
+                let src = PcapStreamSource::new(Dribble {
+                    bytes: bytes.clone(),
+                    pos: 0,
+                    chunk,
+                });
+                assert_eq!(poll_all(src), want, "stream, len={len} chunk={chunk}");
+            }
+        }
     }
 
     #[test]
