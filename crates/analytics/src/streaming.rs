@@ -151,7 +151,7 @@ pub fn check_equivalence(
     // Exact aggregates: spatial, content, tag counts.
     let offline = offline_aggregates(report, orgdb, suffixes);
     check(
-        streaming.fqdn_servers() == &offline.fqdn_servers,
+        streaming.fqdn_servers() == offline.fqdn_servers,
         format!(
             "Alg. 2 fqdn→servers: streaming {} keys vs offline {} keys",
             streaming.fqdn_servers().len(),
@@ -159,7 +159,7 @@ pub fn check_equivalence(
         ),
     );
     check(
-        streaming.sld_servers() == &offline.sld_servers,
+        streaming.sld_servers() == offline.sld_servers,
         format!(
             "Alg. 2 sld→servers: streaming {} keys vs offline {} keys",
             streaming.sld_servers().len(),
@@ -167,7 +167,7 @@ pub fn check_equivalence(
         ),
     );
     check(
-        streaming.org_content() == &offline.org_content,
+        streaming.org_content() == offline.org_content,
         format!(
             "Alg. 3 org→content: streaming {} orgs vs offline {} orgs",
             streaming.org_content().len(),
@@ -175,7 +175,7 @@ pub fn check_equivalence(
         ),
     );
     check(
-        streaming.tag_counts() == &offline.tag_counts,
+        streaming.tag_counts() == offline.tag_counts,
         format!(
             "Alg. 4 per-client token counts: streaming {} ports vs offline {} ports",
             streaming.tag_counts().len(),

@@ -1,5 +1,6 @@
-//! Daemon mode: a poll/backpressure event loop over any [`FrameSource`],
-//! with packet-clock-driven **state rotation** (DESIGN.md §13).
+//! Daemon mode: a poll/backpressure event loop over any
+//! [`FrameSource`](dnhunter_net::FrameSource), with packet-clock-driven
+//! **state rotation** (DESIGN.md §13).
 //!
 //! The batch drivers hold the whole trace's windowed-analytics state live
 //! until `finish`. A long-running service cannot: the [`run_frame_daemon`]

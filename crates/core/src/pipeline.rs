@@ -21,11 +21,12 @@
 //! backpressures ingest instead of buffering the trace), drained batches
 //! come back worker→dispatcher best-effort for reuse, and either
 //! endpoint's drop closes the link. Every event routes by its client IP
-//! through one FNV hash ([`shard_of`]) — a DNS response by its destination,
-//! a flow by its key's client — the *shard-affinity invariant*: a client's
-//! DNS bindings (Algorithm 1 state), the flows those bindings tag, and the
-//! §5.1 delay samples for both always live on the same worker, so workers
-//! share nothing and take no locks on the per-packet path.
+//! through one FNV hash ([`shard_of`](dnhunter_resolver::shard_of)) — a
+//! DNS response by its destination, a flow by its key's client — the
+//! *shard-affinity invariant*: a client's DNS bindings (Algorithm 1
+//! state), the flows those bindings tag, and the §5.1 delay samples for
+//! both always live on the same worker, so workers share nothing and
+//! take no locks on the per-packet path.
 //!
 //! Determinism is by construction (see `DESIGN.md` §7): both drivers run
 //! the same front end on the same frame order, so the one flow table emits

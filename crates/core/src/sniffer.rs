@@ -131,7 +131,7 @@ pub struct SnifferReport {
 /// the labeled-flow database.
 ///
 /// This is the single-threaded driver: one `FrontEnd` feeding one
-/// [`crate::engine::ShardEngine`]. The parallel [`crate::ParallelSniffer`]
+/// `ShardEngine` (`engine.rs`). The parallel [`crate::ParallelSniffer`]
 /// runs the same front end on its dispatcher and the same engine per
 /// worker, which is what makes its merge byte-identical to this sniffer's
 /// output.

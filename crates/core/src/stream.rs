@@ -22,14 +22,20 @@
 //!   telemetry registry uses) over first-flow and any-flow delays, plus the
 //!   answered/useless response counters.
 //!
-//! **Merge determinism.** Every piece of state is a sum over ordered maps
-//! — commutative and associative — so folding per-shard partials in any
+//! **Merge determinism.** Every piece of state is a sum over maps —
+//! commutative and associative — so folding per-shard partials in any
 //! order yields exactly the sequential run's state, and everything rendered
 //! from the folded state (periodic packet-clock snapshot lines plus the
-//! final summary) is byte-identical at any `--workers N`. Snapshot lines
-//! are scheduled on the packet clock but *derived at finish* from the
-//! per-bin counters: emitting them live from one shard's partial view would
-//! break that byte-identity.
+//! final summary) is byte-identical at any `--workers N`. The entity-keyed
+//! maps (FQDN, SLD, organization, server, token) are `FnvHashMap`s, whose
+//! iteration order nothing reads: the render imposes its own total order
+//! on what it prints. A map stays a `BTreeMap` only where an order is
+//! read — the snapshot bins, each entity's birth bins (its minimum is the
+//! birth bin), the port maps, and each token's client map (Eq. 1 sums in
+//! client-address order, as `db::token_scores` does, so scores are equal
+//! bit for bit). Snapshot lines are scheduled on the packet clock but
+//! *derived at finish* from the per-bin counters: emitting them live from
+//! one shard's partial view would break that byte-identity.
 //!
 //! **Retraction.** Because every data field is an occurrence count (what
 //! used to be set-union state is a refcounted multiset, and what used to be
@@ -57,14 +63,17 @@
 //! The equivalence tests pin `dropped_entities == 0`.
 
 use std::any::Any;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::hash::Hash;
 use std::net::IpAddr;
 use std::sync::OnceLock;
 
 use dnhunter_dns::suffix::SuffixSet;
-use dnhunter_dns::tokenizer::tokenize_fqdn;
-use dnhunter_dns::DomainName;
+use dnhunter_dns::{DomainName, TokenBuf};
 use dnhunter_orgdb::{builtin_registry, OrgDb};
+use dnhunter_resolver::maps::FnvHashMap;
 use dnhunter_telemetry::{self as telemetry, tm_trace, Log2Hist, TraceEvent as Te};
 
 use crate::db::TaggedFlow;
@@ -197,24 +206,142 @@ impl Counted for u64 {
     }
 }
 
+/// What the cap gate and the `Counted` walk need of a state map, for the
+/// two shapes [`StreamState`] keeps: `FnvHashMap` for entity keys and
+/// `BTreeMap` where an order is read. Keys are probed by reference (an
+/// organization or token by `&str`), so a key is cloned only on insert.
+trait Slots {
+    type Key;
+    type Value;
+    fn len(&self) -> usize;
+    fn slot<Q>(&mut self, key: &Q) -> Option<&mut Self::Value>
+    where
+        Self::Key: Borrow<Q>,
+        Q: Hash + Ord + ?Sized;
+    fn put(&mut self, key: Self::Key) -> &mut Self::Value;
+    fn take<Q>(&mut self, key: &Q)
+    where
+        Self::Key: Borrow<Q>,
+        Q: Hash + Ord + ?Sized;
+}
+
+impl<K: Ord, V: Default> Slots for BTreeMap<K, V> {
+    type Key = K;
+    type Value = V;
+    fn len(&self) -> usize {
+        self.len()
+    }
+    fn slot<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Ord + ?Sized,
+    {
+        self.get_mut(key)
+    }
+    fn put(&mut self, key: K) -> &mut V {
+        self.entry(key).or_default()
+    }
+    fn take<Q>(&mut self, key: &Q)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Ord + ?Sized,
+    {
+        self.remove(key);
+    }
+}
+
+impl<K: Hash + Eq, V: Default> Slots for FnvHashMap<K, V> {
+    type Key = K;
+    type Value = V;
+    fn len(&self) -> usize {
+        self.len()
+    }
+    fn slot<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Ord + ?Sized,
+    {
+        self.get_mut(key)
+    }
+    fn put(&mut self, key: K) -> &mut V {
+        self.entry(key).or_default()
+    }
+    fn take<Q>(&mut self, key: &Q)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Ord + ?Sized,
+    {
+        self.remove(key);
+    }
+}
+
+/// Fold `other`'s entries into `map` under the cap (see [`Counted`]).
+fn add_entries<'a, M, K, V>(
+    map: &mut M,
+    other: impl Iterator<Item = (&'a K, &'a V)>,
+    cap: usize,
+    dropped: &mut u64,
+) where
+    M: Slots<Key = K, Value = V>,
+    K: Clone + Hash + Ord + 'a,
+    V: Counted + Default + 'a,
+{
+    for (k, v) in other.filter(|(_, v)| !v.is_void()) {
+        if let Some(slot) = capped(map, k, cap, dropped) {
+            slot.add(v, cap, dropped);
+        }
+    }
+}
+
+/// Subtract `other`'s entries from `map`, deleting keys that empty.
+fn retract_entries<'a, M, K, V>(
+    map: &mut M,
+    other: impl Iterator<Item = (&'a K, &'a V)>,
+    field: &'static str,
+) -> Result<(), RetractError>
+where
+    M: Slots<Key = K, Value = V>,
+    K: Hash + Ord + 'a,
+    V: Counted + 'a,
+{
+    for (k, v) in other {
+        let slot = map.slot(k).ok_or(RetractError { field })?;
+        slot.retract(v, field)?;
+        if slot.is_void() {
+            map.take(k);
+        }
+    }
+    Ok(())
+}
+
 /// `cap` bounds this map's keys and, passed down, every nested map's.
-impl<K: Ord + Clone, V: Counted + Default> Counted for BTreeMap<K, V> {
+impl<K: Ord + Clone + Hash, V: Counted + Default> Counted for BTreeMap<K, V> {
     fn add(&mut self, other: &Self, cap: usize, dropped: &mut u64) {
-        for (k, v) in other.iter().filter(|(_, v)| !v.is_void()) {
-            if let Some(slot) = capped(self, k.clone(), cap, dropped) {
-                slot.add(v, cap, dropped);
-            }
+        add_entries(self, other.iter(), cap, dropped);
+    }
+    fn retract(&mut self, other: &Self, field: &'static str) -> Result<(), RetractError> {
+        retract_entries(self, other.iter(), field)
+    }
+    fn is_void(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+/// As for `BTreeMap`. Where the cap may refuse keys, they are offered in
+/// key order, as the ordered map offers them, so which keys survive never
+/// depends on hash order; below the cap the order cannot matter.
+impl<K: Ord + Clone + Hash, V: Counted + Default> Counted for FnvHashMap<K, V> {
+    fn add(&mut self, other: &Self, cap: usize, dropped: &mut u64) {
+        if self.len().saturating_add(other.len()) <= cap {
+            add_entries(self, other.iter(), cap, dropped);
+        } else {
+            let mut sorted: Vec<(&K, &V)> = other.iter().collect();
+            sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            add_entries(self, sorted.into_iter(), cap, dropped);
         }
     }
     fn retract(&mut self, other: &Self, field: &'static str) -> Result<(), RetractError> {
-        for (k, v) in other {
-            let slot = self.get_mut(k).ok_or(RetractError { field })?;
-            slot.retract(v, field)?;
-            if slot.is_void() {
-                self.remove(k);
-            }
-        }
-        Ok(())
+        retract_entries(self, other.iter(), field)
     }
     fn is_void(&self) -> bool {
         self.is_empty()
@@ -291,20 +418,20 @@ struct StreamState {
     first_flow_count: u64,
     /// Alg. 2: FQDN → (server → labeled-flow count). The key set of the
     /// inner map is the paper's server set; counts make it retractable.
-    fqdn_servers: BTreeMap<DomainName, BTreeMap<IpAddr, u64>>,
+    fqdn_servers: FnvHashMap<DomainName, FnvHashMap<IpAddr, u64>>,
     /// Alg. 2: 2nd-level domain → (server → labeled-flow count).
-    sld_servers: BTreeMap<DomainName, BTreeMap<IpAddr, u64>>,
+    sld_servers: FnvHashMap<DomainName, FnvHashMap<IpAddr, u64>>,
     /// Alg. 3: organization → (2nd-level domain → labeled flow count).
-    org_content: BTreeMap<String, BTreeMap<DomainName, u64>>,
+    org_content: FnvHashMap<String, FnvHashMap<DomainName, u64>>,
     /// Alg. 4: port → token → client → flow count (N_X(c) of Eq. 1).
-    tag_counts: BTreeMap<u16, BTreeMap<String, BTreeMap<IpAddr, u64>>>,
+    tag_counts: BTreeMap<u16, FnvHashMap<String, BTreeMap<IpAddr, u64>>>,
     /// Labeled flows per server port (ranks ports in the summary).
     port_flows: BTreeMap<u16, u64>,
     /// Fig. 6 birth processes: entity → bin-keyed flow multiset (see
     /// [`BirthBins`]).
-    fqdn_birth: BTreeMap<DomainName, BirthBins>,
-    sld_birth: BTreeMap<DomainName, BirthBins>,
-    server_birth: BTreeMap<IpAddr, BirthBins>,
+    fqdn_birth: FnvHashMap<DomainName, BirthBins>,
+    sld_birth: FnvHashMap<DomainName, BirthBins>,
+    server_birth: FnvHashMap<IpAddr, BirthBins>,
     /// Packet-clock snapshot bins.
     bins: BTreeMap<u64, BinCounters>,
     first_flow_hist: Log2Hist,
@@ -321,14 +448,14 @@ impl StreamState {
             labeled_flows: 0,
             answered_responses: 0,
             first_flow_count: 0,
-            fqdn_servers: BTreeMap::new(),
-            sld_servers: BTreeMap::new(),
-            org_content: BTreeMap::new(),
+            fqdn_servers: FnvHashMap::default(),
+            sld_servers: FnvHashMap::default(),
+            org_content: FnvHashMap::default(),
             tag_counts: BTreeMap::new(),
             port_flows: BTreeMap::new(),
-            fqdn_birth: BTreeMap::new(),
-            sld_birth: BTreeMap::new(),
-            server_birth: BTreeMap::new(),
+            fqdn_birth: FnvHashMap::default(),
+            sld_birth: FnvHashMap::default(),
+            server_birth: FnvHashMap::default(),
             bins: BTreeMap::new(),
             first_flow_hist: Log2Hist::new(DELAY_HIST_BUCKETS),
             any_flow_hist: Log2Hist::new(DELAY_HIST_BUCKETS),
@@ -348,23 +475,52 @@ pub struct StreamGrowth {
 }
 
 /// Mutate-or-drop insert under the entity cap: returns the value slot when
-/// the key exists or fits, else counts a drop.
-fn capped<'m, K: Ord, V: Default>(
-    map: &'m mut BTreeMap<K, V>,
-    key: K,
+/// the key exists or fits, else counts a drop. The key is probed by
+/// reference and cloned only when it is inserted.
+fn capped<'m, M, Q>(
+    map: &'m mut M,
+    key: &Q,
     cap: usize,
     dropped: &mut u64,
-) -> Option<&'m mut V> {
-    if map.len() >= cap && !map.contains_key(&key) {
+) -> Option<&'m mut M::Value>
+where
+    M: Slots,
+    M::Key: Borrow<Q>,
+    Q: ToOwned<Owned = M::Key> + Hash + Ord + ?Sized,
+{
+    if map.slot(key).is_some() {
+        return map.slot(key);
+    }
+    if map.len() >= cap {
         *dropped = dropped.saturating_add(1);
         return None;
     }
-    Some(map.entry(key).or_default())
+    Some(map.put(key.to_owned()))
+}
+
+/// An ordered copy of an entity map, for the accessors: its values mapped
+/// by `value`.
+fn ordered<K: Ord + Clone, V, W>(
+    map: &FnvHashMap<K, V>,
+    value: impl Fn(&V) -> W,
+) -> BTreeMap<K, W> {
+    map.iter().map(|(k, v)| (k.clone(), value(v))).collect()
+}
+
+/// The first `k` of `items` under `order`, sorted: what sort-then-take
+/// yields, without sorting the rest. Every order the render passes breaks
+/// ties on a unique name, port or token, so the selection is exact.
+fn top_k<T>(items: &mut Vec<T>, k: usize, order: impl Fn(&T, &T) -> Ordering) {
+    if items.len() > k {
+        items.select_nth_unstable_by(k, &order);
+        items.truncate(k);
+    }
+    items.sort_unstable_by(order);
 }
 
 /// Number of entities per birth bin: each entity contributes once, at its
 /// minimum (first) recorded bin.
-fn birth_bin_counts<K>(map: &BTreeMap<K, BirthBins>) -> BTreeMap<u64, u64> {
+fn birth_bin_counts<K>(map: &FnvHashMap<K, BirthBins>) -> BTreeMap<u64, u64> {
     let mut out: BTreeMap<u64, u64> = BTreeMap::new();
     for bins in map.values() {
         if let Some((&bin, _)) = bins.0.first_key_value() {
@@ -404,6 +560,10 @@ pub struct StreamingAnalytics {
     /// trace (min over shards), or a window's start in a rebased view.
     trace_start: Option<u64>,
     state: StreamState,
+    /// Reused token storage for [`FlowSink::on_flow_finished`]: scratch,
+    /// not state, so a labelled flow's tokens allocate nothing once it
+    /// has grown.
+    tokens: TokenBuf,
 }
 
 impl StreamingAnalytics {
@@ -416,6 +576,7 @@ impl StreamingAnalytics {
             cfg,
             trace_start: None,
             state: StreamState::new(),
+            tokens: TokenBuf::default(),
         }
     }
 
@@ -581,6 +742,7 @@ impl StreamingAnalytics {
             cfg: self.cfg.clone(),
             trace_start: Some(origin),
             state,
+            tokens: TokenBuf::default(),
         }
     }
 
@@ -609,30 +771,45 @@ impl StreamingAnalytics {
             .saturating_sub(self.state.first_flow_count)
     }
 
+    /// Every sink event this partial holds — finished flows, answered
+    /// responses and both kinds of delay sample — which is what a windowed
+    /// sink counts as dropped when it refuses the partial's bucket.
+    pub(crate) fn events(&self) -> u64 {
+        let s = &self.state;
+        s.flows + s.answered_responses + s.first_flow_count + s.any_flow_hist.count()
+    }
+
     /// Entities dropped by the `max_tracked` cap (0 ⇒ aggregates exact).
     pub fn dropped_entities(&self) -> u64 {
         self.state.dropped_entities
     }
 
     /// Alg. 2 state: FQDN → (server → labeled-flow count). The inner key
-    /// set is the paper's server set.
-    pub fn fqdn_servers(&self) -> &BTreeMap<DomainName, BTreeMap<IpAddr, u64>> {
-        &self.state.fqdn_servers
+    /// set is the paper's server set. Built ordered on each call.
+    pub fn fqdn_servers(&self) -> BTreeMap<DomainName, BTreeMap<IpAddr, u64>> {
+        ordered(&self.state.fqdn_servers, |m| ordered(m, |&n| n))
     }
 
     /// Alg. 2 state: 2nd-level domain → (server → labeled-flow count).
-    pub fn sld_servers(&self) -> &BTreeMap<DomainName, BTreeMap<IpAddr, u64>> {
-        &self.state.sld_servers
+    /// Built ordered on each call.
+    pub fn sld_servers(&self) -> BTreeMap<DomainName, BTreeMap<IpAddr, u64>> {
+        ordered(&self.state.sld_servers, |m| ordered(m, |&n| n))
     }
 
     /// Alg. 3 state: organization → (2nd-level domain → flow count).
-    pub fn org_content(&self) -> &BTreeMap<String, BTreeMap<DomainName, u64>> {
-        &self.state.org_content
+    /// Built ordered on each call.
+    pub fn org_content(&self) -> BTreeMap<String, BTreeMap<DomainName, u64>> {
+        ordered(&self.state.org_content, |m| ordered(m, |&n| n))
     }
 
-    /// Alg. 4 state: port → token → client → flow count.
-    pub fn tag_counts(&self) -> &BTreeMap<u16, BTreeMap<String, BTreeMap<IpAddr, u64>>> {
-        &self.state.tag_counts
+    /// Alg. 4 state: port → token → client → flow count. Built ordered on
+    /// each call.
+    pub fn tag_counts(&self) -> BTreeMap<u16, BTreeMap<String, BTreeMap<IpAddr, u64>>> {
+        self.state
+            .tag_counts
+            .iter()
+            .map(|(&port, tokens)| (port, ordered(tokens, BTreeMap::clone)))
+            .collect()
     }
 
     /// First-flow delay histogram (Fig. 12 summary).
@@ -645,9 +822,20 @@ impl StreamingAnalytics {
         &self.state.any_flow_hist
     }
 
-    /// Eq. 1 scores for one port, in deterministic (token-ordered) sum
-    /// order: `score(X) = Σ_c ln(N_X(c) + 1)`.
+    /// Eq. 1 scores for one port, in token order: `score(X) = Σ_c
+    /// ln(N_X(c) + 1)`, each summed in client-address order.
     pub fn token_scores(&self, port: u16) -> Vec<(String, f64)> {
+        let mut scores: Vec<(String, f64)> = self
+            .port_scores(port)
+            .into_iter()
+            .map(|(token, score)| (token.to_owned(), score))
+            .collect();
+        scores.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        scores
+    }
+
+    /// [`token_scores`](Self::token_scores) by reference, in no order.
+    fn port_scores(&self, port: u16) -> Vec<(&str, f64)> {
         let Some(tokens) = self.state.tag_counts.get(&port) else {
             return Vec::new();
         };
@@ -655,7 +843,7 @@ impl StreamingAnalytics {
             .iter()
             .map(|(token, clients)| {
                 let score: f64 = clients.values().map(|&n| ((n + 1) as f64).ln()).sum();
-                (token.clone(), score)
+                (token.as_str(), score)
             })
             .collect()
     }
@@ -797,12 +985,15 @@ impl StreamingAnalytics {
         out.push_str(",\"any_flow_delay\":");
         push_hist(out, &st.any_flow_hist);
 
+        let k = self.cfg.top_k;
         // Alg. 2 view: FQDNs ranked by server-set size.
         out.push_str(",\"top_fqdns_by_servers\":[");
         let mut fqdns: Vec<(&DomainName, usize)> =
             st.fqdn_servers.iter().map(|(d, s)| (d, s.len())).collect();
-        fqdns.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        for (i, (fqdn, servers)) in fqdns.iter().take(self.cfg.top_k).enumerate() {
+        top_k(&mut fqdns, k, |a, b| {
+            b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
+        });
+        for (i, (fqdn, servers)) in fqdns.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -817,13 +1008,15 @@ impl StreamingAnalytics {
         // Alg. 3 view: organizations ranked by labeled flows, with their
         // top hosted 2nd-level domains.
         out.push_str(",\"top_orgs\":[");
-        let mut orgs: Vec<(&String, u64)> = st
+        let mut orgs: Vec<(&String, u64, &FnvHashMap<DomainName, u64>)> = st
             .org_content
             .iter()
-            .map(|(org, domains)| (org, domains.values().sum::<u64>()))
+            .map(|(org, domains)| (org, domains.values().sum::<u64>(), domains))
             .collect();
-        orgs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        for (i, (org, total)) in orgs.iter().take(self.cfg.top_k).enumerate() {
+        top_k(&mut orgs, k, |a, b| {
+            b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
+        });
+        for (i, (org, total, domains)) in orgs.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -832,13 +1025,12 @@ impl StreamingAnalytics {
             out.push_str(",\"labeled_flows\":");
             push_u64(out, *total);
             out.push_str(",\"top_domains\":[");
-            let mut domains: Vec<(&DomainName, u64)> = st
-                .org_content
-                .get(*org)
-                .map(|m| m.iter().map(|(d, &n)| (d, n)).collect())
-                .unwrap_or_default();
-            domains.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-            for (j, (domain, n)) in domains.iter().take(self.cfg.top_k).enumerate() {
+            let mut domains: Vec<(&DomainName, u64)> =
+                domains.iter().map(|(d, &n)| (d, n)).collect();
+            top_k(&mut domains, k, |a, b| {
+                b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
+            });
+            for (j, (domain, n)) in domains.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
@@ -856,8 +1048,10 @@ impl StreamingAnalytics {
         // top-scoring service tokens.
         out.push_str(",\"top_ports\":[");
         let mut ports: Vec<(u16, u64)> = st.port_flows.iter().map(|(&p, &n)| (p, n)).collect();
-        ports.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        for (i, (port, n)) in ports.iter().take(self.cfg.top_k).enumerate() {
+        top_k(&mut ports, k, |a, b| {
+            b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+        });
+        for (i, (port, n)) in ports.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -866,9 +1060,11 @@ impl StreamingAnalytics {
             out.push_str(",\"labeled_flows\":");
             push_u64(out, *n);
             out.push_str(",\"tags\":[");
-            let mut scores = self.token_scores(*port);
-            scores.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            for (j, (token, score)) in scores.iter().take(self.cfg.top_k).enumerate() {
+            let mut scores = self.port_scores(*port);
+            top_k(&mut scores, k, |a, b| {
+                b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0))
+            });
+            for (j, (token, score)) in scores.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
@@ -930,24 +1126,25 @@ impl FlowSink for StreamingAnalytics {
         }
         if let Some(fqdn) = &flow.fqdn {
             let (suffixes, orgdb) = lookup_tables();
-            let sld = fqdn.second_level_domain(suffixes);
+            let (sld, below) = fqdn.split_second_level(suffixes);
+            self.tokens.fill(below);
             let server = flow.key.server;
             let port = flow.key.server_port;
             let client = flow.key.client;
-            let org = orgdb.org_name(server).to_string();
-            let s = &mut self.state;
-            if let Some(m) = capped(&mut s.fqdn_servers, fqdn.clone(), cap, &mut dropped) {
-                if let Some(n) = capped(m, server, cap, &mut dropped) {
+            let org = orgdb.org_name(server);
+            let (s, d) = (&mut self.state, &mut dropped);
+            if let Some(m) = capped(&mut s.fqdn_servers, fqdn, cap, d) {
+                if let Some(n) = capped(m, &server, cap, d) {
                     *n += 1;
                 }
             }
-            if let Some(m) = capped(&mut s.sld_servers, sld.clone(), cap, &mut dropped) {
-                if let Some(n) = capped(m, server, cap, &mut dropped) {
+            if let Some(m) = capped(&mut s.sld_servers, &sld, cap, d) {
+                if let Some(n) = capped(m, &server, cap, d) {
                     *n += 1;
                 }
             }
-            if let Some(m) = capped(&mut s.org_content, org, cap, &mut dropped) {
-                if let Some(n) = capped(m, sld.clone(), cap, &mut dropped) {
+            if let Some(m) = capped(&mut s.org_content, org, cap, d) {
+                if let Some(n) = capped(m, &sld, cap, d) {
                     *n += 1;
                 }
             }
@@ -955,25 +1152,24 @@ impl FlowSink for StreamingAnalytics {
             // Apex names tokenize to nothing; creating the port entry for
             // them would store a void value, which breaks retraction's
             // remove-when-empty key accounting (see `Counted`).
-            let port_tokens = tokenize_fqdn(fqdn, suffixes);
-            if !port_tokens.is_empty() {
-                if let Some(tokens) = capped(&mut s.tag_counts, port, cap, &mut dropped) {
-                    for token in port_tokens {
-                        if let Some(clients) = capped(tokens, token, cap, &mut dropped) {
-                            if let Some(n) = capped(clients, client, cap, &mut dropped) {
+            if !self.tokens.is_empty() {
+                if let Some(tokens) = capped(&mut s.tag_counts, &port, cap, d) {
+                    for token in self.tokens.iter() {
+                        if let Some(clients) = capped(tokens, token, cap, d) {
+                            if let Some(n) = capped(clients, &client, cap, d) {
                                 *n += 1;
                             }
                         }
                     }
                 }
             }
-            if let Some(m) = capped(&mut s.fqdn_birth, fqdn.clone(), cap, &mut dropped) {
+            if let Some(m) = capped(&mut s.fqdn_birth, fqdn, cap, d) {
                 *m.0.entry(bin).or_default() += 1;
             }
-            if let Some(m) = capped(&mut s.sld_birth, sld, cap, &mut dropped) {
+            if let Some(m) = capped(&mut s.sld_birth, &sld, cap, d) {
                 *m.0.entry(bin).or_default() += 1;
             }
-            if let Some(m) = capped(&mut s.server_birth, server, cap, &mut dropped) {
+            if let Some(m) = capped(&mut s.server_birth, &server, cap, d) {
                 *m.0.entry(bin).or_default() += 1;
             }
         }
@@ -1295,6 +1491,77 @@ pub(crate) mod tests {
         absolute.render_summary_object(&mut from_absolute);
         view.render_summary_object(&mut from_view);
         assert_eq!(from_absolute, from_view);
+    }
+
+    /// More than `top_k` FQDNs, organizations, domains per organization,
+    /// ports and tokens, tied on their counts and fed in shuffled order,
+    /// render exactly what a full sort then take would: the first `top_k`
+    /// of each under the count order with its name, port or token
+    /// tie-break. Pinned directly and through a fold of two partials.
+    #[test]
+    fn ties_beyond_top_k_render_as_sort_then_take() {
+        const WORDS: [&str; 16] = [
+            "kilo", "alpha", "golf", "delta", "papa", "echo", "bravo", "oscar", "hotel", "juliet",
+            "charlie", "india", "lima", "foxtrot", "mike", "nova",
+        ];
+        // akamai, edgecast, google and apple in the builtin registry.
+        const ORG_NETS: [&str; 4] = ["23.0.0", "93.184.216", "74.125.0", "17.0.0"];
+        let mut flows: Vec<TaggedFlow> = (0..16)
+            .map(|i| {
+                let fqdn = format!("{}.s{i:02}.net", WORDS[i]);
+                let server = format!("{}.{}", ORG_NETS[i % 4], i + 1);
+                flow("10.0.0.1", Some(&fqdn), &server, 80, i as u64)
+            })
+            .collect();
+        // Apex names on four more ports, served from no registered org.
+        for (i, port) in [443, 8443, 25, 110].into_iter().enumerate() {
+            let fqdn = format!("s{}.net", 16 + i);
+            let server = format!("203.0.113.{}", i + 1);
+            flows.push(flow("10.0.0.1", Some(&fqdn), &server, port, 16 + i as u64));
+        }
+        let shuffled: Vec<TaggedFlow> = (0..flows.len())
+            .map(|i| flows[i * 7 % flows.len()].clone())
+            .collect();
+        let cfg = StreamingConfig {
+            top_k: 3,
+            ..StreamingConfig::default()
+        };
+        let mut direct = StreamingAnalytics::new(cfg.clone());
+        feed(&mut direct, &shuffled);
+        let (mut a, mut b) = (
+            StreamingAnalytics::new(cfg.clone()),
+            StreamingAnalytics::new(cfg),
+        );
+        let (front, back) = shuffled.split_at(9);
+        feed(&mut a, back);
+        feed(&mut b, front);
+        a.merge(b);
+
+        const RANKINGS: &str = concat!(
+            "\"top_fqdns_by_servers\":[{\"fqdn\":\"alpha.s01.net\",\"servers\":1},",
+            "{\"fqdn\":\"bravo.s06.net\",\"servers\":1},{\"fqdn\":\"charlie.s10.net\",\"servers\":1}],",
+            "\"top_orgs\":[{\"org\":\"akamai\",\"labeled_flows\":4,\"top_domains\":[",
+            "{\"domain\":\"s00.net\",\"flows\":1},{\"domain\":\"s04.net\",\"flows\":1},",
+            "{\"domain\":\"s08.net\",\"flows\":1}]},",
+            "{\"org\":\"apple\",\"labeled_flows\":4,\"top_domains\":[",
+            "{\"domain\":\"s03.net\",\"flows\":1},{\"domain\":\"s07.net\",\"flows\":1},",
+            "{\"domain\":\"s11.net\",\"flows\":1}]},",
+            "{\"org\":\"edgecast\",\"labeled_flows\":4,\"top_domains\":[",
+            "{\"domain\":\"s01.net\",\"flows\":1},{\"domain\":\"s05.net\",\"flows\":1},",
+            "{\"domain\":\"s09.net\",\"flows\":1}]}],",
+            "\"top_ports\":[{\"port\":80,\"labeled_flows\":16,\"tags\":[",
+            "{\"token\":\"alpha\",\"score\":0.693147},{\"token\":\"bravo\",\"score\":0.693147},",
+            "{\"token\":\"charlie\",\"score\":0.693147}]},",
+            "{\"port\":25,\"labeled_flows\":1,\"tags\":[]},",
+            "{\"port\":110,\"labeled_flows\":1,\"tags\":[]}],",
+            "\"dropped_entities\":0}",
+        );
+        for sink in [&direct, &a] {
+            let mut summary = String::new();
+            sink.render_summary_object(&mut summary);
+            let rankings = summary.find("\"top_fqdns_by_servers\"").unwrap();
+            assert_eq!(&summary[rankings..], RANKINGS);
+        }
     }
 
     /// Where `max_tracked` bites, pinned at a cap of 2 over more FQDNs,

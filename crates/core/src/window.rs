@@ -20,7 +20,7 @@
 //! bins are *absolute bucket indices* (`bin = ts / slide`). Bucket
 //! partials therefore merge with plain `merge_ref` — no per-bucket offset
 //! bookkeeping — and a window view over buckets `[w, w+n)` is produced by
-//! [`StreamingAnalytics::rebased_view`], which re-anchors the accumulated
+//! `StreamingAnalytics::rebased_view`, which re-anchors the accumulated
 //! state at the window's start time. The equivalence suite
 //! (`tests/windowed_equivalence.rs`) proves the resulting render is
 //! byte-identical to running a fresh sink over the trace sliced to
@@ -215,7 +215,7 @@ impl WindowedAnalytics {
             } else if self.buckets.len() < MAX_LIVE_BUCKETS {
                 self.buckets.insert(idx, part);
             } else {
-                self.dropped_bucket_events += part.flows();
+                self.dropped_bucket_events += part.events();
             }
         }
     }
@@ -612,6 +612,38 @@ mod tests {
         w.on_answered_response(MAX_LIVE_BUCKETS as u64 * 2);
         assert_eq!(w.live_buckets(), MAX_LIVE_BUCKETS);
         assert_eq!(w.dropped_bucket_events(), 1);
+    }
+
+    /// A partial refused at the cap in a fold counts every event it holds,
+    /// as the same events refused one by one are counted: an answered
+    /// response and a delay sample are events as much as a flow is.
+    #[test]
+    fn fold_counts_every_event_of_a_refused_bucket() {
+        let full = || {
+            let mut w = WindowedAnalytics::new(WindowConfig::new(4, 2));
+            w.on_trace_start(0);
+            for i in 0..MAX_LIVE_BUCKETS as u64 {
+                w.on_answered_response(i * 2);
+            }
+            w
+        };
+        let beyond = MAX_LIVE_BUCKETS as u64 * 2;
+        let mut one_sink = full();
+        one_sink.on_answered_response(beyond);
+        one_sink.on_any_flow_delay(beyond, 7);
+        assert_eq!(one_sink.dropped_bucket_events(), 2);
+
+        let mut folded = full();
+        let mut part = WindowedAnalytics::new(WindowConfig::new(4, 2));
+        part.on_trace_start(0);
+        part.on_answered_response(beyond);
+        part.on_any_flow_delay(beyond, 7);
+        folded.merge(part);
+        assert_eq!(folded.live_buckets(), MAX_LIVE_BUCKETS);
+        assert_eq!(
+            folded.dropped_bucket_events(),
+            one_sink.dropped_bucket_events()
+        );
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! paper's §4.1 label questions by slicing it. This module keeps the
 //! representation that design replaced — a plain `Vec` of label `String`s,
 //! with every operation written the obvious way — and
-//! [`NameModel::assert_agrees`] replays each operation against both. The
-//! property tests (`tests/dns_wire.rs` at the workspace root) build the
-//! model from the raw wire labels, independently of the decoder; `cargo
-//! xtask fuzz dns` builds it from whatever a mutated message decoded to.
-//! Like the resolver's shadow model, it is the dumbest structure that can
-//! express the semantics, and nothing on a packet path touches it.
+//! [`NameModel::assert_agrees`](crate::check::NameModel::assert_agrees)
+//! replays each operation against both. The property tests
+//! (`tests/dns_wire.rs` at the workspace root) build the model from the
+//! raw wire labels, independently of the decoder; `cargo xtask fuzz dns`
+//! builds it from whatever a mutated message decoded to. Like the
+//! resolver's shadow model, it is the dumbest structure that can express
+//! the semantics, and nothing on a packet path touches it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -76,6 +77,33 @@ impl NameModel {
         (suffix + 1).min(n)
     }
 
+    /// Algorithm 4's tokens written the obvious way: each label below the
+    /// second-level domain split on every non-alphanumeric character, each
+    /// piece lower-cased with its digit runs collapsed to `N`, and empty
+    /// pieces and bare numbers dropped.
+    pub fn tokens(&self) -> Vec<String> {
+        let below = self.labels.len() - self.second_level_labels();
+        let mut tokens = Vec::new();
+        for label in self.labels.iter().take(below) {
+            for piece in label.split(|c: char| !c.is_ascii_alphanumeric()) {
+                let mut token = String::new();
+                let mut chars = piece.chars().peekable();
+                while let Some(c) = chars.next() {
+                    if c.is_ascii_digit() {
+                        token.push('N');
+                        while chars.next_if(char::is_ascii_digit).is_some() {}
+                    } else {
+                        token.push(c.to_ascii_lowercase());
+                    }
+                }
+                if !token.is_empty() && token != "N" {
+                    tokens.push(token);
+                }
+            }
+        }
+        tokens
+    }
+
     /// A [`DomainName`] with these labels in a buffer of its own.
     fn rebuild(&self) -> DomainName {
         let mut name = Assembly::default();
@@ -132,6 +160,18 @@ impl NameModel {
             name.sub_labels(suffixes).collect::<Vec<_>>(),
             below,
             "sub_labels"
+        );
+        let (split_sld, split_below) = name.split_second_level(suffixes);
+        assert_eq!(split_sld, sld, "split_second_level's sld");
+        assert_eq!(
+            split_below.collect::<Vec<_>>(),
+            below,
+            "split_second_level's sub-labels"
+        );
+        assert_eq!(
+            crate::tokenizer::tokenize_fqdn(name, suffixes),
+            self.tokens(),
+            "tokenize_fqdn"
         );
         let parent = name.parent();
         let parent_model = self.tail(n.saturating_sub(1));

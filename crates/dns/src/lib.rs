@@ -44,4 +44,4 @@ pub use error::{DnsError, Result};
 pub use message::{DnsHeader, DnsMessage, QClass, QType, Question, Rcode, ResourceRecord};
 pub use name::DomainName;
 pub use rdata::RData;
-pub use tokenizer::{tokenize_fqdn, tokenize_label};
+pub use tokenizer::{tokenize_fqdn, tokenize_label, TokenBuf};

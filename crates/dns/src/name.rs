@@ -307,6 +307,21 @@ impl DomainName {
         self.labels().take(below)
     }
 
+    /// Both halves of the §4.1 split from one suffix probe: the
+    /// [second-level domain](Self::second_level_domain) and the
+    /// [sub-labels](Self::sub_labels) below it — what a sink that files a
+    /// flow under its SLD and tokenizes it (Algorithm 4) needs of a name.
+    pub fn split_second_level(
+        &self,
+        suffixes: &SuffixSet,
+    ) -> (DomainName, std::iter::Take<Labels<'_>>) {
+        let keep = self.second_level_labels(suffixes);
+        (
+            self.suffix(keep),
+            self.labels().take(self.label_count() - keep),
+        )
+    }
+
     /// True if `self` equals `other` or is a subdomain of it (label-suffix
     /// containment, the paper's §4.1 hierarchy).
     pub fn is_subdomain_of(&self, other: &DomainName) -> bool {

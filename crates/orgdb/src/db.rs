@@ -1,6 +1,6 @@
 //! Longest-prefix-match organization lookup.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::IpAddr;
 
 use crate::prefix::Prefix;
@@ -15,20 +15,22 @@ pub struct OrgRecord {
     pub kind: OrgKind,
 }
 
+/// One announced prefix length and its networks (canonical network
+/// address → org index).
+type Networks = (u8, BTreeMap<IpAddr, usize>);
+
 /// An IP→organization database with longest-prefix-match semantics,
 /// mirroring what the paper obtains from MaxMind/whois.
 ///
-/// Prefixes are bucketed by length so a lookup probes at most 33 (v4) or
-/// 129 (v6) hash tables, longest first — plenty fast for offline analytics
-/// and O(1) in the number of prefixes.
+/// Prefixes are bucketed by length, longest first, so a lookup probes one
+/// ordered map per announced length (11 for the builtin registry's IPv4
+/// plan) and stops at the first hit. The streaming sink looks up every
+/// labelled flow's server, so nothing here hashes with SipHash.
 #[derive(Debug, Default, Clone)]
 pub struct OrgDb {
     orgs: Vec<OrgRecord>,
-    /// prefix-length → (canonical network address → org index)
-    v4_by_len: HashMap<u8, HashMap<IpAddr, usize>>,
-    v6_by_len: HashMap<u8, HashMap<IpAddr, usize>>,
-    v4_lens: Vec<u8>,
-    v6_lens: Vec<u8>,
+    v4: Vec<Networks>,
+    v6: Vec<Networks>,
 }
 
 impl OrgDb {
@@ -51,29 +53,28 @@ impl OrgDb {
     /// Later announcements of the same prefix overwrite earlier ones.
     pub fn announce(&mut self, org: usize, prefix: Prefix) {
         assert!(org < self.orgs.len(), "unknown org handle {org}");
-        let (table, lens) = match prefix.network() {
-            IpAddr::V4(_) => (&mut self.v4_by_len, &mut self.v4_lens),
-            IpAddr::V6(_) => (&mut self.v6_by_len, &mut self.v6_lens),
+        let table = match prefix.network() {
+            IpAddr::V4(_) => &mut self.v4,
+            IpAddr::V6(_) => &mut self.v6,
         };
-        table
-            .entry(prefix.len())
-            .or_default()
-            .insert(prefix.network(), org);
-        if !lens.contains(&prefix.len()) {
-            lens.push(prefix.len());
-            lens.sort_unstable_by(|a, b| b.cmp(a)); // longest first
+        let len = prefix.len();
+        // Longest first: the slot of the first length not longer than `len`.
+        let at = table.partition_point(|(l, _)| *l > len);
+        if table.get(at).is_none_or(|(l, _)| *l != len) {
+            table.insert(at, (len, BTreeMap::new()));
         }
+        table[at].1.insert(prefix.network(), org);
     }
 
     /// Longest-prefix-match lookup.
     pub fn lookup(&self, ip: IpAddr) -> Option<&OrgRecord> {
-        let (table, lens) = match ip {
-            IpAddr::V4(_) => (&self.v4_by_len, &self.v4_lens),
-            IpAddr::V6(_) => (&self.v6_by_len, &self.v6_lens),
+        let table = match ip {
+            IpAddr::V4(_) => &self.v4,
+            IpAddr::V6(_) => &self.v6,
         };
-        for &len in lens {
-            let masked = Prefix::new(ip, len).expect("len came from announce");
-            if let Some(&idx) = table.get(&len).and_then(|m| m.get(&masked.network())) {
+        for (len, networks) in table {
+            let masked = Prefix::new(ip, *len).expect("len came from announce");
+            if let Some(&idx) = networks.get(&masked.network()) {
                 return Some(&self.orgs[idx]);
             }
         }

@@ -8,7 +8,6 @@
 //! that matches the address plan of `dnhunter-simnet`.
 
 #![forbid(unsafe_code)]
-#![expect(clippy::disallowed_types, reason = "offline registry, not per packet")]
 
 pub mod db;
 pub mod prefix;

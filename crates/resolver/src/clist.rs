@@ -6,7 +6,7 @@
 //! can be cleaned up). Each slot carries the generation it was filled at —
 //! the running count of pushes — so a stale reference is detected by one
 //! comparison, and a generation by itself names a slot
-//! ([`CircularList::at`]).
+//! ([`CircularList::at`](crate::clist::CircularList::at)).
 
 /// A reference to a Clist (§3.1) slot at a particular occupancy
 /// generation.

@@ -3,7 +3,7 @@
 //! Algorithm 1 (paper §3.1) inserts one Clist entry per sniffed DNS
 //! response, and each entry carries the response's FQDN. Popular names
 //! (CDN front-ends, trackers, ad servers) recur constantly in real traces.
-//! A [`DomainName`] is one refcounted buffer, so the decoder's name could
+//! A [`DomainName`](dnhunter_dns::DomainName) is one refcounted buffer, so the decoder's name could
 //! be stored as it is — but then every response would keep its own copy of
 //! the same text alive in the Clist. The interner deduplicates: one buffer
 //! per live name, handed out again (a refcount bump) for every repeat

@@ -4,15 +4,18 @@
 //! ("Unordered maps, i.e., hash tables, can be used as well to further
 //! reduce the computational costs") — footnote 2. The resolver's
 //! `(client, server)` index, the FQDN intern table and the flow tables are
-//! all hash tables keyed through [`FnvHasher`]; every map keyed by a
-//! `(client, server)` address pair is a [`PairMap`].
+//! all hash tables keyed through
+//! [`FnvHasher`](crate::maps::FnvHasher); every map keyed by a
+//! `(client, server)` address pair is a
+//! [`PairMap`](crate::maps::PairMap).
 //!
 //! They deliberately avoid the standard library's default SipHash hasher:
 //! SipHash buys DoS resistance the per-packet path does not need (keys are
 //! IP addresses already constrained by the monitored network), at roughly
-//! 2–3× the hashing cost of [`FnvHasher`] on short keys. The root
+//! 2–3× the hashing cost of FNV-1a on short keys. The root
 //! `clippy.toml` disallows the bare std `HashMap` and `HashSet`, so code
-//! reaches for [`FnvHashMap`] and [`FnvHashSet`]; these aliases are the one
+//! reaches for [`FnvHashMap`](crate::maps::FnvHashMap) and
+//! [`FnvHashSet`](crate::maps::FnvHashSet); these aliases are the one
 //! place that names the std types.
 
 use std::collections::hash_map::Entry;
@@ -140,7 +143,7 @@ fn pack(client: Ipv4Addr, server: Ipv4Addr) -> u64 {
 /// pair whose sides are both IPv4 is keyed by one `u64`
 /// (`client << 32 | server`), and any pair with an IPv6 side — an
 /// IPv4-mapped IPv6 address included, which stays distinct from the IPv4
-/// address it maps — by the wide [`Pair`]. A pair lives in exactly one
+/// address it maps — by the wide `Pair`. A pair lives in exactly one
 /// table, so every operation is one probe.
 #[derive(Debug)]
 pub struct PairMap<V> {
@@ -262,7 +265,7 @@ impl<V> PairMap<V> {
     }
 
     /// Heap bytes of both bucket arrays (the §6 memory question; see
-    /// [`hash_table_bytes`]). What the values own on the heap is the
+    /// `hash_table_bytes`). What the values own on the heap is the
     /// caller's to add.
     pub fn heap_bytes(&self) -> usize {
         hash_table_bytes(self.v4.capacity(), Self::V4_BUCKET)

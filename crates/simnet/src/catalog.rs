@@ -1288,6 +1288,43 @@ mod tests {
         }
     }
 
+    /// The sink's allocation-free token walk yields exactly the reference
+    /// model's Algorithm 4 tokens, in order, for every name the catalog
+    /// generates (unbounded families sampled far past their first
+    /// instances), and an apex name yields none.
+    #[test]
+    fn token_walk_matches_the_reference_on_every_catalog_name() {
+        use dnhunter_dns::check::NameModel;
+        use dnhunter_dns::suffix::SuffixSet;
+        use dnhunter_dns::{tokenize_fqdn, TokenBuf};
+
+        let suffixes = SuffixSet::builtin();
+        let c = paper_catalog(true);
+        let mut buf = TokenBuf::default();
+        let mut names = 0;
+        for id in c.service_ids() {
+            let (svc, dom) = (c.service(id), c.domain(id));
+            let far = if svc.unbounded {
+                vec![99, 12_345]
+            } else {
+                Vec::new()
+            };
+            for i in (0..svc.instances).chain(far) {
+                let fqdn = svc.fqdn(dom.sld, i);
+                let (_, below) = fqdn.split_second_level(&suffixes);
+                buf.fill(below);
+                let walked: Vec<&str> = buf.iter().collect();
+                assert_eq!(walked, NameModel::of(&fqdn).tokens(), "{fqdn}");
+                assert_eq!(walked, tokenize_fqdn(&fqdn, &suffixes), "{fqdn}");
+                if matches!(svc.pattern, NamePattern::Apex) {
+                    assert!(buf.is_empty(), "apex {fqdn} tokenized");
+                }
+                names += 1;
+            }
+        }
+        assert!(names > 100, "only {names} catalog names walked");
+    }
+
     #[test]
     fn fqdn_patterns() {
         let s = Service::new(NamePattern::Apex, 80, PayloadStyle::Http);
